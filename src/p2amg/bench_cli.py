@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -339,7 +340,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
     Mesh, assembly and hierarchy are shared across the solver entries
     of a level.  Rows appear in config order (levels outer, solvers
-    inner).
+    inner).  A cell whose solve raises a ``SolverError`` gets a row
+    with ``converged`` false and, in ``iterations``, ``DIVERGED`` for
+    ``DivergenceDetected`` or the error's class name otherwise.
     """
     rows = []
     for pos, n in enumerate(config.levels):
@@ -375,8 +378,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 final = report.final_residual
                 opc = report.operator_complexity
                 wall = report.wall_time
-            except DivergenceDetected:
-                iterations, converged, final, opc, wall = "DIVERGED", False, "", "", ""
+            except SolverError as exc:
+                # one failed cell leaves the other cells' rows intact
+                failure = (
+                    "DIVERGED" if isinstance(exc, DivergenceDetected)
+                    else type(exc).__name__
+                )
+                iterations, converged, final, opc, wall = failure, False, "", "", ""
             rows.append(
                 {
                     "problem": config.problem,
@@ -411,8 +419,6 @@ def _format_cell(value) -> str:
 
 def emit_tables(rows: list[dict], fmt: str, out_dir: str = ".") -> list[str]:
     """Write ``results.csv`` and/or ``results.md``; returns the paths."""
-    import os
-
     paths = []
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, "results.csv")
@@ -495,6 +501,11 @@ def main(argv=None) -> int:
         return 2
     if args.large and LARGE_LEVEL not in config.levels:
         config = replace(config, levels=config.levels + (LARGE_LEVEL,))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
 
     try:
         rows = run_experiment(config)

@@ -222,7 +222,7 @@ def gmres(k, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
 
     true_rel = np.linalg.norm(b - k @ x) / b_norm
     residuals[-1] = float(true_rel)
-    converged = true_rel <= config.tol
+    converged = bool(true_rel <= config.tol)
     return x, SolveReport(
         iterations=len(residuals) - 1,
         residuals=residuals,

@@ -2,10 +2,12 @@
 
 For the SPD velocity systems: damped pointwise Jacobi and block
 Gauss-Seidel over the 3x3 node blocks.  For saddle systems: the
-multiplicative Vanka smoother (one patch per pressure dof), a
-Braess-Sarazin step with diagonal velocity approximation and an inner
-solver for the approximate Schur complement, and a segregated
-Gauss-Seidel (Uzawa-type) step.
+multiplicative Vanka smoother (one patch per pressure dof, swept in
+dependency waves of mutually uncoupled patches, which gives the
+patch-by-patch result with one gather and one residual update per
+wave), a Braess-Sarazin step with diagonal velocity approximation and
+an inner solver for the approximate Schur complement, and a
+segregated Gauss-Seidel (Uzawa-type) step.
 
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
@@ -325,8 +327,63 @@ def build_vanka_patches(system) -> list[VankaPatch]:
     return _patches_from_operator(op, layout)
 
 
+def _dependency_waves(op: sp.csr_matrix, dofs: list[np.ndarray]) -> list[np.ndarray]:
+    """Group patches into dependency waves (level scheduling).
+
+    Patch ``p`` couples to patch ``q`` when ``op[dofs_p, dofs_q]`` or
+    ``op[dofs_q, dofs_p]`` is structurally nonzero, or when the two
+    share a dof.  A patch's wave is one more than the latest wave of any
+    earlier patch it couples to, so the patches of one wave have
+    disjoint, mutually uncoupled dofs.  Returns the patch indices of
+    each wave, in patch order within a wave.
+    """
+    sizes = np.array([d.size for d in dofs])
+    incidence = sp.csr_matrix(
+        (np.ones(sizes.sum(), dtype=bool), np.concatenate(dofs),
+         np.concatenate([[0], np.cumsum(sizes)])),
+        shape=(len(dofs), op.shape[0]),
+    )
+    # shares op's index arrays: only the pattern is read, no value copied
+    pattern = sp.csr_matrix(
+        (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
+    )
+    coupling = incidence @ pattern @ incidence.T
+    coupling = sp.tril(
+        coupling + coupling.T + incidence @ incidence.T, k=-1, format="csr"
+    )
+    wave = np.zeros(len(dofs), dtype=np.intp)
+    for p in range(1, len(dofs)):
+        earlier = coupling.indices[coupling.indptr[p] : coupling.indptr[p + 1]]
+        if earlier.size:
+            wave[p] = wave[earlier].max() + 1
+    order = np.argsort(wave, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(wave))[:-1])
+
+
+@dataclass(frozen=True)
+class _VankaWave:
+    """Patches with disjoint, uncoupled dofs, solved as one batch."""
+
+    dofs: np.ndarray  # concatenated patch dofs
+    factors: list  # CoarseFactorization per patch, lu views of one segment
+    segments: list  # slice of ``dofs`` per patch
+
+
 class VankaSmoother:
-    """Multiplicative Vanka: sequential damped exact solves per patch."""
+    """Multiplicative Vanka: sequential damped exact solves per patch.
+
+    The sweep runs the patches in dependency waves (level scheduling,
+    ``_dependency_waves``): the patches of one wave have disjoint dofs
+    and no coupling through ``op``, so none of them reads a residual
+    entry that another of the wave writes.  Each wave gathers its
+    residual once, solves its patches, and updates ``x`` and the
+    residual once; that is exactly the local solves of the patch-by-
+    patch order, and only the rounding order of the residual sums
+    differs.  Each wave's patch matrices are scattered into one
+    contiguous segment of a per-level buffer, as Fortran-ordered views,
+    and factored in place; ``_dofs`` and ``_factors`` list the patches
+    in patch order.
+    """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0, patches=None):
         self.op = op.tocsr()
@@ -336,29 +393,65 @@ class VankaSmoother:
         self.patches = patches if patches is not None else _patches_from_operator(
             self.op, layout
         )
-        self._dofs = []
-        self._factors = []
         bs = layout.block_size
         vd = layout.velocity_dof
-        for patch in self.patches:
-            vel = (bs * patch.velocity_nodes[:, None] + np.arange(bs)).ravel()
-            dofs = np.concatenate([vel, [vd + patch.pressure_index]])
-            local = self.op[np.ix_(dofs, dofs)].toarray()
-            try:
-                factor = coarse_factor(local)
-            except SingularCoarseMatrix as exc:
-                raise SingularPatch(
-                    f"local matrix of patch {patch.pressure_index} is singular"
-                ) from exc
-            self._dofs.append(dofs)
-            self._factors.append(factor)
+        self._dofs = [
+            np.concatenate([
+                (bs * patch.velocity_nodes[:, None] + np.arange(bs)).ravel(),
+                [vd + patch.pressure_index],
+            ])
+            for patch in self.patches
+        ]
+        self._factors = [None] * len(self.patches)
+        self._waves = []
+        # one buffer per level: a single large allocation, which the
+        # allocator maps and unmaps whole instead of leaving heap holes
+        buffer = np.empty(sum(d.size * d.size for d in self._dofs))
+        start = 0
+        for members in _dependency_waves(self.op, self._dofs):
+            dofs = np.concatenate([self._dofs[p] for p in members])
+            sizes = np.array([self._dofs[p].size for p in members])
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+            # the patches of a wave are uncoupled, so op[dofs][:, dofs] is
+            # block diagonal: its entries go straight into the patch
+            # matrices, Fortran-ordered blocks of the wave's contiguous
+            # segment of the buffer, which are then factored in place
+            local = self.op[dofs][:, dofs].tocoo()
+            owner = np.repeat(np.arange(len(members)), sizes)[local.row]
+            pos = (offsets[owner] + local.row - bounds[owner]
+                   + (local.col - bounds[owner]) * sizes[owner])
+            segment = buffer[start : start + offsets[-1]]
+            segment[:] = np.bincount(pos, weights=local.data, minlength=offsets[-1])
+            start += offsets[-1]
+            for p, k, offset in zip(members, sizes, offsets):
+                block = segment[offset : offset + k * k].reshape(k, k, order="F")
+                try:
+                    self._factors[p] = coarse_factor(block, out=block)
+                except SingularCoarseMatrix as exc:
+                    raise SingularPatch(
+                        f"local matrix of patch {self.patches[p].pressure_index} "
+                        "is singular"
+                    ) from exc
+            self._waves.append(
+                _VankaWave(
+                    dofs=dofs,
+                    factors=[self._factors[p] for p in members],
+                    segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                )
+            )
 
     def sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         r = b - self.op @ x
-        for dofs, factor in zip(self._dofs, self._factors):
-            delta = self.omega * coarse_solve(factor, r[dofs])
-            x[dofs] += delta
-            r -= self.op_csc[:, dofs] @ delta
+        for wave in self._waves:
+            r_wave = r[wave.dofs]
+            delta = np.concatenate([
+                coarse_solve(factor, r_wave[seg])
+                for factor, seg in zip(wave.factors, wave.segments)
+            ])
+            delta *= self.omega
+            x[wave.dofs] += delta
+            r -= self.op_csc[:, wave.dofs] @ delta
         return x
 
     def presmooth(self, x, b, sweeps):

@@ -16,8 +16,9 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrs
 
-from .errors import ShapeError, SingularCoarseMatrix
+from .errors import InvalidParameter, ShapeError, SingularCoarseMatrix
 
 __all__ = [
     "BlockLayout",
@@ -162,12 +163,15 @@ class CoarseFactorization:
     n: int
 
 
-def coarse_factor(a) -> CoarseFactorization:
+def coarse_factor(a, out: np.ndarray | None = None) -> CoarseFactorization:
     """Factor a (small) square operator with dense partial-pivot LU.
 
     Works for SPD and indefinite saddle matrices alike.  Raises
     ``SingularCoarseMatrix`` if a pivot of the equilibrated matrix
-    falls below ``1e-14`` times its largest entry.
+    falls below ``1e-14`` times its largest entry.  The factors are
+    computed in place in ``out``, a Fortran-ordered float array of the
+    operator's shape, when one is given (many small factors can so
+    share one buffer), else in a new array.
     """
     if sp.issparse(a):
         dense = a.toarray()
@@ -179,12 +183,17 @@ def coarse_factor(a) -> CoarseFactorization:
     if np.any(row_max == 0.0):
         raise SingularCoarseMatrix("coarse operator has an empty row")
     scaling = 1.0 / np.sqrt(row_max)
-    scaled = scaling[:, None] * dense * scaling[None, :]
+    if out is None:
+        out = np.empty(dense.shape, order="F")
+    if out.shape != dense.shape or not out.flags.f_contiguous:
+        raise ShapeError(f"factor buffer must be Fortran-ordered {dense.shape}")
+    scaled = np.multiply(scaling[:, None] * dense, scaling[None, :], out=out)
+    largest = np.abs(scaled).max()  # read before the LU overwrites it
     with warnings.catch_warnings():
         # exact singularity is detected by the pivot check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(scaled, check_finite=False)
-    if np.abs(np.diag(lu)).min() < 1e-14 * np.abs(scaled).max():
+        lu, piv = scipy.linalg.lu_factor(scaled, overwrite_a=True, check_finite=False)
+    if np.abs(np.diag(lu)).min() < 1e-14 * largest:
         raise SingularCoarseMatrix(
             "coarse operator has a pivot below 1e-14 of its largest entry"
         )
@@ -192,11 +201,19 @@ def coarse_factor(a) -> CoarseFactorization:
 
 
 def coarse_solve(f: CoarseFactorization, b: np.ndarray) -> np.ndarray:
-    """Back-substitute a coarsest-level factorization."""
+    """Back-substitute a coarsest-level factorization.
+
+    Calls LAPACK ``getrs`` directly, which is what
+    ``scipy.linalg.lu_solve`` calls too, so the result is the same to
+    the bit; the direct call skips ``lu_solve``'s batching wrapper,
+    which costs more than the solve itself for small Vanka patches.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ShapeError(f"right-hand side shape {b.shape} does not match n={f.n}")
-    y = scipy.linalg.lu_solve((f.lu, f.piv), f.scaling * b, check_finite=False)
+    y, info = dgetrs(f.lu, f.piv, f.scaling * b)
+    if info != 0:
+        raise InvalidParameter(f"getrs rejected argument {-info}")
     return f.scaling * y
 
 

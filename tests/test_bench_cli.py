@@ -188,6 +188,68 @@ def test_main_end_to_end(tmp_path, capsys):
     assert (tmp_path / "results.csv").exists()
 
 
+def test_main_gmres_entry_exits_zero(tmp_path):
+    # GMRES must report converged as a Python bool, or the exit-code
+    # check and the CSV both go wrong
+    config = {
+        "problem": "stokes",
+        "levels": [2],
+        "solvers": [{"method": "gmres", "smoother": "Braess-Sarazin-1-1"}],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    (row,) = read_results_csv(str(tmp_path / "results.csv"))
+    assert row["converged"] == "true"
+
+
+def test_main_keeps_rows_after_a_cell_error(tmp_path):
+    # pointwise JA makes the elasticity PCG preconditioner indefinite
+    config = {
+        "problem": "elasticity_displacement",
+        "levels": [4],
+        "mu": 1.15e6,
+        "lambda": 1.73e6,
+        "solvers": [
+            {"method": "pcg", "smoother": "JA-1-1-0.5"},
+            {"method": "pcg", "smoother": "GS-2-2"},
+        ],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    ja, gs = read_results_csv(str(tmp_path / "results.csv"))
+    assert (ja["iterations"], ja["converged"]) == ("IndefiniteBreakdown", "false")
+    assert gs["converged"] == "true"
+
+
+def test_main_creates_output_directory(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": "vector_laplace",
+        "levels": [2],
+        "solvers": [{"method": "amg", "smoother": "GS-1-1"}],
+    }))
+    out = tmp_path / "new" / "dir"
+    assert main(["run", str(path), "--format", "both", "--out", str(out)]) == 0
+    assert (out / "results.csv").exists() and (out / "results.md").exists()
+
+
+def test_main_uncreatable_output_directory(tmp_path, capsys, monkeypatch):
+    import p2amg.bench_cli as cli
+
+    def no_cells(config):
+        raise AssertionError("a cell ran before the output directory check")
+
+    monkeypatch.setattr(cli, "run_experiment", no_cells)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "vector_laplace", "solvers": []}))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", str(path), "--out", str(blocker / "dir")]) == 2
+    assert "output directory" in capsys.readouterr().err
+
+
 def test_main_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -326,6 +326,80 @@ def test_vanka_singular_patch():
         VankaSmoother(sp.csr_matrix(k), lay)
 
 
+@pytest.fixture(scope="module")
+def channel_vanka():
+    """Stokes channel at n = 2: 45 patches, some waves hold two."""
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+
+    mesh, spec = build_case("stokes", 2, mu=0.5)
+    system = assemble(mesh, spec)
+    k = system.monolithic()
+    return k, system.layout, VankaSmoother(k, system.layout, omega=1.0)
+
+
+def vanka_wave_members(sm):
+    """Patch indices of each wave, recovered from its factor objects."""
+    index = {id(f): p for p, f in enumerate(sm._factors)}
+    return [[index[id(f)] for f in wave.factors] for wave in sm._waves]
+
+
+def test_vanka_waves_are_uncoupled_and_ordered(channel_vanka):
+    k, _, sm = channel_vanka
+    kd = k.toarray()
+    dofs = sm._dofs
+    members = vanka_wave_members(sm)
+    assert sorted(p for wave in members for p in wave) == list(range(len(dofs)))
+    assert max(len(wave) for wave in members) >= 2
+    wave_of = {p: w for w, wave in enumerate(members) for p in wave}
+    for w, wave in enumerate(members):
+        assert np.array_equal(sm._waves[w].dofs, np.concatenate([dofs[p] for p in wave]))
+        for p in wave:
+            for q in wave:
+                if p != q:
+                    assert np.intersect1d(dofs[p], dofs[q]).size == 0
+                    assert not kd[np.ix_(dofs[p], dofs[q])].any()
+    for p in range(len(dofs)):
+        for q in range(p):
+            coupled = (kd[np.ix_(dofs[p], dofs[q])].any()
+                       or kd[np.ix_(dofs[q], dofs[p])].any()
+                       or np.intersect1d(dofs[p], dofs[q]).size > 0)
+            if coupled:
+                assert wave_of[q] < wave_of[p]
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.7])
+def test_vanka_wave_sweep_matches_sequential_oracle(channel_vanka, omega):
+    k, lay, _ = channel_vanka
+    sm = VankaSmoother(k, lay, omega=omega)
+    rng = np.random.default_rng(16)
+    b = rng.standard_normal(k.shape[0])
+    x0 = rng.standard_normal(k.shape[0])
+    x = sm.sweep(x0.copy(), b)
+
+    kd = k.toarray()
+    ref = x0.copy()
+    for dofs in sm._dofs:
+        r = b - kd @ ref
+        ref[dofs] += omega * np.linalg.solve(kd[np.ix_(dofs, dofs)], r[dofs])
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_coarse_solve_matches_lu_solve_bitwise(channel_vanka):
+    import scipy.linalg
+
+    from p2amg.sparse_core import coarse_solve
+
+    _, _, sm = channel_vanka
+    rng = np.random.default_rng(17)
+    for factor in sm._factors:
+        rhs = rng.standard_normal(factor.n)
+        ref = factor.scaling * scipy.linalg.lu_solve(
+            (factor.lu, factor.piv), factor.scaling * rhs, check_finite=False
+        )
+        assert np.array_equal(coarse_solve(factor, rhs), ref)
+
+
 # ---------------------------------------------------------------------------
 # Braess-Sarazin
 

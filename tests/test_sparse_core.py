@@ -172,6 +172,32 @@ def test_coarse_factor_reconstruction():
     assert np.abs(recon - permuted).max() <= 1e-10 * np.abs(scaled).max()
 
 
+def test_coarse_pivot_test_uses_matrix_not_factor_scale():
+    # Wilkinson's matrix grows U's last column to 2**29 under partial
+    # pivoting; the near-singular 2x2 block has a 1e-10 pivot, which is
+    # far above 1e-14 of the matrix's largest entry (1) but below 1e-14
+    # of the factor's largest entry
+    n = 30
+    wilkinson = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    wilkinson[:, -1] = 1.0
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    f = coarse_factor(sp.block_diag([wilkinson, near]).tocsr())
+    assert np.abs(f.lu).max() >= 2.0**29
+
+
+def test_coarse_factor_in_place_buffer():
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    buffer = np.zeros(40)
+    out = buffer[4:].reshape(6, 6, order="F")
+    f = coarse_factor(a, out=out)
+    assert f.lu is out
+    assert np.array_equal(f.lu, coarse_factor(a).lu)
+    assert not buffer[:4].any()
+    with pytest.raises(ShapeError):
+        coarse_factor(a, out=np.empty((6, 6)))  # C-ordered: no in-place LU
+
+
 def test_coarse_singular():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0
