@@ -5,7 +5,6 @@ from .assembly import (
     BlockSystem,
     ProblemKind,
     ProblemSpec,
-    SaddleSystem,
     assemble,
     element_matrices,
     manufactured_solution_residual,
@@ -45,7 +44,6 @@ __all__ = [
     "Preconditioner",
     "ProblemKind",
     "ProblemSpec",
-    "SaddleSystem",
     "SmootherConfig",
     "SmootherKind",
     "SolveReport",

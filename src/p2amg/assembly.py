@@ -8,16 +8,16 @@ interpolated hierarchically (vertex values plus bubble corrections),
 its stiffness contribution is moved to the right-hand side, and the
 corresponding rows and columns are removed from the system.
 
-The assembled systems keep the partition structure explicit: node
-blocks of linear and quadratic velocity unknowns, divergence couplings
-per partition, and the pressure mass block where the mixed elasticity
-form requires it.
+Each assembled system is one monolithic CSR operator, stored once,
+plus the :class:`BlockLayout` that splits its unknowns into linear
+velocity nodes, quadratic velocity nodes and pressure; the saddle
+kinds add the divergence coupling and, for mixed elasticity, the
+pressure mass block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "ProblemKind",
     "ProblemSpec",
     "BlockSystem",
-    "SaddleSystem",
     "element_matrices",
     "assemble",
     "manufactured_solution_residual",
@@ -197,72 +196,34 @@ def element_matrices(coords, spec: ProblemSpec):
 
 @dataclass(eq=False)
 class BlockSystem:
-    """SPD system [[K_ll, K_ql^T], [K_ql, K_qq]] in node-block partitions.
+    """Assembled system: one monolithic CSR operator and its partitions.
 
-    ``k_ll``, ``k_ql``, ``k_qq`` are BSR matrices of dense 3x3 blocks
-    over the free linear and quadratic velocity nodes; ``f_l``/``f_q``
-    the matching right-hand sides after homogenization.  ``dof_map``
-    arrays send a vertex (edge) to its free block index, with -1 for
-    eliminated Dirichlet entities.
+    ``operator`` is the SPD velocity matrix ``A`` for the elliptic
+    kinds and the symmetric indefinite ``[[A, B^T], [B, -C]]`` for the
+    saddle kinds (``C`` is zero for Stokes), over the free unknowns in
+    ``layout`` order: linear-node components, quadratic-node
+    components, then pressure.  ``right_hand_side`` holds the matching
+    loads after homogenization.  ``vertex_block``/``edge_block`` send a
+    vertex (edge) to its free node index within its partition, with -1
+    for eliminated Dirichlet entities.  ``pressure_adjacency`` is the
+    vertex connectivity used to coarsen pressure (``None`` for the
+    elliptic kinds).
     """
 
     spec: ProblemSpec
     layout: BlockLayout
-    k_ll: sp.bsr_matrix
-    k_ql: sp.bsr_matrix
-    k_qq: sp.bsr_matrix
-    f_l: np.ndarray
-    f_q: np.ndarray
+    operator: sp.csr_matrix
+    right_hand_side: np.ndarray
     vertex_block: np.ndarray
     edge_block: np.ndarray
     dirichlet_lift: np.ndarray
-
-    @cached_property
-    def velocity_matrix(self) -> sp.csr_matrix:
-        a = sp.bmat([[self.k_ll, self.k_ql.T], [self.k_ql, self.k_qq]], format="csr")
-        a.sort_indices()
-        return a
+    pressure_adjacency: sp.csr_matrix | None = None
 
     def monolithic(self) -> sp.csr_matrix:
-        return self.velocity_matrix
+        return self.operator
 
     def rhs(self) -> np.ndarray:
-        return np.concatenate([self.f_l, self.f_q])
-
-
-@dataclass(eq=False)
-class SaddleSystem(BlockSystem):
-    """Symmetric indefinite system [[A, B^T], [B, -C]].
-
-    Adds the divergence couplings ``b_ll``/``b_lq`` (1x3 pressure-row by
-    velocity-node blocks), the pressure block ``c_ll`` (zero for
-    Stokes), its right-hand side and the vertex adjacency pattern used
-    for pressure coarsening.
-    """
-
-    b_ll: sp.bsr_matrix = None
-    b_lq: sp.bsr_matrix = None
-    c_ll: sp.csr_matrix = None
-    g_l: np.ndarray = None
-    pressure_adjacency: sp.csr_matrix = None
-
-    @cached_property
-    def divergence_matrix(self) -> sp.csr_matrix:
-        return sp.hstack([self.b_ll, self.b_lq], format="csr")
-
-    def monolithic(self) -> sp.csr_matrix:
-        k = sp.bmat(
-            [
-                [self.velocity_matrix, self.divergence_matrix.T],
-                [self.divergence_matrix, -self.c_ll],
-            ],
-            format="csr",
-        )
-        k.sort_indices()
-        return k
-
-    def rhs(self) -> np.ndarray:
-        return np.concatenate([self.f_l, self.f_q, self.g_l])
+        return self.right_hand_side
 
 
 def _hierarchical_lift(mesh: Mesh, spec: ProblemSpec):
@@ -313,7 +274,7 @@ def _neumann_load(mesh: Mesh, spec: ProblemSpec, n_nodes: int) -> np.ndarray:
 
 
 def assemble(mesh: Mesh, spec: ProblemSpec):
-    """Assemble a :class:`BlockSystem` or :class:`SaddleSystem`.
+    """Assemble a :class:`BlockSystem`.
 
     Requires a tagged mesh.  Dirichlet rows and columns are removed from
     the system (free unknowns are renumbered contiguously, linear nodes
@@ -391,79 +352,55 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     a.sort_indices()
     f = f_full[free_dofs]
 
-    split = 3 * n_l
-    k_ll = a[:split, :split].tobsr(blocksize=(3, 3))
-    k_ql = a[split:, :split].tobsr(blocksize=(3, 3))
-    k_qq = a[split:, split:].tobsr(blocksize=(3, 3))
+    operator, rhs, adj = a, f, None
+    if spec.is_saddle:
+        b_full = sp.coo_matrix(
+            (np.concatenate(b_data), (np.concatenate(b_rows), np.concatenate(b_cols))),
+            shape=(nv, n_full),
+        ).tocsr()
+        b_full.sum_duplicates()
+        g = -(b_full @ lift_flat)
+        b = b_full[:, free_dofs].tocsr()
+        b.sort_indices()
 
-    layout = BlockLayout(
-        n_linear=n_l,
-        n_quadratic=n_q,
-        n_pressure=nv if spec.is_saddle else 0,
-        block_size=3,
-    )
+        minus_c = None  # Stokes has no pressure block
+        if spec.has_pressure_mass:
+            c_ij = (np.concatenate(c_rows), np.concatenate(c_cols))
+            minus_c = -sp.coo_matrix(
+                (np.concatenate(c_data), c_ij), shape=(nv, nv)
+            ).tocsr()
 
-    if not spec.is_saddle:
-        return BlockSystem(
-            spec=spec,
-            layout=layout,
-            k_ll=k_ll,
-            k_ql=k_ql,
-            k_qq=k_qq,
-            f_l=f[:split],
-            f_q=f[split:],
-            vertex_block=vertex_block,
-            edge_block=edge_block,
-            dirichlet_lift=lift,
-        )
+        operator = sp.bmat([[a, b.T], [b, minus_c]], format="csr")
+        operator.sort_indices()
+        rhs = np.concatenate([f, g])
 
-    b_full = sp.coo_matrix(
-        (np.concatenate(b_data), (np.concatenate(b_rows), np.concatenate(b_cols))),
-        shape=(nv, n_full),
-    ).tocsr()
-    b_full.sum_duplicates()
-    g = -(b_full @ lift_flat)
-    b = b_full[:, free_dofs].tocsr()
-    b.sort_indices()
-
-    if spec.has_pressure_mass:
-        c_mat = sp.coo_matrix(
-            (np.concatenate(c_data), (np.concatenate(c_rows), np.concatenate(c_cols))),
+        # conventional linear-FE vertex connectivity, used to coarsen pressure
+        ones = np.ones(len(mesh.edges))
+        adj = sp.coo_matrix(
+            (
+                np.concatenate([ones, ones, np.ones(nv)]),
+                (
+                    np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1], np.arange(nv)]),
+                    np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0], np.arange(nv)]),
+                ),
+            ),
             shape=(nv, nv),
         ).tocsr()
-        c_mat.sum_duplicates()
-    else:
-        c_mat = sp.csr_matrix((nv, nv))
+        adj.data[:] = 1.0
 
-    # conventional linear-FE vertex connectivity, used to coarsen pressure
-    ones = np.ones(len(mesh.edges))
-    adj = sp.coo_matrix(
-        (
-            np.concatenate([ones, ones, np.ones(nv)]),
-            (
-                np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1], np.arange(nv)]),
-                np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0], np.arange(nv)]),
-            ),
-        ),
-        shape=(nv, nv),
-    ).tocsr()
-    adj.data[:] = 1.0
-
-    return SaddleSystem(
+    return BlockSystem(
         spec=spec,
-        layout=layout,
-        k_ll=k_ll,
-        k_ql=k_ql,
-        k_qq=k_qq,
-        f_l=f[:split],
-        f_q=f[split:],
+        layout=BlockLayout(
+            n_linear=n_l,
+            n_quadratic=n_q,
+            n_pressure=nv if spec.is_saddle else 0,
+            block_size=3,
+        ),
+        operator=operator,
+        right_hand_side=rhs,
         vertex_block=vertex_block,
         edge_block=edge_block,
         dirichlet_lift=lift,
-        b_ll=b[:, :split].tobsr(blocksize=(1, 3)),
-        b_lq=b[:, split:].tobsr(blocksize=(1, 3)),
-        c_ll=c_mat,
-        g_l=g,
         pressure_adjacency=adj,
     )
 

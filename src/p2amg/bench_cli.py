@@ -203,6 +203,23 @@ def _parse_precond(value) -> int:
     return cycles
 
 
+def _number(raw: dict, key: str, default, integer: bool = False):
+    """``raw[key]``, or ``default`` when absent, checked to be a JSON number."""
+    value = raw.get(key, default)
+    kinds = int if integer else (int, float)
+    if value is None or (isinstance(value, kinds) and not isinstance(value, bool)):
+        return value
+    expected = "an integer" if integer else "a number"
+    raise InvalidParameter(f"{key} must be {expected}, got {value!r}")
+
+
+def _tolerance(raw: dict) -> float | None:
+    tol = _number(raw, "tolerance", None)
+    if tol is not None and not 0.0 < tol < 1.0:
+        raise InvalidParameter(f"tolerance must lie in (0, 1), got {tol!r}")
+    return tol
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a path, file object or dict."""
     if isinstance(source, dict):
@@ -218,6 +235,8 @@ def load_config(source) -> ExperimentConfig:
                     f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
                 ) from exc
 
+    if not isinstance(raw, dict):
+        raise InvalidParameter("config must be a JSON object")
     try:
         problem = raw["problem"]
     except KeyError:
@@ -227,25 +246,40 @@ def load_config(source) -> ExperimentConfig:
     except ValueError:
         raise InvalidParameter(f"unknown problem kind {problem!r}")
 
+    solvers = raw.get("solvers", [])
+    if not isinstance(solvers, list):
+        raise InvalidParameter("solvers must be a list")
     entries = []
-    for i, item in enumerate(raw.get("solvers", [])):
+    for i, item in enumerate(solvers):
         try:
             method = item["method"]
             if method not in ("amg", "pcg", "gmres"):
                 raise InvalidParameter(f"unknown method {method!r}")
             smoother = parse_smoother(item["smoother"]).name
+            cycle = item.get("cycle", "V")
+            if cycle not in ("V", "W"):
+                raise InvalidParameter(f"unknown cycle {cycle!r}")
+            maxit = _number(item, "maxit", None, integer=True)
+            if maxit is not None and maxit < 1:
+                raise InvalidParameter(f"maxit must be at least 1, got {maxit}")
             entries.append(
                 SolverEntry(
                     method=method,
                     smoother=smoother,
-                    cycle=item.get("cycle", "V"),
+                    cycle=cycle,
                     precond_cycles=_parse_precond(item.get("precond", 1)),
-                    tolerance=item.get("tolerance"),
-                    maxit=item.get("maxit"),
+                    tolerance=_tolerance(item),
+                    maxit=maxit,
                 )
             )
-        except (KeyError, InvalidParameter) as exc:
+        except (KeyError, TypeError, InvalidParameter) as exc:
             raise InvalidParameter(f"solvers[{i}]: {exc}") from exc
+
+    levels = raw.get("levels", DEFAULT_LEVELS)
+    if not isinstance(levels, (list, tuple)) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in levels
+    ):
+        raise InvalidParameter(f"levels must be positive integers, got {levels!r}")
 
     coarsening = raw.get("coarsening", SEPARATED)
     if coarsening not in (SEPARATED, MONOLITHIC):
@@ -254,13 +288,13 @@ def load_config(source) -> ExperimentConfig:
     return ExperimentConfig(
         problem=problem,
         solvers=tuple(entries),
-        levels=tuple(raw.get("levels", DEFAULT_LEVELS)),
-        mu=float(raw.get("mu", 1.0)),
-        lam=float(raw.get("lambda", raw.get("lam", 1.0))),
+        levels=tuple(levels),
+        mu=float(_number(raw, "mu", 1.0)),
+        lam=float(_number(raw, "lambda" if "lambda" in raw else "lam", 1.0)),
         coarsening=coarsening,
-        coarse_size_cap=int(raw.get("coarse_size_cap", 500)),
-        tolerance=raw.get("tolerance"),
-        seed=int(raw.get("seed", 0)),
+        coarse_size_cap=_number(raw, "coarse_size_cap", 500, integer=True),
+        tolerance=_tolerance(raw),
+        seed=_number(raw, "seed", 0, integer=True),
     )
 
 

@@ -26,6 +26,7 @@ from .errors import CoarseningFailure, InvalidParameter
 from .sparse_core import (
     BlockLayout,
     CoarseFactorization,
+    as_operator,
     coarse_factor,
     triple_product,
 )
@@ -212,8 +213,6 @@ class Hierarchy:
 
     levels: list[Level]
     coarse: CoarseFactorization
-    mode: str
-    symmetric_operator: bool = True
 
     @property
     def n_levels(self) -> int:
@@ -222,26 +221,6 @@ class Hierarchy:
     @property
     def operator_complexity(self) -> float:
         return sum(lv.operator.nnz for lv in self.levels) / self.levels[0].operator.nnz
-
-
-def _as_level0(system) -> Level:
-    if isinstance(system, Level):
-        return system
-    if sp.issparse(system):
-        n = system.shape[0]
-        return Level(
-            operator=system.tocsr(),
-            layout=BlockLayout(n_linear=n, n_quadratic=0, n_pressure=0, block_size=1),
-        )
-    if isinstance(system, tuple):
-        op, layout = system
-        return Level(operator=op.tocsr(), layout=layout)
-    # assembled BlockSystem / SaddleSystem
-    return Level(
-        operator=system.monolithic(),
-        layout=system.layout,
-        pressure_adjacency=getattr(system, "pressure_adjacency", None),
-    )
 
 
 def _partition_graphs(level: Level, mode: str) -> tuple[list[NodeGraph], list[int]]:
@@ -299,7 +278,8 @@ def build_hierarchy(
     """
     if mode not in (SEPARATED, MONOLITHIC):
         raise InvalidParameter(f"unknown coarsening mode {mode!r}")
-    level = _as_level0(system)
+    op, layout, adjacency = as_operator(system)
+    level = Level(operator=op, layout=layout, pressure_adjacency=adjacency)
     levels = [level]
 
     while level.n_dof > coarse_size_cap and len(levels) < max_levels:
@@ -324,12 +304,7 @@ def build_hierarchy(
         level = Level(operator=coarse_op, layout=lay, pressure_adjacency=adj)
         levels.append(level)
 
-    return Hierarchy(
-        levels=levels,
-        coarse=coarse_factor(levels[-1].operator),
-        mode=mode,
-        symmetric_operator=True,
-    )
+    return Hierarchy(levels=levels, coarse=coarse_factor(levels[-1].operator))
 
 
 def hierarchy_summary(hier: Hierarchy) -> list[dict]:

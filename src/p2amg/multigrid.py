@@ -68,17 +68,6 @@ class SolveReport:
     def final_residual(self) -> float:
         return self.residuals[-1]
 
-    def csv_row(self, **extra) -> dict:
-        row = dict(extra)
-        row.update(
-            iterations=self.iterations,
-            converged=self.converged,
-            final_residual=self.final_residual,
-            operator_complexity=self.operator_complexity,
-            wall_ms=1e3 * self.wall_time,
-        )
-        return row
-
 
 def build_level_smoothers(hierarchy: Hierarchy, config: CycleConfig) -> list:
     """Smoother state for levels 0..L-1 (the coarsest is solved directly)."""
@@ -231,8 +220,6 @@ class Preconditioner:
         saddle smoothers are not symmetric in general.
         """
         cfg = self.config.smoother
-        if not self.hierarchy.symmetric_operator:
-            return False
         if self.hierarchy.n_levels == 1:
             return True
         if cfg.kind is SmootherKind.JACOBI:

@@ -33,7 +33,7 @@ from .errors import (
     SingularCoarseMatrix,
     SingularPatch,
 )
-from .sparse_core import BlockLayout, coarse_factor, coarse_solve
+from .sparse_core import BlockLayout, as_operator, coarse_factor, coarse_solve
 
 __all__ = [
     "SmootherKind",
@@ -120,6 +120,8 @@ def parse_smoother(name: str) -> SmootherConfig:
     Accepted forms: ``JA-m-m-omega``, ``GS-m-m``, ``sGS-m-m``,
     ``Braess-Sarazin-m-m``, ``Vanka`` (optionally ``Vanka-m-m-omega``).
     """
+    if not isinstance(name, str):
+        raise InvalidParameter(f"smoother must be a string, got {name!r}")
     name = name.strip()
     for pattern, kind in _SMOOTHER_PATTERNS:
         match = pattern.match(name)
@@ -128,33 +130,23 @@ def parse_smoother(name: str) -> SmootherConfig:
         groups = match.groups()
         m_pre = int(groups[0]) if groups[0] else 1
         m_post = int(groups[1]) if len(groups) > 1 and groups[1] else 1
-        if kind is SmootherKind.JACOBI:
-            omega = float(groups[2])
-        elif kind is SmootherKind.VANKA and len(groups) > 2 and groups[2]:
-            omega = float(groups[2])
-        elif kind is SmootherKind.SEGREGATED_GS:
-            omega = 0.125
-        else:
-            omega = 1.0
+        try:
+            if kind is SmootherKind.JACOBI:
+                omega = float(groups[2])
+            elif kind is SmootherKind.VANKA and len(groups) > 2 and groups[2]:
+                omega = float(groups[2])
+            elif kind is SmootherKind.SEGREGATED_GS:
+                omega = 0.125
+            else:
+                omega = 1.0
+        except ValueError:
+            raise InvalidParameter(f"bad damping in smoother string {name!r}") from None
         return SmootherConfig(kind=kind, m_pre=m_pre, m_post=m_post, omega=omega)
     raise InvalidParameter(f"cannot parse smoother string {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _as_operator(system) -> tuple[sp.csr_matrix, BlockLayout]:
-    """Accept an assembled system, an (operator, layout) pair or a matrix."""
-    if hasattr(system, "monolithic"):
-        return system.monolithic(), system.layout
-    if isinstance(system, tuple):
-        op, layout = system
-        return op.tocsr(), layout
-    op = system.tocsr()
-    return op, BlockLayout(
-        n_linear=op.shape[0], n_quadratic=0, n_pressure=0, block_size=1
-    )
 
 
 def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout) -> np.ndarray:
@@ -174,6 +166,11 @@ def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout) -> np.ndarr
         return np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularBlock("a diagonal velocity node block is singular") from exc
+
+
+def _apply_block_inverses(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Multiply each node's slice of ``r`` by its block of ``inverses``."""
+    return np.einsum("nij,nj->ni", inverses, r.reshape(len(inverses), -1)).ravel()
 
 
 def _pointwise_layout(layout: BlockLayout) -> BlockLayout:
@@ -245,9 +242,8 @@ class JacobiSmoother:
 
     def apply_diag_inverse(self, r: np.ndarray) -> np.ndarray:
         vd = self.layout.velocity_dof
-        bs = self.layout.block_size
         out = np.empty_like(r)
-        out[:vd] = np.einsum("nij,nj->ni", self._vinv, r[:vd].reshape(-1, bs)).ravel()
+        out[:vd] = _apply_block_inverses(self._vinv, r[:vd])
         if self._pinv is not None:
             out[vd:] = r[vd:] * self._pinv
         return out
@@ -323,7 +319,7 @@ def _patches_from_operator(op: sp.csr_matrix, layout: BlockLayout) -> list[Vanka
 
 def build_vanka_patches(system) -> list[VankaPatch]:
     """One patch per pressure dof, from the divergence coupling pattern."""
-    op, layout = _as_operator(system)
+    op, layout, _ = as_operator(system)
     return _patches_from_operator(op, layout)
 
 
@@ -620,12 +616,9 @@ class SegregatedGSSmoother:
 
     def sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         vd = self.layout.velocity_dof
-        bs = self.layout.block_size
         r = b - self.op @ x
         ru, rp = r[:vd], r[vd:]
-        du = self.jacobi_omega * np.einsum(
-            "nij,nj->ni", self._vinv, ru.reshape(-1, bs)
-        ).ravel()
+        du = self.jacobi_omega * _apply_block_inverses(self._vinv, ru)
         dp = -self.omega * (rp - self.b_block @ du) / self.pressure_scaling
         x[:vd] += du
         x[vd:] += dp
@@ -645,7 +638,7 @@ class SegregatedGSSmoother:
 
 def jacobi_sweep(system, x, b, omega: float = 1.0) -> np.ndarray:
     """One damped pointwise Jacobi sweep (the cycle's JA); returns a new iterate."""
-    op, layout = _as_operator(system)
+    op, layout, _ = as_operator(system)
     sm = JacobiSmoother(op, _pointwise_layout(layout), omega)
     return sm.sweep(np.array(x, dtype=float), b)
 
@@ -654,21 +647,21 @@ def gs_sweep(system, x, b, direction: str = "forward") -> np.ndarray:
     """One block Gauss-Seidel sweep in the given direction."""
     if direction not in ("forward", "backward"):
         raise InvalidParameter(f"unknown sweep direction {direction!r}")
-    op, layout = _as_operator(system)
+    op, layout, _ = as_operator(system)
     sm = GaussSeidelSmoother(op, layout, direction)
     return sm.sweep(np.array(x, dtype=float), b, direction)
 
 
 def vanka_sweep(system, x, b, patches=None, omega: float = 1.0) -> np.ndarray:
     """One multiplicative Vanka sweep over all patches."""
-    op, layout = _as_operator(system)
+    op, layout, _ = as_operator(system)
     sm = VankaSmoother(op, layout, omega, patches=patches)
     return sm.sweep(np.array(x, dtype=float), b)
 
 
 def braess_sarazin_sweep(system, x, b, ahat_solve=None, schur_solve=None) -> np.ndarray:
     """One Braess-Sarazin step (defaults: Ahat = 2 diag A, inner Schur solve)."""
-    op, layout = _as_operator(system)
+    op, layout, _ = as_operator(system)
     sm = BraessSarazinSmoother(
         op, layout, ahat_solve=ahat_solve, schur_solve=schur_solve
     )
@@ -678,7 +671,7 @@ def braess_sarazin_sweep(system, x, b, ahat_solve=None, schur_solve=None) -> np.
 def segregated_gs_sweep(system, x, b, omega: float = 0.125,
                         pressure_scaling=None) -> np.ndarray:
     """One segregated Gauss-Seidel (Uzawa-type) step."""
-    op, layout = _as_operator(system)
+    op, layout, _ = as_operator(system)
     sm = SegregatedGSSmoother(op, layout, omega, pressure_scaling=pressure_scaling)
     return sm.sweep(np.array(x, dtype=float), b)
 

@@ -1,11 +1,12 @@
-"""Block-sparse storage helpers, products, and the coarsest-level solver.
+"""Operator layout, the Galerkin product and the coarsest-level solver.
 
-Matrices are held as scipy.sparse objects throughout: vector-valued
-operators as BSR with dense 3x3 node blocks, couplings as 1x3 blocks,
-and monolithic operators as CSR.  This module adds the small amount of
-machinery scipy does not provide directly: a finalizing block-matrix
-constructor, a symmetrizing Galerkin triple product, and a dense LU
-with partial pivoting for the coarsest level of a hierarchy.
+Every operator is one monolithic scipy CSR matrix; a
+:class:`BlockLayout` names its partitions (linear-node, quadratic-node
+and pressure unknowns) and node blocks.  This module adds the small
+amount of machinery scipy does not provide directly: the one adapter
+from a system, an ``(operator, layout)`` pair or a matrix to that
+form, a symmetrizing Galerkin triple product, and a dense LU with
+partial pivoting for the coarsest level of a hierarchy.
 """
 from __future__ import annotations
 
@@ -22,10 +23,7 @@ from .errors import InvalidParameter, ShapeError, SingularCoarseMatrix
 
 __all__ = [
     "BlockLayout",
-    "BlockSparseMatrix",
-    "block_matrix",
-    "spmv",
-    "spmv_transpose",
+    "as_operator",
     "triple_product",
     "CoarseFactorization",
     "coarse_factor",
@@ -33,11 +31,6 @@ __all__ = [
     "write_matrix_market",
     "read_matrix_market",
 ]
-
-#: Block-sparse matrices are scipy BSR under the hood; kept as a named
-#: alias so call sites state the storage contract.
-BlockSparseMatrix = sp.bsr_matrix
-
 
 @dataclass(frozen=True)
 class BlockLayout:
@@ -71,64 +64,21 @@ class BlockLayout:
         return self.n_pressure > 0
 
 
-def block_matrix(rows, cols, blocks, shape, block_shape) -> BlockSparseMatrix:
-    """Finalize a block-COO triplet into canonical BSR.
+def as_operator(system) -> tuple[sp.csr_matrix, BlockLayout, sp.csr_matrix | None]:
+    """Operator, layout and pressure adjacency of a solver's input.
 
-    Duplicate blocks are summed, column indices are sorted within each
-    row, and explicitly zero blocks are pruned.
-
-    Parameters
-    ----------
-    rows, cols : int arrays of block indices
-    blocks : (nnzb, br, bc) array of dense blocks
-    shape : (n_block_rows, n_block_cols)
-    block_shape : (br, bc)
+    ``system`` is an assembled ``BlockSystem``, an ``(operator,
+    layout)`` pair or a square sparse matrix (one scalar partition).
+    The assembled operator is returned as stored, not copied; only an
+    assembled saddle system carries a pressure adjacency.
     """
-    br, bc = block_shape
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    blocks = np.asarray(blocks, dtype=float).reshape(-1, br, bc)
-    n, m = shape
-    # scatter through a scalar COO (which sums duplicates), then rebuild BSR
-    scalar_rows = (rows[:, None] * br + np.repeat(np.arange(br), bc)[None, :]).ravel()
-    scalar_cols = (cols[:, None] * bc + np.tile(np.arange(bc), br)[None, :]).ravel()
-    mat = sp.coo_matrix(
-        (blocks.reshape(len(blocks), -1).ravel(), (scalar_rows, scalar_cols)),
-        shape=(n * br, m * bc),
-    ).tobsr(blocksize=(br, bc))
-    mat.sort_indices()
-    # prune all-zero blocks
-    keep = np.abs(mat.data).max(axis=(1, 2)) > 0.0
-    if not keep.all():
-        coo2 = mat.tocoo()
-        coo2.eliminate_zeros()
-        mat = coo2.tobsr(blocksize=(br, bc))
-        mat.sort_indices()
-    return mat
-
-
-def _check_matvec_shapes(m, x, transpose=False):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {x.shape}")
-    n_expected = m.shape[0] if transpose else m.shape[1]
-    if x.shape[0] != n_expected:
-        raise ShapeError(
-            f"operand length {x.shape[0]} does not match matrix shape {m.shape}"
-        )
-    return x
-
-
-def spmv(m, x: np.ndarray) -> np.ndarray:
-    """y = M x with explicit shape checking and deterministic order."""
-    x = _check_matvec_shapes(m, x)
-    return m @ x
-
-
-def spmv_transpose(m, x: np.ndarray) -> np.ndarray:
-    """y = M^T x with explicit shape checking."""
-    x = _check_matvec_shapes(m, x, transpose=True)
-    return m.T @ x
+    if isinstance(system, tuple):
+        op, layout = system
+        return op.tocsr(), layout, None
+    if sp.issparse(system):
+        op = system.tocsr()
+        return op, BlockLayout(n_linear=op.shape[0], n_quadratic=0, block_size=1), None
+    return system.monolithic(), system.layout, system.pressure_adjacency
 
 
 def triple_product(p, a, symmetric: bool = False) -> sp.csr_matrix:

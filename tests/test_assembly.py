@@ -13,6 +13,7 @@ from p2amg.assembly import (
     manufactured_solution_residual,
 )
 from p2amg.basis import triangle_quadrature_degree4
+from p2amg.coarsening import build_hierarchy
 from p2amg.errors import DegenerateElement, InvalidParameter, MissingTags
 from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
 from p2amg.sparse_core import read_matrix_market
@@ -174,8 +175,9 @@ def test_free_dof_count(cube2, laplace2):
 
 
 def test_stokes_c_block_zero(stokes1):
-    assert stokes1.c_ll.nnz == 0
     k = stokes1.monolithic()
+    vd = stokes1.layout.velocity_dof
+    assert k[vd:, vd:].nnz == 0
     assert np.abs((k - k.T)).max() <= 1e-12 * np.abs(k).max()
 
 
@@ -183,7 +185,8 @@ def test_mixed_system_symmetric_at_scale(mixed2):
     # entries span ~1e14 in magnitude; symmetry is relative to the largest
     k = mixed2.monolithic()
     assert np.abs((k - k.T)).max() <= 1e-12 * np.abs(k).max()
-    c = mixed2.c_ll.toarray()
+    vd = mixed2.layout.velocity_dof
+    c = (-k[vd:, vd:]).toarray()
     rng = np.random.default_rng(3)
     for _ in range(5):
         q = rng.standard_normal(c.shape[0])
@@ -199,7 +202,27 @@ def test_c_block_scales_inverse_lambda(cube2):
         cube2,
         ProblemSpec(kind=ProblemKind.ELASTICITY_MIXED, mu=1.0, lam=4.0),
     )
-    assert np.allclose(s1.c_ll.toarray(), 2.0 * s2.c_ll.toarray(), rtol=1e-14)
+    k1, k2 = s1.monolithic(), s2.monolithic()
+    vd = s1.layout.velocity_dof
+    c1, c2 = -k1[vd:, vd:], -k2[vd:, vd:]
+    assert np.allclose(c1.toarray(), 2.0 * c2.toarray(), rtol=1e-14)
+
+
+def test_vector_laplace_stores_no_cross_component_entries(laplace2):
+    # the vector Laplacian couples equal components only; an entry
+    # between different components is padding, not assembly
+    coo = laplace2.monolithic().tocoo()
+    assert np.array_equal(coo.row % 3, coo.col % 3)
+
+
+@pytest.mark.parametrize("name", ["stokes2", "mixed2"])
+def test_saddle_operator_stored_once(name, request):
+    # stokes2, not stokes1: the one-cube Stokes system is singular, so no
+    # hierarchy of it can be factored
+    system = request.getfixturevalue(name)
+    k = system.monolithic()
+    assert system.monolithic() is k
+    assert build_hierarchy(system).levels[0].operator is k
 
 
 def test_hierarchical_split_matches_p1_assembly(cube2, laplace2):
@@ -220,7 +243,7 @@ def test_hierarchical_split_matches_p1_assembly(cube2, laplace2):
             for j, vj in enumerate(tet):
                 if vi in index and vj in index:
                     k_oracle[index[vi], index[vj]] += local[i, j]
-    k_ll = laplace2.k_ll.tocsr()
+    k_ll = laplace2.monolithic()[: 3 * n, : 3 * n]
     scalar = k_ll[0::3, 0::3].toarray()
     assert np.abs(scalar - k_oracle).max() <= 1e-13 * np.abs(k_oracle).max()
 
@@ -290,7 +313,8 @@ def test_divergence_rows_on_translation_lift(cube1):
     # n=1, all-Dirichlet: the lift spans every vertex, so it interpolates
     # the constant field exactly and the assembled g = -B u_lift is the
     # elementwise quadrature of q div(const) = 0
-    assert np.abs(system.g_l).max() <= 1e-14
+    g_l = system.rhs()[system.layout.velocity_dof :]
+    assert np.abs(g_l).max() <= 1e-14
 
     # divergence theorem per hat: surface flux equals volume gradient term
     tri_pts, tri_wts = triangle_quadrature_degree4()

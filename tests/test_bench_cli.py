@@ -257,6 +257,45 @@ def test_main_bad_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "does_not_exist.json")]) == 2
 
 
+GOOD_CONFIG = {
+    "problem": "vector_laplace",
+    "levels": [2],
+    "solvers": [{"method": "amg", "cycle": "V", "smoother": "GS-2-2"}],
+}
+
+
+def _with_solver(**fields):
+    return dict(GOOD_CONFIG, solvers=[dict(GOOD_CONFIG["solvers"][0], **fields)])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _with_solver(smoother="JA-1-1-e"),
+        dict(GOOD_CONFIG, mu="abc"),
+        dict(GOOD_CONFIG, coarse_size_cap="x"),
+        dict(GOOD_CONFIG, tolerance="1e-9"),
+        [GOOD_CONFIG],
+        _with_solver(cycle="F"),
+        _with_solver(maxit=0),
+        _with_solver(tolerance=2),
+    ],
+    ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
+         "solver-tolerance"],
+)
+def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
+    import p2amg.bench_cli as cli
+
+    def no_cells(config):
+        raise AssertionError("a cell ran for a bad config")
+
+    monkeypatch.setattr(cli, "run_experiment", no_cells)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_ablation_run_counts_increase():
     cfg = load_config(
         {

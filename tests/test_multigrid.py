@@ -200,25 +200,6 @@ def test_two_grid_self_adjoint_in_a_inner_product(laplace2):
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-def test_solve_report_csv_row(laplace2):
-    hier = build_hierarchy(laplace2, coarse_size_cap=60)
-    _, report = solve_amg(hier, laplace2.rhs(), gs_config(2, 2), tol=1e-11)
-    row = report.csv_row(problem="vector_laplace", level=1, cycle="V", smoother="GS-2-2")
-    for key in (
-        "problem",
-        "level",
-        "cycle",
-        "smoother",
-        "iterations",
-        "converged",
-        "final_residual",
-        "operator_complexity",
-        "wall_ms",
-    ):
-        assert key in row
-    assert row["iterations"] == report.iterations
-
-
 def test_preconditioner_self_adjoint(laplace2):
     hier = build_hierarchy(laplace2, coarse_size_cap=60)
     pre = Preconditioner(hier, gs_config(1, 1))

@@ -5,12 +5,9 @@ import scipy.sparse as sp
 from p2amg.errors import ShapeError, SingularCoarseMatrix
 from p2amg.sparse_core import (
     BlockLayout,
-    block_matrix,
     coarse_factor,
     coarse_solve,
     read_matrix_market,
-    spmv,
-    spmv_transpose,
     triple_product,
     write_matrix_market,
 )
@@ -23,64 +20,6 @@ def test_block_layout():
     assert lay.total_dof == 35
     assert lay.is_saddle
     assert not BlockLayout(n_linear=4, n_quadratic=0).is_saddle
-
-
-def test_block_matrix_finalization():
-    blocks = np.array([np.eye(2), 2 * np.eye(2), np.zeros((2, 2)), np.eye(2)])
-    m = block_matrix([0, 0, 1, 1], [1, 1, 0, 1], blocks, shape=(2, 2), block_shape=(2, 2))
-    # duplicates at (0, 1) summed, the zero block at (1, 0) pruned
-    assert m.blocksize == (2, 2)
-    dense = m.toarray()
-    assert np.allclose(dense[:2, 2:], 3 * np.eye(2))
-    assert np.allclose(dense[2:, :2], 0.0)
-    coo = m.tocoo()
-    assert not np.any((coo.row >= 2) & (coo.col < 2))  # genuinely pruned
-    # column indices sorted within rows
-    for i in range(m.indptr.size - 1):
-        row = m.indices[m.indptr[i] : m.indptr[i + 1]]
-        assert np.all(np.diff(row) > 0)
-
-
-def test_spmv_identity_blocks():
-    blocks = np.array([np.eye(3), np.eye(3)])
-    m = block_matrix([0, 1], [0, 1], blocks, shape=(2, 2), block_shape=(3, 3))
-    x = np.arange(6, dtype=float)
-    assert np.array_equal(spmv(m, x), x)
-
-
-def test_spmv_hand_values():
-    m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-    assert np.array_equal(spmv(m, np.ones(2)), [3.0, 3.0])
-    assert np.array_equal(spmv_transpose(m, np.array([1.0, 1.0])), [2.0, 4.0])
-
-
-def test_spmv_against_dense_oracle():
-    rng = np.random.default_rng(5)
-    dense = rng.standard_normal((40, 25))
-    dense[rng.random((40, 25)) < 0.7] = 0.0
-    m = sp.csr_matrix(dense)
-    x = rng.standard_normal(25)
-    y = rng.standard_normal(40)
-    assert np.allclose(spmv(m, x), dense @ x, rtol=1e-13, atol=1e-13)
-    assert np.allclose(spmv_transpose(m, y), dense.T @ y, rtol=1e-13, atol=1e-13)
-
-
-def test_spmv_linearity():
-    rng = np.random.default_rng(8)
-    m = sp.random(30, 30, density=0.2, random_state=3, format="csr")
-    x, y = rng.standard_normal(30), rng.standard_normal(30)
-    a, b = 1.7, -0.3
-    lhs = spmv(m, a * x + b * y)
-    rhs = a * spmv(m, x) + b * spmv(m, y)
-    assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
-
-
-def test_spmv_shape_errors():
-    m = sp.identity(4, format="csr")
-    with pytest.raises(ShapeError):
-        spmv(m, np.ones(5))
-    with pytest.raises(ShapeError):
-        spmv_transpose(m, np.ones(3))
 
 
 def test_triple_product_identity_bitwise():
