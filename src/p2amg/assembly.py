@@ -21,13 +21,14 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import basis as basis_mod
 from .errors import DegenerateElement, InvalidParameter, MissingTags
 from .mesh import FACE_EDGES, BoundaryTag, Mesh
-from .sparse_core import BlockLayout, write_matrix_market
+from .sparse_core import BlockLayout
 
 __all__ = [
     "ProblemKind",
@@ -454,7 +455,7 @@ def export_matrix_market(system: BlockSystem, prefix: str) -> tuple[str, str]:
     """
     mtx_path = f"{prefix}.mtx"
     header_path = f"{prefix}.header.txt"
-    write_matrix_market(mtx_path, system.monolithic())
+    scipy.io.mmwrite(mtx_path, system.monolithic())
     lay = system.layout
     with open(header_path, "w") as fh:
         fh.write("monolithic dof order: linear nodes, quadratic nodes, pressure\n")

@@ -186,7 +186,7 @@ class ExperimentConfig:
 
 
 def _parse_precond(value) -> int:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         cycles = value
     elif isinstance(value, str):
         head = value.strip().split()[0]
@@ -204,10 +204,13 @@ def _parse_precond(value) -> int:
 
 
 def _number(raw: dict, key: str, default, integer: bool = False):
-    """``raw[key]``, or ``default`` when absent, checked to be a JSON number."""
+    """``raw[key]``, or ``default`` when absent, checked to be a JSON number
+    (``null`` passes only where the default is ``None``)."""
     value = raw.get(key, default)
     kinds = int if integer else (int, float)
-    if value is None or (isinstance(value, kinds) and not isinstance(value, bool)):
+    if (value is None and default is None) or (
+        isinstance(value, kinds) and not isinstance(value, bool)
+    ):
         return value
     expected = "an integer" if integer else "a number"
     raise InvalidParameter(f"{key} must be {expected}, got {value!r}")
@@ -285,14 +288,23 @@ def load_config(source) -> ExperimentConfig:
     if coarsening not in (SEPARATED, MONOLITHIC):
         raise InvalidParameter(f"unknown coarsening mode {coarsening!r}")
 
+    mu = float(_number(raw, "mu", 1.0))
+    lam = float(_number(raw, "lambda" if "lambda" in raw else "lam", 1.0))
+    ProblemSpec(kind=ProblemKind(problem), mu=mu, lam=lam)  # its parameter checks
+    coarse_size_cap = _number(raw, "coarse_size_cap", 500, integer=True)
+    if coarse_size_cap < 1:
+        raise InvalidParameter(
+            f"coarse_size_cap must be at least 1, got {coarse_size_cap}"
+        )
+
     return ExperimentConfig(
         problem=problem,
         solvers=tuple(entries),
         levels=tuple(levels),
-        mu=float(_number(raw, "mu", 1.0)),
-        lam=float(_number(raw, "lambda" if "lambda" in raw else "lam", 1.0)),
+        mu=mu,
+        lam=lam,
         coarsening=coarsening,
-        coarse_size_cap=_number(raw, "coarse_size_cap", 500, integer=True),
+        coarse_size_cap=coarse_size_cap,
         tolerance=_tolerance(raw),
         seed=_number(raw, "seed", 0, integer=True),
     )
@@ -468,11 +480,6 @@ def emit_tables(rows: list[dict], fmt: str, out_dir: str = ".") -> list[str]:
             fh.write(render_markdown(rows))
         paths.append(path)
     return paths
-
-
-def read_results_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
 
 
 def render_markdown(rows: list[dict]) -> str:

@@ -11,9 +11,11 @@ segregated Gauss-Seidel (Uzawa-type) step.
 
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
-The class variants precompute factorizations once per level; the
-module-level ``*_sweep`` functions are thin single-shot wrappers used
-for experimentation and testing.
+Each class precomputes its factorizations once per level and defines
+only ``correct(x, r)``, the correction it adds to ``x`` for the
+residual ``r``.  One shared loop, ``presmooth``/``postsmooth``, runs
+the sweeps: each computes ``r = b - A x`` once and hands it to
+``correct`` (``correct_post`` after coarse-grid correction).
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import (
     SingularCoarseMatrix,
     SingularPatch,
 )
-from .sparse_core import BlockLayout, as_operator, coarse_factor, coarse_solve
+from .sparse_core import BlockLayout, coarse_factor, coarse_solve
 
 __all__ = [
     "SmootherKind",
@@ -42,12 +44,6 @@ __all__ = [
     "VankaPatch",
     "SchurPreconditioner",
     "build_schur_preconditioner",
-    "build_vanka_patches",
-    "jacobi_sweep",
-    "gs_sweep",
-    "vanka_sweep",
-    "braess_sarazin_sweep",
-    "segregated_gs_sweep",
     "make_smoother",
     "JacobiSmoother",
     "GaussSeidelSmoother",
@@ -71,8 +67,8 @@ class SmootherConfig:
 
     ``gs_direction`` selects the Gauss-Seidel policy: "symmetric" runs
     forward sweeps before and backward sweeps after coarse-grid
-    correction (keeping the V-cycle self-adjoint), "forward"/"backward"
-    fix one direction for both stages.
+    correction (keeping the V-cycle self-adjoint), "forward" runs
+    forward sweeps in both stages.
     """
 
     kind: SmootherKind
@@ -86,7 +82,7 @@ class SmootherConfig:
             raise InvalidParameter(f"damping must be positive, got {self.omega}")
         if self.m_pre < 0 or self.m_post < 0:
             raise InvalidParameter("sweep counts must be non-negative")
-        if self.gs_direction not in ("symmetric", "forward", "backward"):
+        if self.gs_direction not in ("symmetric", "forward"):
             raise InvalidParameter(f"unknown GS direction {self.gs_direction!r}")
 
     @property
@@ -173,23 +169,6 @@ def _apply_block_inverses(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", inverses, r.reshape(len(inverses), -1)).ravel()
 
 
-def _pointwise_layout(layout: BlockLayout) -> BlockLayout:
-    """The same partition with every velocity component its own node."""
-    return BlockLayout(
-        n_linear=layout.velocity_dof,
-        n_quadratic=0,
-        n_pressure=layout.n_pressure,
-        block_size=1,
-    )
-
-
-def _pressure_diag_inverse(op: sp.csr_matrix, layout: BlockLayout) -> np.ndarray:
-    diag = op.diagonal()[layout.velocity_dof :]
-    if np.any(diag == 0.0):
-        raise SingularBlock("zero pressure diagonal entry")
-    return 1.0 / diag
-
-
 def _node_index(layout: BlockLayout) -> np.ndarray:
     """Node (block) index of every monolithic dof."""
     bs = layout.block_size
@@ -219,73 +198,74 @@ def _block_triangle_solver(op: sp.csr_matrix, layout: BlockLayout, lower: bool):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi and Gauss-Seidel
+# the sweep loop
 
 
-class JacobiSmoother:
-    """Damped Jacobi over the node blocks of ``layout``:
-    ``x + omega * diag_blocks(A)^{-1} (b - A x)``.
-
-    Block Jacobi for a vector layout; the cycle's JA (``make_smoother``,
-    ``jacobi_sweep``) passes the pointwise layout, so ``diag_blocks(A)``
-    is ``diag(A)``.
+class _Smoother:
+    """The one sweep loop: each sweep hands ``r = b - op @ x`` to
+    ``correct(x, r)`` (``correct_post`` after coarse-grid correction),
+    which updates ``x`` in place and may use ``r`` as scratch.
     """
 
-    def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
-        self.op = op
-        self.layout = layout
-        self.omega = omega
-        self._vinv = _velocity_block_inverses(op, layout)
-        self._pinv = (
-            _pressure_diag_inverse(op, layout) if layout.is_saddle else None
-        )
+    op: sp.csr_matrix
 
-    def apply_diag_inverse(self, r: np.ndarray) -> np.ndarray:
-        vd = self.layout.velocity_dof
-        out = np.empty_like(r)
-        out[:vd] = _apply_block_inverses(self._vinv, r[:vd])
-        if self._pinv is not None:
-            out[vd:] = r[vd:] * self._pinv
-        return out
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+        raise NotImplementedError
 
-    def sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        x += self.omega * self.apply_diag_inverse(b - self.op @ x)
-        return x
+    def correct_post(self, x: np.ndarray, r: np.ndarray) -> None:
+        self.correct(x, r)
 
     def presmooth(self, x, b, sweeps):
         for _ in range(sweeps):
-            self.sweep(x, b)
-        return x
-
-    postsmooth = presmooth
-
-
-class GaussSeidelSmoother:
-    """Block Gauss-Seidel via exact block-triangular substitution."""
-
-    def __init__(self, op, layout: BlockLayout, direction: str = "symmetric"):
-        self.op = op
-        self.layout = layout
-        self.direction = direction
-        self._lower = _block_triangle_solver(op, layout, lower=True)
-        self._upper = _block_triangle_solver(op, layout, lower=False)
-
-    def sweep(self, x: np.ndarray, b: np.ndarray, direction: str) -> np.ndarray:
-        solver = self._lower if direction == "forward" else self._upper
-        x += solver.solve(b - self.op @ x)
-        return x
-
-    def presmooth(self, x, b, sweeps):
-        d = "backward" if self.direction == "backward" else "forward"
-        for _ in range(sweeps):
-            self.sweep(x, b, d)
+            self.correct(x, b - self.op @ x)
         return x
 
     def postsmooth(self, x, b, sweeps):
-        d = "forward" if self.direction == "forward" else "backward"
         for _ in range(sweeps):
-            self.sweep(x, b, d)
+            self.correct_post(x, b - self.op @ x)
         return x
+
+
+# ---------------------------------------------------------------------------
+# Jacobi and Gauss-Seidel
+
+
+class JacobiSmoother(_Smoother):
+    """Damped pointwise Jacobi: ``x + omega * diag(A)^{-1} (b - A x)``."""
+
+    def __init__(self, op, omega: float = 1.0):
+        diag = op.diagonal()
+        if np.any(diag == 0.0):
+            raise SingularBlock("zero diagonal entry")
+        self.op = op
+        self.omega = omega
+        self._dinv = 1.0 / diag
+
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+        x += self.omega * (self._dinv * r)
+
+
+class GaussSeidelSmoother(_Smoother):
+    """Block Gauss-Seidel via exact block-triangular substitution.
+
+    Pre-smoothing sweeps are forward (block lower triangle).  The
+    post-smoothing sweeps are backward (block upper triangle) under
+    ``"symmetric"`` and forward under ``"forward"``.
+    """
+
+    def __init__(self, op, layout: BlockLayout, direction: str = "symmetric"):
+        self.op = op
+        self._lower = _block_triangle_solver(op, layout, lower=True)
+        self._post = (
+            self._lower if direction == "forward"
+            else _block_triangle_solver(op, layout, lower=False)
+        )
+
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+        x += self._lower.solve(r)
+
+    def correct_post(self, x: np.ndarray, r: np.ndarray) -> None:
+        x += self._post.solve(r)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +295,6 @@ def _patches_from_operator(op: sp.csr_matrix, layout: BlockLayout) -> list[Vanka
             raise MalformedSystem(f"pressure dof {i} couples to no velocity dof")
         patches.append(VankaPatch(pressure_index=i, velocity_nodes=nodes))
     return patches
-
-
-def build_vanka_patches(system) -> list[VankaPatch]:
-    """One patch per pressure dof, from the divergence coupling pattern."""
-    op, layout, _ = as_operator(system)
-    return _patches_from_operator(op, layout)
 
 
 def _dependency_waves(op: sp.csr_matrix, dofs: list[np.ndarray]) -> list[np.ndarray]:
@@ -365,7 +339,7 @@ class _VankaWave:
     segments: list  # slice of ``dofs`` per patch
 
 
-class VankaSmoother:
+class VankaSmoother(_Smoother):
     """Multiplicative Vanka: sequential damped exact solves per patch.
 
     The sweep runs the patches in dependency waves (level scheduling,
@@ -381,14 +355,12 @@ class VankaSmoother:
     in patch order.
     """
 
-    def __init__(self, op, layout: BlockLayout, omega: float = 1.0, patches=None):
+    def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
         self.op = op.tocsr()
         self.op_csc = op.tocsc()
         self.layout = layout
         self.omega = omega
-        self.patches = patches if patches is not None else _patches_from_operator(
-            self.op, layout
-        )
+        self.patches = _patches_from_operator(self.op, layout)
         bs = layout.block_size
         vd = layout.velocity_dof
         self._dofs = [
@@ -437,8 +409,7 @@ class VankaSmoother:
                 )
             )
 
-    def sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        r = b - self.op @ x
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         for wave in self._waves:
             r_wave = r[wave.dofs]
             delta = np.concatenate([
@@ -448,14 +419,6 @@ class VankaSmoother:
             delta *= self.omega
             x[wave.dofs] += delta
             r -= self.op_csc[:, wave.dofs] @ delta
-        return x
-
-    def presmooth(self, x, b, sweeps):
-        for _ in range(sweeps):
-            self.sweep(x, b)
-        return x
-
-    postsmooth = presmooth
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +473,7 @@ def build_schur_preconditioner(
     return SchurPreconditioner(matrix=schur, solve=solve, kind="amg")
 
 
-class BraessSarazinSmoother:
+class BraessSarazinSmoother(_Smoother):
     """Preconditioned Richardson step with the Braess-Sarazin block factor.
 
     One sweep applies the inverse of ``[[Ahat, B^T], [B, B Ahat^{-1} B^T
@@ -524,7 +487,6 @@ class BraessSarazinSmoother:
         self,
         op,
         layout: BlockLayout,
-        coarse_size_cap: int = 500,
         ahat_solve: Callable[[np.ndarray], np.ndarray] | None = None,
         schur_solve: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
@@ -543,51 +505,37 @@ class BraessSarazinSmoother:
             ahat_solve = lambda r: inv * r
         self.ahat_solve = ahat_solve
         if schur_solve is None:
-            self.schur = build_schur_preconditioner(
-                self.op, layout, self.ahat, coarse_size_cap
-            )
+            self.schur = build_schur_preconditioner(self.op, layout, self.ahat)
             schur_solve = self.schur.solve
         else:
             self.schur = None
         self.schur_solve = schur_solve
 
-    def sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         vd = self.layout.velocity_dof
-        r = b - self.op @ x
         ru, rp = r[:vd], r[vd:]
         u_star = self.ahat_solve(ru)
         q = self.schur_solve(self.b_block @ u_star - rp)
         x[:vd] += u_star - self.ahat_solve(self.b_block.T @ q)
         x[vd:] += q
-        return x
-
-    def presmooth(self, x, b, sweeps):
-        for _ in range(sweeps):
-            self.sweep(x, b)
-        return x
-
-    postsmooth = presmooth
 
 
 # ---------------------------------------------------------------------------
 # segregated Gauss-Seidel (Uzawa-type)
 
 
-class SegregatedGSSmoother:
+class SegregatedGSSmoother(_Smoother):
     """Uzawa-type step with one damped block Jacobi as the velocity solver.
 
     Applies the inverse of the block triangle ``[[M_A, 0], [B,
-    -omega^{-1} Sigma]]`` to the residual, with ``M_A^{-1} r = omega_j *
-    diag_blocks(A)^{-1} r`` and ``omega_j = 0.5``.  ``Sigma`` is a
-    diagonal pressure scaling; by default the diagonal of the
-    approximate Schur complement ``C + B (2 diag A)^{-1} B^T``, which
-    makes the damping ``omega`` dimensionless.  Pass
-    ``pressure_scaling=1`` (or an explicit vector) for the unscaled
-    update ``dp = -omega (r_p - B du)``.
+    -omega^{-1} Sigma]]`` to the residual, with ``M_A^{-1} r = 0.5 *
+    diag_blocks(A)^{-1} r``.  ``Sigma`` is the diagonal pressure scaling
+    ``pressure_scaling``: the diagonal of the approximate Schur
+    complement ``C + B (2 diag A)^{-1} B^T``, which makes the damping
+    ``omega`` dimensionless.
     """
 
-    def __init__(self, op, layout: BlockLayout, omega: float = 0.125,
-                 jacobi_omega: float = 0.5, pressure_scaling=None):
+    def __init__(self, op, layout: BlockLayout, omega: float = 0.125):
         if not layout.is_saddle:
             raise MalformedSystem("segregated GS requires a saddle system")
         if not omega > 0.0:
@@ -595,102 +543,40 @@ class SegregatedGSSmoother:
         self.op = op.tocsr()
         self.layout = layout
         self.omega = omega
-        self.jacobi_omega = jacobi_omega
         vd = layout.velocity_dof
         self.b_block = self.op[vd:, :vd].tocsr()
         self._vinv = _velocity_block_inverses(self.op, layout)
-        if pressure_scaling is None:
-            diag = self.op.diagonal()[:vd]
-            if np.any(diag <= 0.0):
-                raise SingularBlock("velocity diagonal must be strictly positive")
-            c_diag = -self.op.diagonal()[vd:]
-            sigma = c_diag + self.b_block.multiply(self.b_block) @ (0.5 / diag)
-            sigma[sigma <= 0.0] = 1.0  # decoupled pressure dof: benign unit scale
-        else:
-            sigma = np.broadcast_to(
-                np.asarray(pressure_scaling, dtype=float), (layout.n_pressure,)
-            ).copy()
-            if np.any(sigma <= 0.0):
-                raise InvalidParameter("pressure scaling must be positive")
+        diag = self.op.diagonal()[:vd]
+        if np.any(diag <= 0.0):
+            raise SingularBlock("velocity diagonal must be strictly positive")
+        c_diag = -self.op.diagonal()[vd:]
+        sigma = c_diag + self.b_block.multiply(self.b_block) @ (0.5 / diag)
+        sigma[sigma <= 0.0] = 1.0  # decoupled pressure dof: benign unit scale
         self.pressure_scaling = sigma
 
-    def sweep(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         vd = self.layout.velocity_dof
-        r = b - self.op @ x
         ru, rp = r[:vd], r[vd:]
-        du = self.jacobi_omega * _apply_block_inverses(self._vinv, ru)
+        du = 0.5 * _apply_block_inverses(self._vinv, ru)
         dp = -self.omega * (rp - self.b_block @ du) / self.pressure_scaling
         x[:vd] += du
         x[vd:] += dp
-        return x
-
-    def presmooth(self, x, b, sweeps):
-        for _ in range(sweeps):
-            self.sweep(x, b)
-        return x
-
-    postsmooth = presmooth
 
 
-# ---------------------------------------------------------------------------
-# single-shot functional forms
-
-
-def jacobi_sweep(system, x, b, omega: float = 1.0) -> np.ndarray:
-    """One damped pointwise Jacobi sweep (the cycle's JA); returns a new iterate."""
-    op, layout, _ = as_operator(system)
-    sm = JacobiSmoother(op, _pointwise_layout(layout), omega)
-    return sm.sweep(np.array(x, dtype=float), b)
-
-
-def gs_sweep(system, x, b, direction: str = "forward") -> np.ndarray:
-    """One block Gauss-Seidel sweep in the given direction."""
-    if direction not in ("forward", "backward"):
-        raise InvalidParameter(f"unknown sweep direction {direction!r}")
-    op, layout, _ = as_operator(system)
-    sm = GaussSeidelSmoother(op, layout, direction)
-    return sm.sweep(np.array(x, dtype=float), b, direction)
-
-
-def vanka_sweep(system, x, b, patches=None, omega: float = 1.0) -> np.ndarray:
-    """One multiplicative Vanka sweep over all patches."""
-    op, layout, _ = as_operator(system)
-    sm = VankaSmoother(op, layout, omega, patches=patches)
-    return sm.sweep(np.array(x, dtype=float), b)
-
-
-def braess_sarazin_sweep(system, x, b, ahat_solve=None, schur_solve=None) -> np.ndarray:
-    """One Braess-Sarazin step (defaults: Ahat = 2 diag A, inner Schur solve)."""
-    op, layout, _ = as_operator(system)
-    sm = BraessSarazinSmoother(
-        op, layout, ahat_solve=ahat_solve, schur_solve=schur_solve
-    )
-    return sm.sweep(np.array(x, dtype=float), b)
-
-
-def segregated_gs_sweep(system, x, b, omega: float = 0.125,
-                        pressure_scaling=None) -> np.ndarray:
-    """One segregated Gauss-Seidel (Uzawa-type) step."""
-    op, layout, _ = as_operator(system)
-    sm = SegregatedGSSmoother(op, layout, omega, pressure_scaling=pressure_scaling)
-    return sm.sweep(np.array(x, dtype=float), b)
-
-
-def make_smoother(op, layout: BlockLayout, config: SmootherConfig,
-                  coarse_size_cap: int = 500):
+def make_smoother(op, layout: BlockLayout, config: SmootherConfig):
     """Instantiate the per-level smoother state for a cycle.
 
     JA is damped pointwise Jacobi, ``x + omega * diag(A)^{-1} (b - A x)``,
     whatever the node blocks of ``layout``.
     """
     if config.kind is SmootherKind.JACOBI:
-        return JacobiSmoother(op, _pointwise_layout(layout), config.omega)
+        return JacobiSmoother(op, config.omega)
     if config.kind is SmootherKind.GAUSS_SEIDEL:
         return GaussSeidelSmoother(op, layout, config.gs_direction)
     if config.kind is SmootherKind.VANKA:
         return VankaSmoother(op, layout, config.omega)
     if config.kind is SmootherKind.BRAESS_SARAZIN:
-        return BraessSarazinSmoother(op, layout, coarse_size_cap)
+        return BraessSarazinSmoother(op, layout)
     if config.kind is SmootherKind.SEGREGATED_GS:
         return SegregatedGSSmoother(op, layout, config.omega)
     raise InvalidParameter(f"unknown smoother kind {config.kind}")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrs
@@ -28,8 +27,6 @@ __all__ = [
     "CoarseFactorization",
     "coarse_factor",
     "coarse_solve",
-    "write_matrix_market",
-    "read_matrix_market",
 ]
 
 @dataclass(frozen=True)
@@ -166,12 +163,3 @@ def coarse_solve(f: CoarseFactorization, b: np.ndarray) -> np.ndarray:
         raise InvalidParameter(f"getrs rejected argument {-info}")
     return f.scaling * y
 
-
-def write_matrix_market(path: str, m) -> None:
-    """Write a monolithic scalar matrix in Matrix Market coordinate format."""
-    scipy.io.mmwrite(path, sp.coo_matrix(m))
-
-
-def read_matrix_market(path: str) -> sp.csr_matrix:
-    """Read a Matrix Market file as CSR."""
-    return sp.csr_matrix(scipy.io.mmread(path))

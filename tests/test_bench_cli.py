@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -10,11 +11,15 @@ from p2amg.bench_cli import (
     emit_tables,
     load_config,
     main,
-    read_results_csv,
     render_markdown,
     run_experiment,
 )
 from p2amg.errors import InvalidParameter
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def tiny_config(**overrides):
@@ -114,7 +119,7 @@ def test_empty_solver_list_is_success(tmp_path):
     assert rows == []
     paths = emit_tables(rows, "both", str(tmp_path))
     assert len(paths) == 2
-    assert read_results_csv(paths[0]) == []
+    assert read_csv(paths[0]) == []
     assert "(no results)" in open(paths[1]).read()
 
 
@@ -122,7 +127,7 @@ def test_csv_roundtrip(tmp_path):
     cfg = tiny_config(levels=[2])
     rows = run_experiment(cfg)
     (path,) = emit_tables(rows, "csv", str(tmp_path))
-    parsed = read_results_csv(path)
+    parsed = read_csv(path)
     assert len(parsed) == len(rows)
     for row, back in zip(rows, parsed):
         for key, value in row.items():
@@ -199,7 +204,7 @@ def test_main_gmres_entry_exits_zero(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 0
-    (row,) = read_results_csv(str(tmp_path / "results.csv"))
+    (row,) = read_csv(str(tmp_path / "results.csv"))
     assert row["converged"] == "true"
 
 
@@ -218,7 +223,7 @@ def test_main_keeps_rows_after_a_cell_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
-    ja, gs = read_results_csv(str(tmp_path / "results.csv"))
+    ja, gs = read_csv(str(tmp_path / "results.csv"))
     assert (ja["iterations"], ja["converged"]) == ("IndefiniteBreakdown", "false")
     assert gs["converged"] == "true"
 
@@ -279,9 +284,15 @@ def _with_solver(**fields):
         _with_solver(cycle="F"),
         _with_solver(maxit=0),
         _with_solver(tolerance=2),
+        _with_solver(precond=True),
+        dict(GOOD_CONFIG, coarse_size_cap=-3),
+        dict(GOOD_CONFIG, mu=-1),
+        dict(GOOD_CONFIG, problem="elasticity_displacement", **{"lambda": 0}),
+        dict(GOOD_CONFIG, mu=None),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
-         "solver-tolerance"],
+         "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
+         "lambda-zero", "mu-null"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli

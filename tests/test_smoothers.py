@@ -16,21 +16,21 @@ from p2amg.smoothers import (
     SmootherConfig,
     SmootherKind,
     VankaSmoother,
-    braess_sarazin_sweep,
     build_schur_preconditioner,
-    build_vanka_patches,
-    gs_sweep,
-    jacobi_sweep,
     make_smoother,
     parse_smoother,
-    segregated_gs_sweep,
-    vanka_sweep,
 )
-from p2amg.sparse_core import BlockLayout
+from p2amg.sparse_core import BlockLayout, as_operator
 
 
 def scalar_layout(n_vel, n_pressure=0):
     return BlockLayout(n_linear=n_vel, n_quadratic=0, n_pressure=n_pressure, block_size=1)
+
+
+def gauss_seidel(matrix):
+    """Symmetric GS on a plain matrix: forward pre-, backward post-sweeps."""
+    op, layout, _ = as_operator(matrix)
+    return GaussSeidelSmoother(op, layout)
 
 
 def saddle_parts(a, b, c):
@@ -79,8 +79,9 @@ def test_smoother_config_validation():
         SmootherConfig(kind=SmootherKind.JACOBI, omega=0.0)
     with pytest.raises(InvalidParameter):
         SmootherConfig(kind=SmootherKind.JACOBI, m_pre=-1)
-    with pytest.raises(InvalidParameter):
-        SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, gs_direction="sideways")
+    for direction in ("sideways", "backward"):
+        with pytest.raises(InvalidParameter):
+            SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, gs_direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +91,13 @@ def test_smoother_config_validation():
 def test_jacobi_diagonal_system_one_sweep():
     a = sp.diags([2.0, 4.0, 8.0]).tocsr()
     b = np.array([2.0, 4.0, 8.0])
-    x = jacobi_sweep(a, np.zeros(3), b, omega=1.0)
+    x = JacobiSmoother(a, omega=1.0).presmooth(np.zeros(3), b, 1)
     assert np.allclose(x, 1.0)
 
 
 def test_jacobi_hand_values():
     a = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    x = jacobi_sweep(a, np.zeros(2), np.array([2.0, 4.0]), omega=0.5)
+    x = JacobiSmoother(a, omega=0.5).presmooth(np.zeros(2), np.array([2.0, 4.0]), 1)
     assert np.allclose(x, [0.5, 0.5])
 
 
@@ -106,19 +107,8 @@ def test_jacobi_fixed_point():
     a = sp.csr_matrix(q @ q.T + 12 * np.eye(12))
     x_star = rng.standard_normal(12)
     b = a @ x_star
-    x = jacobi_sweep(a, x_star.copy(), b, omega=0.7)
+    x = JacobiSmoother(a, omega=0.7).presmooth(x_star.copy(), b, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
-
-
-def test_jacobi_block_version_solves_block_diagonal():
-    rng = np.random.default_rng(2)
-    blocks = [rng.standard_normal((3, 3)) + 4 * np.eye(3) for _ in range(4)]
-    a = sp.block_diag(blocks, format="csr")
-    lay = BlockLayout(n_linear=4, n_quadratic=0, block_size=3)
-    x_star = rng.standard_normal(12)
-    sm = JacobiSmoother(a, lay, omega=1.0)
-    x = sm.sweep(np.zeros(12), a @ x_star)
-    assert np.allclose(x, x_star, atol=1e-12)
 
 
 def test_cycle_jacobi_is_pointwise_on_node_blocks():
@@ -133,28 +123,28 @@ def test_cycle_jacobi_is_pointwise_on_node_blocks():
     expected = x + 0.5 * (b - a @ x) / a.diagonal()
     got = make_smoother(a, lay, cfg).presmooth(x.copy(), b, 1)
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
-    assert np.allclose(jacobi_sweep((a, lay), x, b, omega=0.5), expected,
-                       rtol=1e-14, atol=1e-14)
+    direct = JacobiSmoother(a, omega=0.5).presmooth(x.copy(), b, 1)
+    assert np.allclose(direct, expected, rtol=1e-14, atol=1e-14)
 
 
 def test_jacobi_singular_block():
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SingularBlock):
-        jacobi_sweep(a, np.zeros(2), np.ones(2))
+        JacobiSmoother(a).presmooth(np.zeros(2), np.ones(2), 1)
 
 
 def test_jacobi_reduces_a_norm(laplace2):
     # guaranteed whenever omega * lam_max(D^-1 A) < 2; at omega = 1 the
-    # top mode (lam_max ~ 3.3) is amplified, so the safe range is tested
+    # top mode (lam_max ~ 3.0) is amplified, so the safe range is tested
     a = laplace2.monolithic()
     rng = np.random.default_rng(42)
     for omega in (0.25, 0.5):
-        sm = JacobiSmoother(a, laplace2.layout, omega)
+        sm = JacobiSmoother(a, omega)
         for _ in range(20):
             e = rng.standard_normal(a.shape[0])
             before = e @ (a @ e)
             x = -e.copy()
-            sm.sweep(x, np.zeros(a.shape[0]))
+            sm.presmooth(x, np.zeros(a.shape[0]), 1)
             assert x @ (a @ x) < before
 
 
@@ -165,20 +155,20 @@ def test_jacobi_reduces_a_norm(laplace2):
 def test_gs_lower_triangular_exact_forward():
     a = sp.csr_matrix(np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [4.0, 5.0, 6.0]]))
     x_star = np.array([1.0, -2.0, 0.5])
-    x = gs_sweep(a, np.zeros(3), a @ x_star, direction="forward")
+    x = gauss_seidel(a).presmooth(np.zeros(3), a @ x_star, 1)
     assert np.allclose(x, x_star, atol=1e-14)
 
 
 def test_gs_upper_triangular_exact_backward():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
     x_star = np.array([0.3, -1.0])
-    x = gs_sweep(a, np.zeros(2), a @ x_star, direction="backward")
+    x = gauss_seidel(a).postsmooth(np.zeros(2), a @ x_star, 1)
     assert np.allclose(x, x_star, atol=1e-14)
 
 
 def test_gs_hand_values():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = gs_sweep(a, np.zeros(2), np.array([3.0, 4.0]), direction="forward")
+    x = gauss_seidel(a).presmooth(np.zeros(2), np.array([3.0, 4.0]), 1)
     assert np.allclose(x, [1.5, 5.0 / 6.0], rtol=1e-15)
 
 
@@ -187,8 +177,9 @@ def test_gs_fixed_point():
     q = rng.standard_normal((10, 10))
     a = sp.csr_matrix(q @ q.T + 10 * np.eye(10))
     x_star = rng.standard_normal(10)
-    for direction in ("forward", "backward"):
-        x = gs_sweep(a, x_star.copy(), a @ x_star, direction=direction)
+    sm = gauss_seidel(a)
+    for smooth in (sm.presmooth, sm.postsmooth):
+        x = smooth(x_star.copy(), a @ x_star, 1)
         assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -201,7 +192,7 @@ def test_gs_block_sweep_matches_reference(laplace2):
     x0 = rng.standard_normal(a.shape[0])
 
     sm = GaussSeidelSmoother(a, lay)
-    fast = sm.sweep(x0.copy(), b, "forward")
+    fast = sm.presmooth(x0.copy(), b, 1)
 
     dense = a.toarray()
     ref = x0.copy()
@@ -220,13 +211,8 @@ def test_gs_reduces_a_norm(laplace2):
         e = rng.standard_normal(a.shape[0])
         before = e @ (a @ e)
         x = -e.copy()
-        sm.sweep(x, np.zeros(a.shape[0]), "forward")
+        sm.presmooth(x, np.zeros(a.shape[0]), 1)
         assert x @ (a @ x) < before
-
-
-def test_gs_direction_validation():
-    with pytest.raises(InvalidParameter):
-        gs_sweep(sp.identity(3, format="csr"), np.zeros(3), np.ones(3), direction="up")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,7 @@ def test_gs_direction_validation():
 
 
 def test_vanka_patches_match_pattern_oracle(stokes1):
-    patches = build_vanka_patches(stokes1)
+    patches = VankaSmoother(stokes1.monolithic(), stokes1.layout).patches
     assert len(patches) == stokes1.layout.n_pressure
     vd = stokes1.layout.velocity_dof
     b = stokes1.monolithic()[vd:, :vd]
@@ -250,12 +236,12 @@ def test_vanka_empty_patch_raises():
     c = np.zeros((2, 2))
     k, lay = saddle_parts(a, b, c)
     with pytest.raises(MalformedSystem):
-        build_vanka_patches((k, lay))
+        VankaSmoother(k, lay)
 
 
 def test_vanka_requires_saddle(laplace2):
     with pytest.raises(MalformedSystem):
-        build_vanka_patches(laplace2.monolithic())
+        VankaSmoother(laplace2.monolithic(), laplace2.layout)
 
 
 def test_vanka_single_patch_is_exact_solve():
@@ -266,7 +252,7 @@ def test_vanka_single_patch_is_exact_solve():
     c = np.array([[0.5]])
     k, lay = saddle_parts(a, b, c)
     x_star = rng.standard_normal(5)
-    x = vanka_sweep((k, lay), np.zeros(5), k @ x_star, omega=1.0)
+    x = VankaSmoother(k, lay, omega=1.0).presmooth(np.zeros(5), k @ x_star, 1)
     assert np.allclose(x, x_star, atol=1e-12)
 
 
@@ -298,7 +284,7 @@ def test_vanka_two_disjoint_patches_match_dense_oracle():
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(6)
 
-    x = vanka_sweep((k, lay), np.zeros(6), rhs, omega=1.0)
+    x = VankaSmoother(k, lay, omega=1.0).presmooth(np.zeros(6), rhs, 1)
 
     # oracle: sequential exact local solves with explicit residual update
     kd = k.toarray()
@@ -313,7 +299,8 @@ def test_vanka_fixed_point(stokes1):
     k = stokes1.monolithic()
     rng = np.random.default_rng(8)
     x_star = rng.standard_normal(k.shape[0])
-    x = vanka_sweep(stokes1, x_star.copy(), k @ x_star, omega=1.0)
+    sm = VankaSmoother(k, stokes1.layout, omega=1.0)
+    x = sm.presmooth(x_star.copy(), k @ x_star, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -376,7 +363,7 @@ def test_vanka_wave_sweep_matches_sequential_oracle(channel_vanka, omega):
     rng = np.random.default_rng(16)
     b = rng.standard_normal(k.shape[0])
     x0 = rng.standard_normal(k.shape[0])
-    x = sm.sweep(x0.copy(), b)
+    x = sm.presmooth(x0.copy(), b, 1)
 
     kd = k.toarray()
     ref = x0.copy()
@@ -427,7 +414,7 @@ def test_braess_sarazin_decoupled():
     k, lay = saddle_parts(a, b, c)
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(3)
-    x = braess_sarazin_sweep((k, lay), np.zeros(3), rhs)
+    x = BraessSarazinSmoother(k, lay).presmooth(np.zeros(3), rhs, 1)
     # with B = 0 the Schur matrix is C and q solves Shat q = -r_p, which
     # is the exact pressure update for the (2,2) block -C
     assert np.allclose(x[:2], rhs[:2] / np.array([4.0, 8.0]))
@@ -445,7 +432,7 @@ def test_braess_sarazin_matches_dense_oracle():
     rhs = rng.standard_normal(3)
     x0 = rng.standard_normal(3)
 
-    x = braess_sarazin_sweep((k, lay), x0.copy(), rhs)
+    x = BraessSarazinSmoother(k, lay).presmooth(x0.copy(), rhs, 1)
 
     ahat = 2.0 * np.diag(a)
     schur = c + b @ np.diag(1.0 / ahat) @ b.T
@@ -483,7 +470,7 @@ def test_braess_sarazin_exact_pieces_reproduce_direct_solve(mixed2, cube1):
     rng = np.random.default_rng(11)
     x_star = rng.standard_normal(k.shape[0])
     rhs = k @ x_star
-    x = sm.sweep(np.zeros(k.shape[0]), rhs)
+    x = sm.presmooth(np.zeros(k.shape[0]), rhs, 1)
     assert np.linalg.norm(x - x_star) <= 1e-11 * np.linalg.norm(x_star)
 
 
@@ -491,7 +478,7 @@ def test_braess_sarazin_fixed_point(mixed2):
     k = mixed2.monolithic()
     rng = np.random.default_rng(12)
     x_star = rng.standard_normal(k.shape[0])
-    x = braess_sarazin_sweep(mixed2, x_star.copy(), k @ x_star)
+    x = BraessSarazinSmoother(k, mixed2.layout).presmooth(x_star.copy(), k @ x_star, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -523,8 +510,7 @@ def test_segregated_gs_decoupled():
     c = np.zeros((1, 1))
     k, lay = saddle_parts(a, b, c)
     rhs = np.array([2.0, 4.0, 3.0])
-    x = segregated_gs_sweep((k, lay), np.zeros(3), rhs, omega=0.125,
-                            pressure_scaling=1.0)
+    x = SegregatedGSSmoother(k, lay, omega=0.125).presmooth(np.zeros(3), rhs, 1)
     # velocity: one damped Jacobi application; pressure: -omega r_p
     assert np.allclose(x[:2], 0.5 * rhs[:2] / np.array([2.0, 4.0]))
     assert np.allclose(x[2], -0.125 * 3.0)
@@ -540,28 +526,26 @@ def test_segregated_gs_matches_dense_oracle():
     x0 = rng.standard_normal(3)
     omega = 0.125
 
-    for scaling in (1.0, None):
-        x = segregated_gs_sweep((k, lay), x0.copy(), rhs, omega=omega,
-                                pressure_scaling=scaling)
-        sm = SegregatedGSSmoother(k, lay, omega, pressure_scaling=scaling)
-        sigma = sm.pressure_scaling
-        # dense application of [[M_A, 0], [B, -omega^-1 Sigma]]^-1
-        ma = 2.0 * np.diag(np.diag(a))  # inverse of 0.5 * D^-1
-        khat = np.block(
-            [
-                [ma, np.zeros((2, 1))],
-                [b, -np.diag(sigma) / omega],
-            ]
-        )
-        ref = x0 + np.linalg.solve(khat, rhs - k.toarray() @ x0)
-        assert np.allclose(x, ref, atol=1e-11 * np.abs(ref).max())
+    sm = SegregatedGSSmoother(k, lay, omega)
+    x = sm.presmooth(x0.copy(), rhs, 1)
+    sigma = sm.pressure_scaling
+    # dense application of [[M_A, 0], [B, -omega^-1 Sigma]]^-1
+    ma = 2.0 * np.diag(np.diag(a))  # inverse of 0.5 * D^-1
+    khat = np.block(
+        [
+            [ma, np.zeros((2, 1))],
+            [b, -np.diag(sigma) / omega],
+        ]
+    )
+    ref = x0 + np.linalg.solve(khat, rhs - k.toarray() @ x0)
+    assert np.allclose(x, ref, atol=1e-11 * np.abs(ref).max())
 
 
 def test_segregated_gs_fixed_point(mixed2):
     k = mixed2.monolithic()
     rng = np.random.default_rng(15)
     x_star = rng.standard_normal(k.shape[0])
-    x = segregated_gs_sweep(mixed2, x_star.copy(), k @ x_star)
+    x = SegregatedGSSmoother(k, mixed2.layout).presmooth(x_star.copy(), k @ x_star, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -569,4 +553,5 @@ def test_segregated_gs_validation(mixed2):
     with pytest.raises(InvalidParameter):
         SegregatedGSSmoother(mixed2.monolithic(), mixed2.layout, omega=-1.0)
     with pytest.raises(MalformedSystem):
-        segregated_gs_sweep(sp.identity(4, format="csr"), np.zeros(4), np.ones(4))
+        op, layout, _ = as_operator(sp.identity(4, format="csr"))
+        SegregatedGSSmoother(op, layout)

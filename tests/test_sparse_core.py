@@ -7,9 +7,7 @@ from p2amg.sparse_core import (
     BlockLayout,
     coarse_factor,
     coarse_solve,
-    read_matrix_market,
     triple_product,
-    write_matrix_market,
 )
 
 
@@ -144,11 +142,3 @@ def test_coarse_singular():
         coarse_factor(a)
     with pytest.raises(SingularCoarseMatrix):
         coarse_factor(np.ones((4, 4)))  # rank one
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    a = sp.random(15, 15, density=0.3, random_state=9, format="csr")
-    path = str(tmp_path / "mat.mtx")
-    write_matrix_market(path, a)
-    b = read_matrix_market(path)
-    assert np.allclose(a.toarray(), b.toarray())
