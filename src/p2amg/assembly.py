@@ -13,6 +13,18 @@ plus the :class:`BlockLayout` that splits its unknowns into linear
 velocity nodes, quadratic velocity nodes and pressure; the saddle
 kinds add the divergence coupling and, for mixed elasticity, the
 pressure mass block.
+
+The element kernel computes only the integrals a kind uses: the
+gradient products for the vector Laplacian, the component-pair blocks
+(the upper ones, the lower ones being their transposes) for the other
+kinds, the divergence and pressure mass terms only where they enter.
+Elements are processed in chunks.  Each chunk's triplets are summed by
+one COO-to-CSR conversion; a scatter map, built once from the node
+pattern of ``T^T T`` (T the tet-to-node incidence), then adds those
+sums into the free-dof CSR of A, chunk after chunk, and the couplings
+to Dirichlet unknowns into a lift block that only forms the
+right-hand side.  A stores no entry whose sum is exactly zero; B and C
+keep their structural (element) pattern, stored zeros included.
 """
 from __future__ import annotations
 
@@ -116,13 +128,16 @@ def _element_geometry(coords: np.ndarray):
     return det, grad
 
 
-def _stiffness_parts(coords: np.ndarray):
-    """Per-element integrals feeding every bilinear form.
+def _element_parts(coords: np.ndarray, kind: ProblemKind):
+    """Per-element integrals of the forms that ``kind`` uses.
 
-    Returns ``m1[e,i,j] = int grad(phi_i) . grad(phi_j)``,
-    ``e_cd[c,d,e,i,j] = int d_c(phi_i) d_d(phi_j)``,
-    ``bvec[c,e,i,j] = -int lam_i d_c(phi_j)`` (pressure hat i) and
-    ``pmass[e,i,j] = int lam_i lam_j``.
+    Returns ``m1[e,i,j] = int grad(phi_i) . grad(phi_j)``; for every kind
+    but the vector Laplacian ``ecd[c, d][e,i,j] = int d_c(phi_i)
+    d_d(phi_j)``, keyed by the component pair; for the saddle kinds
+    ``bvec[c,e,i,j] = -int lam_i d_c(phi_j)`` (pressure hat i); and for
+    mixed elasticity ``pmass[e,i,j] = int lam_i lam_j``.  Parts a kind
+    does not use are ``None``.  Each part is accumulated over the
+    quadrature points in rule order.
     """
     rule = basis_mod.reference_basis()
     det, grad = _element_geometry(coords)
@@ -130,22 +145,38 @@ def _stiffness_parts(coords: np.ndarray):
     m = coords.shape[0]
 
     m1 = np.zeros((m, 10, 10))
-    ecd = np.zeros((3, 3, m, 10, 10))
-    bvec = np.zeros((3, m, 4, 10))
-    pmass = np.zeros((m, 4, 4))
+    ecd = bvec = pmass = None
+    if kind is not ProblemKind.VECTOR_LAPLACE:
+        # c <= d only: ecd[d, c] is the transpose, since products commute
+        ecd = {(c, d): np.zeros((m, 10, 10)) for c in range(3) for d in range(c, 3)}
+    if kind in _SADDLE_KINDS:
+        bvec = np.zeros((3, m, 4, 10))
+    if kind is ProblemKind.ELASTICITY_MIXED:
+        pmass = np.zeros((m, 4, 4))
 
+    term = np.empty((m, 10, 10))
     for q, w in zip(rule.points, rule.weights):
         g = basis_mod.shape_gradients(q, grad)  # (m, 10, 3)
-        wv = w * vol
-        m1 += wv[:, None, None] * np.einsum("eic,ejc->eij", g, g)
-        for c in range(3):
-            for d in range(3):
-                ecd[c, d] += wv[:, None, None] * np.einsum(
-                    "ei,ej->eij", g[:, :, c], g[:, :, d]
+        wv = (w * vol)[:, None, None]
+        m1 += np.multiply(np.einsum("eic,ejc->eij", g, g, out=term), wv, out=term)
+        g_c = [np.ascontiguousarray(g[:, :, c]) for c in range(3)]
+        if ecd is not None:
+            for (c, d), part in ecd.items():
+                part += np.multiply(
+                    np.multiply(g_c[c][:, :, None], g_c[d][:, None, :], out=term),
+                    wv,
+                    out=term,
                 )
-            bvec[c] -= wv[:, None, None] * (q[:4][None, :, None] * g[:, None, :, c])
-        pmass += wv[:, None, None] * np.outer(q[:4], q[:4])[None]
-    return vol, m1, ecd, bvec, pmass
+        if bvec is not None:
+            for c in range(3):
+                bvec[c] -= wv * (q[:4][None, :, None] * g_c[c][:, None, :])
+        if pmass is not None:
+            pmass += wv * np.outer(q[:4], q[:4])[None]
+    if ecd is not None:
+        ecd.update(
+            {(d, c): part.transpose(0, 2, 1) for (c, d), part in list(ecd.items()) if c < d}
+        )
+    return m1, ecd, bvec, pmass
 
 
 def _a_block_coefficient(spec: ProblemSpec, c: int, d: int, m1, ecd):
@@ -174,7 +205,7 @@ def element_matrices(coords, spec: ProblemSpec):
     the elliptic kinds).
     """
     coords = np.asarray(coords, dtype=float).reshape(1, 4, 3)
-    _, m1, ecd, bvec, pmass = _stiffness_parts(coords)
+    m1, ecd, bvec, pmass = _element_parts(coords, spec.kind)
 
     a = np.zeros((30, 30))
     for c in range(3):
@@ -274,6 +305,51 @@ def _neumann_load(mesh: Mesh, spec: ProblemSpec, n_nodes: int) -> np.ndarray:
     return load
 
 
+class _ScatterMap:
+    """Dof-level CSR pattern of a node pattern, and positions in it.
+
+    Every node carries three components.  With ``comps == 3`` two
+    adjacent nodes couple every component pair; with ``comps == 1``
+    only equal components couple.  Row ``(i, d)`` lists the columns
+    ``(j, c)`` of the nodes ``j`` adjacent to ``i`` in ascending order.
+    """
+
+    def __init__(self, nodes: sp.csr_matrix, comps: int):
+        nodes.sort_indices()
+        self.shape = (3 * nodes.shape[0], 3 * nodes.shape[1])
+        self.n_cols = nodes.shape[1]
+        self.comps = comps
+        self.ptr = nodes.indptr.astype(np.int64)
+        self.length = np.diff(self.ptr)
+        node_rows = np.repeat(np.arange(nodes.shape[0]), self.length)
+        self.keys = node_rows * self.n_cols + nodes.indices
+        self.nnz = 3 * comps * int(self.ptr[-1])
+        idx = np.int32 if self.nnz < np.iinfo(np.int32).max else np.int64
+        self.indptr = np.empty(self.shape[0] + 1, dtype=idx)
+        for d in range(3):
+            self.indptr[d:-1:3] = comps * (3 * self.ptr[:-1] + d * self.length)
+        self.indptr[-1] = self.nnz
+        self.indices = np.empty(self.nnz, dtype=idx)
+        entry = np.arange(len(node_rows))
+        for d in range(3):
+            for c in range(3) if comps == 3 else (d,):
+                pos = self._position(node_rows, entry, d, c)
+                self.indices[pos] = 3 * nodes.indices + c
+
+    def _position(self, i, entry, d, c):
+        """Position of row ``(i, d)``, column component ``c``, node entry ``entry``."""
+        pos = self.comps * (2 * self.ptr[i] + d * self.length[i] + entry)
+        return pos + c if self.comps == 3 else pos
+
+    def positions(self, i, j, d, c):
+        """Positions of the entries ``(i, d; j, c)``, all in the pattern."""
+        entry = np.searchsorted(self.keys, i * self.n_cols + j)
+        return self._position(i, entry, d, c)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
 def assemble(mesh: Mesh, spec: ProblemSpec):
     """Assemble a :class:`BlockSystem`.
 
@@ -296,80 +372,123 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     edge_block = np.full(ne, -1, dtype=np.int64)
     edge_block[free_e] = np.arange(n_q)
 
-    elem_nodes = np.hstack([mesh.tets, nv + mesh.tet_edges])
-
     n_full = 3 * n_nodes
-    a_full = sp.csr_matrix((n_full, n_full))
-    b_rows, b_cols, b_data = [], [], []
-    c_rows, c_cols, c_data = [], [], []
+    idx = np.int32 if n_full < np.iinfo(np.int32).max else np.int64
+    elem_nodes = np.hstack([mesh.tets, nv + mesh.tet_edges]).astype(idx)
+
+    # node numbering with the free nodes first, in layout order, then the
+    # Dirichlet nodes in ascending order
+    free_nodes = np.concatenate([free_v, nv + free_e])
+    n_free = len(free_nodes)
+    dir_nodes = np.setdiff1d(np.arange(n_nodes), free_nodes)
+    renumber = np.empty(n_nodes, dtype=np.int64)
+    renumber[free_nodes] = np.arange(n_free)
+    renumber[dir_nodes] = n_free + np.arange(len(dir_nodes))
+
+    # node patterns T^T T of the tet-to-node incidence T: free rows against
+    # free columns (A) and against Dirichlet columns (the lift block)
+    incidence = sp.csr_matrix(
+        (
+            np.ones(elem_nodes.size, dtype=bool),
+            renumber[elem_nodes].ravel(),
+            np.arange(0, elem_nodes.size + 1, 10),
+        ),
+        shape=(mesh.n_tets, n_nodes),
+    )
+    free_rows = incidence[:, :n_free].T.tocsr()
+    comps = 1 if spec.kind is ProblemKind.VECTOR_LAPLACE else 3
+    a_map = _ScatterMap(free_rows @ incidence[:, :n_free], comps)
+    lift_map = _ScatterMap(free_rows @ incidence[:, n_free:], comps)
+    del incidence, free_rows
+    a_data = np.zeros(a_map.nnz)
+    lift_data = np.zeros(lift_map.nnz)
+
+    blocks = [(c, d) for c in range(3) for d in range(3) if comps == 3 or c == d]
+    if spec.is_saddle:
+        b_rows = np.empty(120 * mesh.n_tets, dtype=idx)
+        b_cols = np.empty_like(b_rows)
+        b_data = np.empty(len(b_rows))
+    if spec.has_pressure_mass:
+        c_rows = np.repeat(mesh.tets, 4, axis=1).ravel()
+        c_cols = np.tile(mesh.tets, (1, 4)).ravel()
+        c_data = np.empty(len(c_rows))
 
     for start in range(0, mesh.n_tets, _CHUNK):
         sel = slice(start, min(start + _CHUNK, mesh.n_tets))
         nodes = elem_nodes[sel]
-        coords = mesh.vertices[mesh.tets[sel]]
-        _, m1, ecd, bvec, pmass = _stiffness_parts(coords)
+        m = len(nodes)
+        m1, ecd, bvec, pmass = _element_parts(mesh.vertices[mesh.tets[sel]], spec.kind)
 
-        rows_node = np.repeat(nodes, 10, axis=1)  # (m, 100) node i varying slow
-        cols_node = np.tile(nodes, (1, 10))  # node j varying fast
-        a_rows, a_cols, a_data = [], [], []
-        for c in range(3):
-            for d in range(3):
-                coef = _a_block_coefficient(spec, c, d, m1, ecd)
-                if coef is None:
-                    continue
-                a_rows.append((3 * rows_node + d).ravel())
-                a_cols.append((3 * cols_node + c).ravel())
-                a_data.append(coef.reshape(len(coords), -1).ravel())
-        a_full = a_full + sp.coo_matrix(
-            (np.concatenate(a_data), (np.concatenate(a_rows), np.concatenate(a_cols))),
-            shape=(n_full, n_full),
-        ).tocsr()
+        # the chunk's triplets, block (c, d) after block, each element-major
+        rows_node = np.repeat(3 * nodes, 10, axis=1)  # (m, 100) node i varying slow
+        cols_node = np.tile(3 * nodes, (1, 10))  # node j varying fast
+        size = 100 * m
+        rows = np.empty(len(blocks) * size, dtype=idx)
+        cols = np.empty_like(rows)
+        data = np.empty(len(rows))
+        for k, (c, d) in enumerate(blocks):
+            part = slice(k * size, (k + 1) * size)
+            rows[part] = (rows_node + d).ravel()
+            cols[part] = (cols_node + c).ravel()
+            data[part].reshape(m, 10, 10)[...] = _a_block_coefficient(
+                spec, c, d, m1, ecd
+            )
+        del rows_node, cols_node, m1, ecd
+        # the chunk's own conversion sums its duplicates in a fixed order;
+        # the sums are then added into A chunk after chunk
+        chunk = sp.coo_matrix((data, (rows, cols)), shape=(n_full, n_full)).tocsr()
+        del rows, cols, data
+        i, d = np.divmod(np.repeat(np.arange(n_full), np.diff(chunk.indptr)), 3)
+        j, c = np.divmod(chunk.indices, 3)
+        i, j = renumber[i], renumber[j]
+        free_row = i < n_free
+        for scatter, values, keep, col in (
+            (a_map, a_data, free_row & (j < n_free), j),
+            (lift_map, lift_data, free_row & (j >= n_free), j - n_free),
+        ):
+            values[scatter.positions(i[keep], col[keep], d[keep], c[keep])] += (
+                chunk.data[keep]
+            )
+        del chunk, i, d, j, c, free_row, keep, col
 
         if spec.is_saddle:
-            p_rows = np.repeat(mesh.tets[sel], 10, axis=1)  # (m, 40)
-            v_cols = np.tile(nodes, (1, 4))
+            p_rows = np.repeat(mesh.tets[sel], 10, axis=1).ravel()  # 40 a tet
+            v_cols = np.tile(3 * nodes, (1, 4)).ravel()
             for c in range(3):
-                b_rows.append(p_rows.ravel())
-                b_cols.append((3 * v_cols + c).ravel())
-                b_data.append(bvec[c].reshape(len(coords), -1).ravel())
-            if spec.has_pressure_mass:
-                c_rows.append(np.repeat(mesh.tets[sel], 4, axis=1).ravel())
-                c_cols.append(np.tile(mesh.tets[sel], (1, 4)).ravel())
-                c_data.append((pmass / spec.lam).reshape(len(coords), -1).ravel())
+                part = slice(120 * start + c * 40 * m, 120 * start + (c + 1) * 40 * m)
+                b_rows[part] = p_rows
+                b_cols[part] = v_cols + c
+                b_data[part] = bvec[c].ravel()
+        if spec.has_pressure_mass:
+            c_data[16 * start : 16 * (start + m)] = (pmass / spec.lam).ravel()
 
-    a_full.sum_duplicates()
-    a_full.sort_indices()
+    # A stores no exact zeros; B and C keep their structural pattern.  The
+    # copy gives A arrays of the stored size and frees the pattern's
+    a = a_map.matrix(a_data)
+    a.eliminate_zeros()
+    a = a.copy()
+    del a_map, a_data
 
     lift = _hierarchical_lift(mesh, spec)
     lift_flat = lift.ravel()
 
-    f_full = _neumann_load(mesh, spec, n_nodes) - a_full @ lift_flat
-
     # free velocity dof, linear partition first
-    free_nodes = np.concatenate([free_v, nv + free_e])
     free_dofs = (3 * free_nodes[:, None] + np.arange(3)).ravel()
-
-    a = a_full[free_dofs][:, free_dofs].tocsr()
-    a.sort_indices()
-    f = f_full[free_dofs]
+    dir_dofs = (3 * dir_nodes[:, None] + np.arange(3)).ravel()
+    f = _neumann_load(mesh, spec, n_nodes)[free_dofs] - (
+        lift_map.matrix(lift_data) @ lift_flat[dir_dofs]
+    )
 
     operator, rhs, adj = a, f, None
     if spec.is_saddle:
-        b_full = sp.coo_matrix(
-            (np.concatenate(b_data), (np.concatenate(b_rows), np.concatenate(b_cols))),
-            shape=(nv, n_full),
-        ).tocsr()
-        b_full.sum_duplicates()
+        b_full = sp.coo_matrix((b_data, (b_rows, b_cols)), shape=(nv, n_full)).tocsr()
         g = -(b_full @ lift_flat)
         b = b_full[:, free_dofs].tocsr()
         b.sort_indices()
 
         minus_c = None  # Stokes has no pressure block
         if spec.has_pressure_mass:
-            c_ij = (np.concatenate(c_rows), np.concatenate(c_cols))
-            minus_c = -sp.coo_matrix(
-                (np.concatenate(c_data), c_ij), shape=(nv, nv)
-            ).tocsr()
+            minus_c = -sp.coo_matrix((c_data, (c_rows, c_cols)), shape=(nv, nv)).tocsr()
 
         operator = sp.bmat([[a, b.T], [b, minus_c]], format="csr")
         operator.sort_indices()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,37 +133,25 @@ def select_coarse(graph: NodeGraph) -> CFSplit:
 def build_prolongation(split: CFSplit, graph: NodeGraph) -> sp.csr_matrix:
     """Scalar interpolation block of one partition.
 
-    Coarse nodes inject; each fine node averages its coarse neighbours
-    with equal weights.  The last weight of every fine row is chosen so
-    the row sums to one exactly in floating point.
+    Coarse nodes inject; each fine node averages its ``k`` coarse
+    neighbours with weight ``1/k``.  The last weight of every fine row
+    is ``1 - (k-1)*(1/k)``, which makes the row sum to one exactly in
+    floating point.
     """
     n = graph.n_nodes
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for i in range(n):
-        if split.labels[i] == COARSE:
-            cols.append(np.array([split.coarse_index[i]]))
-            data.append(np.array([1.0]))
-        else:
-            nbrs = graph.neighbors(i)
-            coarse_nbrs = split.coarse_index[nbrs[split.labels[nbrs] == COARSE]]
-            k = len(coarse_nbrs)
-            if k == 0:
-                raise CoarseningFailure(
-                    f"fine node {i} has no coarse neighbour; the graph is inconsistent"
-                )
-            w = np.full(k, 1.0 / k)
-            if k > 1:
-                w[-1] = 1.0 - fsum(w[:-1])
-            cols.append(np.sort(coarse_nbrs))
-            data.append(w)
-        indptr[i + 1] = indptr[i] + len(cols[-1])
-    p = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(cols), indptr),
-        shape=(n, split.n_coarse),
-    )
-    p.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    keep = (split.labels[rows] != COARSE) & (split.labels[graph.indices] == COARSE)
+    coarse = np.flatnonzero(split.labels == COARSE)
+    rows = np.concatenate([rows[keep], coarse])
+    cols = split.coarse_index[np.concatenate([graph.indices[keep], coarse])]
+    k = np.bincount(rows, minlength=n)
+    if np.any(k == 0):
+        i = int(np.flatnonzero(k == 0)[0])
+        raise CoarseningFailure(
+            f"fine node {i} has no coarse neighbour; the graph is inconsistent"
+        )
+    p = sp.csr_matrix(((1.0 / k)[rows], (rows, cols)), shape=(n, split.n_coarse))
+    p.data[p.indptr[1:] - 1] = 1.0 - (k - 1) * (1.0 / k)
     return p
 
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import roots_jacobi, roots_legendre
 
+from p2amg import assembly
 from p2amg.assembly import (
     ProblemKind,
     ProblemSpec,
@@ -91,6 +92,41 @@ def oracle_scalar_stiffness(coords):
     return k
 
 
+def oracle_element_forms(coords, spec):
+    """a, B and C of one tet from the strain form, point by point.
+
+    ``a(u, v) = 2 mu eps(u):eps(v)`` (plus ``lam div u div v`` for
+    displacement elasticity), ``b(u, q) = -q div u`` and ``c(p, q) = p q
+    / lam`` (mixed elasticity only).  Rows are test dofs, columns trial
+    dofs, node-major with interleaved components.
+    """
+    pts, wts = conical_tet_rule()
+    values, gradients = oracle_basis(coords)
+    vol = abs(np.linalg.det(coords[1:] - coords[0])) / 6.0
+    lam_div = spec.lam if spec.kind is ProblemKind.ELASTICITY_DISPLACEMENT else 0.0
+    a = np.zeros((30, 30))
+    b = np.zeros((4, 30))
+    c = np.zeros((4, 4))
+    for (x, y, z), w in zip(pts, wts):
+        p = coords[0] + np.array([x, y, z]) @ (coords[1:] - coords[0])
+        phi, grad = values(p), gradients(p)
+        weight = 6.0 * vol * w
+        # grad(phi_j e_c)[a, b] = delta_ac d_b phi_j
+        grad_u = np.zeros((30, 3, 3))
+        for j in range(10):
+            for comp in range(3):
+                grad_u[3 * j + comp, comp] = grad[j]
+        strain = 0.5 * (grad_u + grad_u.transpose(0, 2, 1))
+        div = np.trace(grad_u, axis1=1, axis2=2)
+        a += weight * (
+            2.0 * spec.mu * np.einsum("kab,lab->kl", strain, strain)
+            + lam_div * np.outer(div, div)
+        )
+        b -= weight * np.outer(phi[:4], div)
+        c += weight * np.outer(phi[:4], phi[:4])
+    return a, b, c / spec.lam
+
+
 def test_p1_laplace_rows_sum_to_zero():
     a, _, _ = element_matrices(REF_TET, ProblemSpec(kind=ProblemKind.VECTOR_LAPLACE))
     scalar = a[0::3, 0::3][:4, :4]
@@ -108,6 +144,33 @@ def test_element_stiffness_matches_quadrature_oracle():
         for c in range(3):
             comp = a[c::3, c::3]
             assert np.abs(comp - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        ProblemKind.ELASTICITY_DISPLACEMENT,
+        ProblemKind.ELASTICITY_MIXED,
+        ProblemKind.STOKES,
+    ],
+)
+def test_element_forms_match_quadrature_oracle(kind):
+    spec = ProblemSpec(kind=kind, mu=2.0, lam=3.0)
+    for coords in (
+        REF_TET,
+        np.array([[0.1, 0.0, 0.0], [1.3, 0.2, -0.1], [0.0, 0.8, 0.3], [0.2, 0.1, 1.4]]),
+    ):
+        a, b, c = element_matrices(coords, spec)
+        oracle_a, oracle_b, oracle_c = oracle_element_forms(coords, spec)
+        assert np.abs(a - oracle_a).max() <= 1e-13 * np.abs(oracle_a).max()
+        if not spec.is_saddle:
+            assert b is None and c is None
+            continue
+        assert np.abs(b - oracle_b).max() <= 1e-13 * np.abs(oracle_b).max()
+        if spec.has_pressure_mass:
+            assert np.abs(c - oracle_c).max() <= 1e-13 * np.abs(oracle_c).max()
+        else:
+            assert not np.any(c)
 
 
 def test_element_matrices_symmetric_all_kinds():
@@ -223,6 +286,90 @@ def test_saddle_operator_stored_once(name, request):
     k = system.monolithic()
     assert system.monolithic() is k
     assert build_hierarchy(system).levels[0].operator is k
+
+
+@pytest.mark.parametrize("name", ["stokes2", "mixed2"])
+def test_stored_pattern_rule(name, request, cube2):
+    # A drops every sum that is exactly zero; B keeps the element pattern,
+    # stored zeros included: each pressure vertex against the three
+    # components of every free velocity node of its tets
+    system = request.getfixturevalue(name)
+    k = system.monolithic()
+    vd = system.layout.velocity_dof
+    assert np.all(k[:vd, :vd].data != 0.0)
+    nv, n_l = cube2.n_vertices, system.layout.n_linear
+    node_block = np.concatenate(
+        [system.vertex_block, np.where(system.edge_block >= 0, n_l + system.edge_block, -1)]
+    )
+    expected = set()
+    for tet, edges in zip(cube2.tets, cube2.tet_edges):
+        for node in node_block[np.concatenate([tet, nv + edges])]:
+            if node >= 0:
+                expected.update((p, 3 * node + c) for p in tet for c in range(3))
+    b = k[vd:, :vd].tocoo()
+    bt = k[:vd, vd:].tocoo()
+    assert set(zip(b.row.tolist(), b.col.tolist())) == expected
+    assert set(zip(bt.col.tolist(), bt.row.tolist())) == expected
+
+
+def dense_assembly_oracle(mesh, spec):
+    """Operator and rhs from a dense loop over ``element_matrices``."""
+    nv = mesh.n_vertices
+    n_full = 3 * (nv + mesh.n_edges)
+    k = np.zeros((n_full, n_full))
+    bm = np.zeros((nv, n_full))
+    cm = np.zeros((nv, nv))
+    for tet, edges in zip(mesh.tets, mesh.tet_edges):
+        nodes = np.concatenate([tet, nv + edges])
+        dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
+        a, b, c = element_matrices(mesh.vertices[tet], spec)
+        k[np.ix_(dofs, dofs)] += a
+        if spec.is_saddle:
+            bm[np.ix_(tet, dofs)] += b
+            cm[np.ix_(tet, tet)] += c
+    # hierarchical lift: vertex values, edge midpoint minus endpoint mean
+    u = np.zeros((nv + mesh.n_edges, 3))
+    dir_v = mesh.vertex_tags == BoundaryTag.DIRICHLET
+    dir_e = mesh.edge_tags == BoundaryTag.DIRICHLET
+    for v in np.flatnonzero(dir_v):
+        u[v] = spec.dirichlet_value(mesh.vertices[v])
+    for e in np.flatnonzero(dir_e):
+        x0, x1 = mesh.vertices[mesh.edges[e]]
+        u[nv + e] = spec.dirichlet_value(0.5 * (x0 + x1)) - 0.5 * (
+            spec.dirichlet_value(x0) + spec.dirichlet_value(x1)
+        )
+    u = u.ravel()
+    free_nodes = np.concatenate([np.flatnonzero(~dir_v), nv + np.flatnonzero(~dir_e)])
+    free = (3 * free_nodes[:, None] + np.arange(3)).ravel()
+    op = k[np.ix_(free, free)]
+    rhs = -(k @ u)[free]
+    if spec.is_saddle:
+        b = bm[:, free]
+        op = np.block([[op, b.T], [b, -cm]])
+        rhs = np.concatenate([rhs, -(bm @ u)])
+    return op, rhs
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_assembly_matches_dense_element_loop(kind, cube2):
+    spec = ProblemSpec(kind=kind, mu=2.0, lam=3.0, g_dirichlet=lid_displacement)
+    system = assemble(cube2, spec)
+    oracle_op, oracle_rhs = dense_assembly_oracle(cube2, spec)
+    op = system.monolithic().toarray()
+    assert op.shape == oracle_op.shape
+    assert np.abs(op - oracle_op).max() <= 1e-13 * np.abs(oracle_op).max()
+    assert np.abs(system.rhs() - oracle_rhs).max() <= 1e-13 * np.abs(oracle_rhs).max()
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_assembly_across_chunks_matches_one_chunk(kind, cube2, monkeypatch):
+    spec = ProblemSpec(kind=kind, mu=2.0, lam=3.0, g_dirichlet=lid_displacement)
+    one = assemble(cube2, spec)
+    monkeypatch.setattr(assembly, "_CHUNK", 7)  # 48 tets: seven chunks
+    many = assemble(cube2, spec)
+    op_one, op_many = one.monolithic().toarray(), many.monolithic().toarray()
+    assert np.abs(op_many - op_one).max() <= 1e-13 * np.abs(op_one).max()
+    assert np.abs(many.rhs() - one.rhs()).max() <= 1e-13 * np.abs(one.rhs()).max()
 
 
 def test_hierarchical_split_matches_p1_assembly(cube2, laplace2):

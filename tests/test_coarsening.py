@@ -1,3 +1,5 @@
+from math import fsum
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -140,6 +142,66 @@ def test_prolongation_row_sums_exact():
     p = build_prolongation(split, g)
     sums = np.asarray(p.sum(axis=1)).ravel()
     assert np.abs(sums - 1.0).max() <= 1e-15
+
+
+def loop_prolongation(split, graph):
+    """Per-node reference: coarse nodes inject, fine nodes average their
+    sorted coarse neighbours, the last weight closing the row sum."""
+    n = graph.n_nodes
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    cols, data = [], []
+    for i in range(n):
+        if split.labels[i] == COARSE:
+            cols.append(np.array([split.coarse_index[i]]))
+            data.append(np.array([1.0]))
+        else:
+            nbrs = graph.neighbors(i)
+            coarse_nbrs = split.coarse_index[nbrs[split.labels[nbrs] == COARSE]]
+            k = len(coarse_nbrs)
+            w = np.full(k, 1.0 / k)
+            if k > 1:
+                w[-1] = 1.0 - fsum(w[:-1])
+            cols.append(np.sort(coarse_nbrs))
+            data.append(w)
+        indptr[i + 1] = indptr[i] + len(cols[-1])
+    return np.concatenate(data), np.concatenate(cols), indptr
+
+
+def assert_matches_loop_oracle(split, graph):
+    p = build_prolongation(split, graph)
+    data, indices, indptr = loop_prolongation(split, graph)
+    assert p.shape == (graph.n_nodes, split.n_coarse)
+    assert np.array_equal(p.indptr, indptr)
+    assert np.array_equal(p.indices, indices)
+    assert np.array_equal(p.data.view(np.int64), data.view(np.int64))
+
+
+def test_prolongation_matches_loop_oracle_random():
+    # fine nodes with 1..12 coarse neighbours, plus fine-fine edges
+    rng = np.random.default_rng(11)
+    n = 400
+    labels = np.where(rng.random(n) < 0.3, COARSE, FINE).astype(np.int8)
+    coarse = np.flatnonzero(labels == COARSE)
+    fine = np.flatnonzero(labels == FINE)
+    edges = []
+    counts = 1 + np.arange(len(fine)) % 12
+    for i, k in zip(fine, counts):
+        edges += [(i, j) for j in rng.choice(coarse, size=k, replace=False)]
+        edges += [(i, j) for j in rng.choice(fine, size=2) if j != i]
+    g = graph_from_edges(n, edges)
+    coarse_index = np.full(n, -1, dtype=np.int64)
+    coarse_index[coarse] = np.arange(len(coarse))
+    split = CFSplit(labels=labels, coarse_index=coarse_index, n_coarse=len(coarse))
+    assert set(np.diff(build_prolongation(split, g).indptr)[fine]) == set(range(1, 13))
+    assert_matches_loop_oracle(split, g)
+
+
+def test_prolongation_matches_loop_oracle_laplace4(laplace4):
+    op = laplace4.monolithic()
+    split_at = 3 * laplace4.layout.n_linear
+    for block in (op[:split_at, :split_at], op[split_at:, split_at:]):
+        g = build_node_graph(block, 3)
+        assert_matches_loop_oracle(select_coarse(g), g)
 
 
 def test_prolongation_failure_on_broken_split():
