@@ -65,9 +65,6 @@ class NodeGraph:
     def n_edges(self) -> int:
         return self.indices.shape[0] // 2
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
 
 def build_node_graph(matrix, block_size: int = 1) -> NodeGraph:
     """Adjacency of node blocks from the stored pattern of ``matrix``.

@@ -2,10 +2,10 @@
 preconditioner interface for Krylov methods.
 
 A cycle at level ``l`` runs ``m_pre`` smoothing sweeps, restricts the
-residual with the transpose of the prolongation, recurses ``nu`` times
-(from a zero coarse guess, so a preconditioner application is a fixed
-linear operator), prolongates the correction and runs ``m_post``
-sweeps.  The coarsest level is solved directly.
+residual they return with the transpose of the prolongation, recurses
+``nu`` times (from a zero coarse guess, so a preconditioner application
+is a fixed linear operator), prolongates the correction and runs
+``m_post`` sweeps.  The coarsest level is solved directly.
 """
 from __future__ import annotations
 
@@ -102,10 +102,10 @@ def amg_cycle(
     sm = smoothers[level]
     cfg = config.smoother
 
-    sm.presmooth(x, b, cfg.m_pre)
+    r = sm.presmooth(x, b, cfg.m_pre)
 
     p = lv.prolongation.matrix
-    b_coarse = p.T @ (b - lv.operator @ x)
+    b_coarse = p.T @ r
     if level + 1 == last:
         x_coarse = coarse_solve(hierarchy.coarse, b_coarse)
     else:
@@ -130,9 +130,11 @@ def solve_amg(
 ) -> tuple[np.ndarray, SolveReport]:
     """Stand-alone multigrid iteration from a zero initial guess.
 
-    Stops when the relative l2 residual drops to ``tol`` or after
-    ``maxit`` cycles; raises :class:`DivergenceDetected` if the relative
-    residual exceeds ``1e6``.
+    Runs in correction form, ``x += cycle(0, r)``: each cycle starts from
+    zero on the residual the stopping test has just computed, so the
+    pre-smoother needs no residual of its own.  Stops when the relative
+    l2 residual drops to ``tol`` or after ``maxit`` cycles; raises
+    :class:`DivergenceDetected` if the relative residual exceeds ``1e6``.
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameter(f"tol must lie in (0, 1), got {tol}")
@@ -161,9 +163,11 @@ def solve_amg(
         smoothers = build_level_smoothers(hierarchy, config)
     converged = False
     iterations = 0
+    r = b
     for iterations in range(1, maxit + 1):
-        x = amg_cycle(hierarchy, 0, x, b, config, smoothers)
-        rel = np.linalg.norm(b - op @ x) / b_norm
+        x += amg_cycle(hierarchy, 0, np.zeros_like(x), r, config, smoothers)
+        r = b - op @ x
+        rel = np.linalg.norm(r) / b_norm
         residuals.append(float(rel))
         if rel > DIVERGENCE_LIMIT or not np.isfinite(rel):
             raise DivergenceDetected(

@@ -12,10 +12,13 @@ segregated Gauss-Seidel (Uzawa-type) step.
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
 Each class precomputes its factorizations once per level and defines
-only ``correct(x, r)``, the correction it adds to ``x`` for the
+only ``correct(x, r, carry)``, the correction it adds to ``x`` for the
 residual ``r``.  One shared loop, ``presmooth``/``postsmooth``, runs
-the sweeps: each computes ``r = b - A x`` once and hands it to
-``correct`` (``correct_post`` after coarse-grid correction).
+the sweeps and carries the residual from one sweep to the next: block
+GS and Vanka update it as part of their sweep, and for the other
+smoothers the loop computes ``b - A x`` once per sweep.  It starts from
+``b`` itself when ``x`` is zero, and ``presmooth`` returns the residual
+of the smoothed iterate, which the cycle restricts.
 """
 from __future__ import annotations
 
@@ -66,9 +69,10 @@ class SmootherConfig:
     """Smoother kind, damping, and pre/post sweep counts.
 
     ``gs_direction`` selects the Gauss-Seidel policy: "symmetric" runs
-    forward sweeps before and backward sweeps after coarse-grid
-    correction (keeping the V-cycle self-adjoint), "forward" runs
-    forward sweeps in both stages.
+    forward sweeps before coarse-grid correction and their exact
+    transposes after it (the backward sweep when the operator is
+    symmetric; keeps the V-cycle self-adjoint), "forward" runs forward
+    sweeps in both stages.
     """
 
     kind: SmootherKind
@@ -177,24 +181,28 @@ def _node_index(layout: BlockLayout) -> np.ndarray:
     return np.concatenate([vel, pres])
 
 
-def _block_triangle_solver(op: sp.csr_matrix, layout: BlockLayout, lower: bool):
-    """SuperLU factor of the block lower (upper) triangle of ``op``.
+def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
+    """SuperLU factor of the block lower triangle ``T`` of ``op`` and the
+    strict block upper triangle ``U = op - T`` as CSR.
 
-    The triangle includes the full diagonal node blocks, so applying the
-    factor realizes one exact block Gauss-Seidel substitution.
+    ``T`` includes the full diagonal node blocks, so applying the factor
+    realizes one exact block Gauss-Seidel substitution.
     """
     node = _node_index(layout)
     coo = op.tocoo()
-    keep = (
-        node[coo.col] <= node[coo.row] if lower else node[coo.col] >= node[coo.row]
-    )
+    lower = node[coo.col] <= node[coo.row]
+    upper = ~lower
     tri = sp.csc_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=op.shape
+        (coo.data[lower], (coo.row[lower], coo.col[lower])), shape=op.shape
+    )
+    strict = sp.csr_matrix(
+        (coo.data[upper], (coo.row[upper], coo.col[upper])), shape=op.shape
     )
     try:
-        return spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        factor = spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SingularBlock(f"block triangular factorization failed: {exc}") from exc
+    return factor, strict
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +210,42 @@ def _block_triangle_solver(op: sp.csr_matrix, layout: BlockLayout, lower: bool):
 
 
 class _Smoother:
-    """The one sweep loop: each sweep hands ``r = b - op @ x`` to
-    ``correct(x, r)`` (``correct_post`` after coarse-grid correction),
-    which updates ``x`` in place and may use ``r`` as scratch.
+    """The one sweep loop.
+
+    ``correct(x, r, carry)`` (``correct_post`` after coarse-grid
+    correction) adds the correction for the residual ``r = b - op @ x``
+    to ``x`` in place and may use ``r`` as scratch.  When ``carry`` is
+    set, a smoother that updates the residual as part of its sweep
+    returns the new ``b - op @ x``; one that returns None has the loop
+    compute it.  Only the residuals a later sweep or the caller reads
+    are formed.
     """
 
     op: sp.csr_matrix
 
-    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool):
         raise NotImplementedError
 
-    def correct_post(self, x: np.ndarray, r: np.ndarray) -> None:
-        self.correct(x, r)
+    def correct_post(self, x: np.ndarray, r: np.ndarray, carry: bool):
+        return self.correct(x, r, carry)
+
+    def _sweeps(self, correct, x, b, sweeps, carry_last):
+        r = b - self.op @ x if x.any() else b.copy()
+        for k in range(sweeps):
+            carry = carry_last or k + 1 < sweeps
+            r = correct(x, r, carry)
+            if r is None and carry:
+                r = b - self.op @ x
+        return r
 
     def presmooth(self, x, b, sweeps):
-        for _ in range(sweeps):
-            self.correct(x, b - self.op @ x)
-        return x
+        """Run ``sweeps`` sweeps on ``x`` in place; return ``b - op @ x``."""
+        return self._sweeps(self.correct, x, b, sweeps, carry_last=True)
 
     def postsmooth(self, x, b, sweeps):
-        for _ in range(sweeps):
-            self.correct_post(x, b - self.op @ x)
-        return x
+        """Run ``sweeps`` post-smoothing sweeps on ``x`` in place."""
+        if sweeps:
+            self._sweeps(self.correct_post, x, b, sweeps, carry_last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +263,42 @@ class JacobiSmoother(_Smoother):
         self.omega = omega
         self._dinv = 1.0 / diag
 
-    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
         x += self.omega * (self._dinv * r)
 
 
 class GaussSeidelSmoother(_Smoother):
     """Block Gauss-Seidel via exact block-triangular substitution.
 
-    Pre-smoothing sweeps are forward (block lower triangle).  The
-    post-smoothing sweeps are backward (block upper triangle) under
-    ``"symmetric"`` and forward under ``"forward"``.
+    ``op = T + U`` with ``T`` the block lower triangle, factored once,
+    and ``U`` the strict block upper triangle.  A forward sweep is
+    ``d = T^{-1} r, x += d``, and its new residual ``r - T d - U d =
+    -U d`` costs a strict-triangle product instead of a full matvec.
+    The post-smoothing sweeps are forward under ``"forward"``.  Under
+    ``"symmetric"`` they are the exact transpose of the forward sweep,
+    ``d = T^{-T} r``, which keeps the V-cycle self-adjoint; their
+    carried residual ``-U^T d`` assumes ``op = T^T + U^T``, i.e. a
+    symmetric ``op``, for which ``T^T`` is the block upper triangle and
+    the sweep is the backward block sweep.
     """
 
     def __init__(self, op, layout: BlockLayout, direction: str = "symmetric"):
         self.op = op
-        self._lower = _block_triangle_solver(op, layout, lower=True)
+        self._factor, self._upper = _block_triangles(op, layout)
         self._post = (
-            self._lower if direction == "forward"
-            else _block_triangle_solver(op, layout, lower=False)
+            ("N", self._upper) if direction == "forward" else ("T", self._upper.T)
         )
 
-    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
-        x += self._lower.solve(r)
+    def _substitute(self, x, r, carry, trans, upper):
+        d = self._factor.solve(r, trans=trans)
+        x += d
+        return -(upper @ d) if carry else None
 
-    def correct_post(self, x: np.ndarray, r: np.ndarray) -> None:
-        x += self._post.solve(r)
+    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool):
+        return self._substitute(x, r, carry, "N", self._upper)
+
+    def correct_post(self, x: np.ndarray, r: np.ndarray, carry: bool):
+        return self._substitute(x, r, carry, *self._post)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +442,7 @@ class VankaSmoother(_Smoother):
                 )
             )
 
-    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> np.ndarray:
         for wave in self._waves:
             r_wave = r[wave.dofs]
             delta = np.concatenate([
@@ -419,6 +452,7 @@ class VankaSmoother(_Smoother):
             delta *= self.omega
             x[wave.dofs] += delta
             r -= self.op_csc[:, wave.dofs] @ delta
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +545,7 @@ class BraessSarazinSmoother(_Smoother):
             self.schur = None
         self.schur_solve = schur_solve
 
-    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
         u_star = self.ahat_solve(ru)
@@ -554,7 +588,7 @@ class SegregatedGSSmoother(_Smoother):
         sigma[sigma <= 0.0] = 1.0  # decoupled pressure dof: benign unit scale
         self.pressure_scaling = sigma
 
-    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
         du = 0.5 * _apply_block_inverses(self._vinv, ru)

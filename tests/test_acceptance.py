@@ -289,7 +289,8 @@ def test_criterion_09_smoother_unit_suite():
         JacobiSmoother(a, omega=0.5),
         GaussSeidelSmoother(a, spd_system.layout),
     ):
-        x = sm.presmooth(x_star.copy(), a @ x_star, 1)
+        x = x_star.copy()
+        sm.presmooth(x, a @ x_star, 1)
         worst = max(worst, np.linalg.norm(x - x_star) / np.linalg.norm(x_star))
     cube2 = tag_boundary(generate_unit_cube_mesh(2), lambda v: v[2] < 1e-12 or v[2] > 1 - 1e-12)
     stokes2 = assemble(
@@ -307,7 +308,8 @@ def test_criterion_09_smoother_unit_suite():
         BraessSarazinSmoother(k, stokes2.layout),
         SegregatedGSSmoother(k, stokes2.layout),
     ):
-        y = sm.presmooth(y_star.copy(), k @ y_star, 1)
+        y = y_star.copy()
+        sm.presmooth(y, k @ y_star, 1)
         worst = max(worst, np.linalg.norm(y - y_star) / np.linalg.norm(y_star))
     details.append(f"fixed-point {worst:.2e}")
     assert worst <= 1e-13
@@ -349,7 +351,8 @@ def test_criterion_09_smoother_unit_suite():
     )
     rhs = rng.standard_normal(ks.shape[0])
     x0 = rng.standard_normal(ks.shape[0])
-    ours = BraessSarazinSmoother(ks, small.layout).presmooth(x0.copy(), rhs, 1)
+    ours = x0.copy()
+    BraessSarazinSmoother(ks, small.layout).presmooth(ours, rhs, 1)
     oracle = x0 + np.linalg.solve(khat, rhs - kd @ x0)
     bs_err = np.abs(ours - oracle).max() / np.abs(oracle).max()
     details.append(f"braess-sarazin oracle {bs_err:.2e}")
@@ -371,7 +374,8 @@ def test_criterion_09_smoother_unit_suite():
             [bmat, -np.diag(sigma) / omega],
         ]
     )
-    ours = sgs.presmooth(x0.copy(), rhs, 1)
+    ours = x0.copy()
+    sgs.presmooth(ours, rhs, 1)
     oracle = x0 + np.linalg.solve(khat_sgs, rhs - kd @ x0)
     sgs_err = np.abs(ours - oracle).max() / np.abs(oracle).max()
     details.append(f"segregated-gs oracle {sgs_err:.2e}")

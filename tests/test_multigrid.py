@@ -135,6 +135,27 @@ def test_report_history_shape(laplace2):
     assert report.operator_complexity >= 1.0
 
 
+@pytest.mark.parametrize("m,nu", [(2, 1), (1, 2)])
+def test_solve_matches_direct_iteration(laplace2, m, nu):
+    """The correction-form solve (each cycle from zero on the current
+    residual) reproduces the iteration x = cycle(x, b) up to rounding:
+    relative residuals agree to 1e-8, or to 1e-14 (about 50 ulp of the
+    rounding in b - A x) where they near the tolerance."""
+    hier = build_hierarchy(laplace2, coarse_size_cap=60)
+    cfg = gs_config(m, m, nu=nu)
+    smoothers = build_level_smoothers(hier, cfg)
+    a = hier.levels[0].operator
+    b = laplace2.rhs()
+    _, report = solve_amg(hier, b, cfg, tol=1e-11, smoothers=smoothers)
+    x = np.zeros_like(b)
+    history = [1.0]
+    while history[-1] > 1e-11:
+        x = amg_cycle(hier, 0, x, b, cfg, smoothers)
+        history.append(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+    assert report.iterations == len(history) - 1
+    assert np.allclose(report.residuals, history, rtol=1e-8, atol=1e-14)
+
+
 def test_preconditioner_single_level_exact():
     rng = np.random.default_rng(5)
     q = rng.standard_normal((25, 25))

@@ -91,13 +91,15 @@ def test_smoother_config_validation():
 def test_jacobi_diagonal_system_one_sweep():
     a = sp.diags([2.0, 4.0, 8.0]).tocsr()
     b = np.array([2.0, 4.0, 8.0])
-    x = JacobiSmoother(a, omega=1.0).presmooth(np.zeros(3), b, 1)
+    x = np.zeros(3)
+    JacobiSmoother(a, omega=1.0).presmooth(x, b, 1)
     assert np.allclose(x, 1.0)
 
 
 def test_jacobi_hand_values():
     a = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    x = JacobiSmoother(a, omega=0.5).presmooth(np.zeros(2), np.array([2.0, 4.0]), 1)
+    x = np.zeros(2)
+    JacobiSmoother(a, omega=0.5).presmooth(x, np.array([2.0, 4.0]), 1)
     assert np.allclose(x, [0.5, 0.5])
 
 
@@ -107,7 +109,8 @@ def test_jacobi_fixed_point():
     a = sp.csr_matrix(q @ q.T + 12 * np.eye(12))
     x_star = rng.standard_normal(12)
     b = a @ x_star
-    x = JacobiSmoother(a, omega=0.7).presmooth(x_star.copy(), b, 1)
+    x = x_star.copy()
+    JacobiSmoother(a, omega=0.7).presmooth(x, b, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -121,9 +124,11 @@ def test_cycle_jacobi_is_pointwise_on_node_blocks():
     x, b = rng.standard_normal(12), rng.standard_normal(12)
     cfg = SmootherConfig(kind=SmootherKind.JACOBI, omega=0.5)
     expected = x + 0.5 * (b - a @ x) / a.diagonal()
-    got = make_smoother(a, lay, cfg).presmooth(x.copy(), b, 1)
+    got = x.copy()
+    make_smoother(a, lay, cfg).presmooth(got, b, 1)
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
-    direct = JacobiSmoother(a, omega=0.5).presmooth(x.copy(), b, 1)
+    direct = x.copy()
+    JacobiSmoother(a, omega=0.5).presmooth(direct, b, 1)
     assert np.allclose(direct, expected, rtol=1e-14, atol=1e-14)
 
 
@@ -155,20 +160,32 @@ def test_jacobi_reduces_a_norm(laplace2):
 def test_gs_lower_triangular_exact_forward():
     a = sp.csr_matrix(np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [4.0, 5.0, 6.0]]))
     x_star = np.array([1.0, -2.0, 0.5])
-    x = gauss_seidel(a).presmooth(np.zeros(3), a @ x_star, 1)
+    x = np.zeros(3)
+    gauss_seidel(a).presmooth(x, a @ x_star, 1)
     assert np.allclose(x, x_star, atol=1e-14)
 
 
-def test_gs_upper_triangular_exact_backward():
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-    x_star = np.array([0.3, -1.0])
-    x = gauss_seidel(a).postsmooth(np.zeros(2), a @ x_star, 1)
-    assert np.allclose(x, x_star, atol=1e-14)
+def test_gs_post_sweep_is_transpose_of_pre_sweep():
+    # on a non-symmetric block matrix, the symmetric policy's post-sweep
+    # applies T^{-T}: the transpose of the forward sweep's T^{-1}, which
+    # keeps the V-cycle self-adjoint
+    rng = np.random.default_rng(18)
+    n = 12
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+    dense += 6.0 * np.eye(n)
+    a = sp.csr_matrix(dense)
+    sm = GaussSeidelSmoother(a, BlockLayout(n_linear=4, n_quadratic=0, block_size=3))
+    pre, post = np.zeros((n, n)), np.zeros((n, n))
+    for j, e in enumerate(np.eye(n)):
+        sm.presmooth(pre[:, j], e, 1)
+        sm.postsmooth(post[:, j], e, 1)
+    assert np.abs(post - pre.T).max() <= 1e-14 * np.abs(pre).max()
 
 
 def test_gs_hand_values():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = gauss_seidel(a).presmooth(np.zeros(2), np.array([3.0, 4.0]), 1)
+    x = np.zeros(2)
+    gauss_seidel(a).presmooth(x, np.array([3.0, 4.0]), 1)
     assert np.allclose(x, [1.5, 5.0 / 6.0], rtol=1e-15)
 
 
@@ -179,12 +196,20 @@ def test_gs_fixed_point():
     x_star = rng.standard_normal(10)
     sm = gauss_seidel(a)
     for smooth in (sm.presmooth, sm.postsmooth):
-        x = smooth(x_star.copy(), a @ x_star, 1)
+        x = x_star.copy()
+        smooth(x, a @ x_star, 1)
         assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
-def test_gs_block_sweep_matches_reference(laplace2):
-    """Triangular-solve implementation equals an explicit block sweep."""
+@pytest.mark.parametrize(
+    "stage,sweeps,backward",
+    [("presmooth", 1, False), ("postsmooth", 2, True)],
+    ids=["presmooth", "postsmooth"],
+)
+def test_gs_block_sweep_matches_reference(laplace2, stage, sweeps, backward):
+    """Triangular-solve implementation equals an explicit block sweep:
+    forward before the coarse correction, backward after it (symmetric
+    policy, on the symmetric vector Laplacian)."""
     a = laplace2.monolithic()
     lay = laplace2.layout
     rng = np.random.default_rng(4)
@@ -192,14 +217,17 @@ def test_gs_block_sweep_matches_reference(laplace2):
     x0 = rng.standard_normal(a.shape[0])
 
     sm = GaussSeidelSmoother(a, lay)
-    fast = sm.presmooth(x0.copy(), b, 1)
+    fast = x0.copy()
+    getattr(sm, stage)(fast, b, sweeps)
 
     dense = a.toarray()
     ref = x0.copy()
-    for node in range(lay.n_velocity_nodes):
-        s = slice(3 * node, 3 * node + 3)
-        r = b[s] - dense[s] @ ref
-        ref[s] += np.linalg.solve(dense[s, s], r)
+    nodes = range(lay.n_velocity_nodes)
+    for _ in range(sweeps):
+        for node in reversed(nodes) if backward else nodes:
+            s = slice(3 * node, 3 * node + 3)
+            r = b[s] - dense[s] @ ref
+            ref[s] += np.linalg.solve(dense[s, s], r)
     assert np.allclose(fast, ref, atol=1e-11 * np.abs(ref).max())
 
 
@@ -213,6 +241,43 @@ def test_gs_reduces_a_norm(laplace2):
         x = -e.copy()
         sm.presmooth(x, np.zeros(a.shape[0]), 1)
         assert x @ (a @ x) < before
+
+
+@pytest.fixture(scope="module")
+def carried_cases(laplace2, stokes2):
+    """Smoothers that carry the residual (GS, Vanka) and one that does not."""
+    a, k = laplace2.monolithic(), stokes2.monolithic()
+    return {
+        "gs-symmetric": (a, GaussSeidelSmoother(a, laplace2.layout)),
+        "gs-forward": (a, GaussSeidelSmoother(a, laplace2.layout, "forward")),
+        "vanka": (k, VankaSmoother(k, stokes2.layout, omega=0.7)),
+        "jacobi": (a, JacobiSmoother(a, omega=0.5)),
+    }
+
+
+@pytest.mark.parametrize("name", ["gs-symmetric", "gs-forward", "vanka", "jacobi"])
+@pytest.mark.parametrize("stage", ["presmooth", "postsmooth"])
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("sweeps", [1, 2])
+def test_carried_residual_matches_recomputed(carried_cases, name, stage, start, sweeps):
+    """Sweeps with the carried residual equal sweeps that recompute
+    ``b - A x``, and presmooth returns the residual of its iterate."""
+    op, sm = carried_cases[name]
+    rng = np.random.default_rng(19)
+    n = op.shape[0]
+    b = rng.standard_normal(n)
+    x0 = np.zeros(n) if start == "zero" else rng.standard_normal(n)
+    x = x0.copy()
+    r = getattr(sm, stage)(x, b, sweeps)
+    ref = x0.copy()
+    for _ in range(sweeps):
+        getattr(sm, stage)(ref, b, 1)  # one sweep from a freshly formed residual
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    if stage == "presmooth":
+        r_true = b - op @ x
+        assert np.linalg.norm(r - r_true) <= 1e-12 * np.linalg.norm(r_true)
+    else:
+        assert r is None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +317,8 @@ def test_vanka_single_patch_is_exact_solve():
     c = np.array([[0.5]])
     k, lay = saddle_parts(a, b, c)
     x_star = rng.standard_normal(5)
-    x = VankaSmoother(k, lay, omega=1.0).presmooth(np.zeros(5), k @ x_star, 1)
+    x = np.zeros(5)
+    VankaSmoother(k, lay, omega=1.0).presmooth(x, k @ x_star, 1)
     assert np.allclose(x, x_star, atol=1e-12)
 
 
@@ -284,7 +350,8 @@ def test_vanka_two_disjoint_patches_match_dense_oracle():
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(6)
 
-    x = VankaSmoother(k, lay, omega=1.0).presmooth(np.zeros(6), rhs, 1)
+    x = np.zeros(6)
+    VankaSmoother(k, lay, omega=1.0).presmooth(x, rhs, 1)
 
     # oracle: sequential exact local solves with explicit residual update
     kd = k.toarray()
@@ -300,7 +367,8 @@ def test_vanka_fixed_point(stokes1):
     rng = np.random.default_rng(8)
     x_star = rng.standard_normal(k.shape[0])
     sm = VankaSmoother(k, stokes1.layout, omega=1.0)
-    x = sm.presmooth(x_star.copy(), k @ x_star, 1)
+    x = x_star.copy()
+    sm.presmooth(x, k @ x_star, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -363,7 +431,8 @@ def test_vanka_wave_sweep_matches_sequential_oracle(channel_vanka, omega):
     rng = np.random.default_rng(16)
     b = rng.standard_normal(k.shape[0])
     x0 = rng.standard_normal(k.shape[0])
-    x = sm.presmooth(x0.copy(), b, 1)
+    x = x0.copy()
+    sm.presmooth(x, b, 1)
 
     kd = k.toarray()
     ref = x0.copy()
@@ -414,7 +483,8 @@ def test_braess_sarazin_decoupled():
     k, lay = saddle_parts(a, b, c)
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(3)
-    x = BraessSarazinSmoother(k, lay).presmooth(np.zeros(3), rhs, 1)
+    x = np.zeros(3)
+    BraessSarazinSmoother(k, lay).presmooth(x, rhs, 1)
     # with B = 0 the Schur matrix is C and q solves Shat q = -r_p, which
     # is the exact pressure update for the (2,2) block -C
     assert np.allclose(x[:2], rhs[:2] / np.array([4.0, 8.0]))
@@ -432,7 +502,8 @@ def test_braess_sarazin_matches_dense_oracle():
     rhs = rng.standard_normal(3)
     x0 = rng.standard_normal(3)
 
-    x = BraessSarazinSmoother(k, lay).presmooth(x0.copy(), rhs, 1)
+    x = x0.copy()
+    BraessSarazinSmoother(k, lay).presmooth(x, rhs, 1)
 
     ahat = 2.0 * np.diag(a)
     schur = c + b @ np.diag(1.0 / ahat) @ b.T
@@ -470,7 +541,8 @@ def test_braess_sarazin_exact_pieces_reproduce_direct_solve(mixed2, cube1):
     rng = np.random.default_rng(11)
     x_star = rng.standard_normal(k.shape[0])
     rhs = k @ x_star
-    x = sm.presmooth(np.zeros(k.shape[0]), rhs, 1)
+    x = np.zeros(k.shape[0])
+    sm.presmooth(x, rhs, 1)
     assert np.linalg.norm(x - x_star) <= 1e-11 * np.linalg.norm(x_star)
 
 
@@ -478,7 +550,8 @@ def test_braess_sarazin_fixed_point(mixed2):
     k = mixed2.monolithic()
     rng = np.random.default_rng(12)
     x_star = rng.standard_normal(k.shape[0])
-    x = BraessSarazinSmoother(k, mixed2.layout).presmooth(x_star.copy(), k @ x_star, 1)
+    x = x_star.copy()
+    BraessSarazinSmoother(k, mixed2.layout).presmooth(x, k @ x_star, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
@@ -510,7 +583,8 @@ def test_segregated_gs_decoupled():
     c = np.zeros((1, 1))
     k, lay = saddle_parts(a, b, c)
     rhs = np.array([2.0, 4.0, 3.0])
-    x = SegregatedGSSmoother(k, lay, omega=0.125).presmooth(np.zeros(3), rhs, 1)
+    x = np.zeros(3)
+    SegregatedGSSmoother(k, lay, omega=0.125).presmooth(x, rhs, 1)
     # velocity: one damped Jacobi application; pressure: -omega r_p
     assert np.allclose(x[:2], 0.5 * rhs[:2] / np.array([2.0, 4.0]))
     assert np.allclose(x[2], -0.125 * 3.0)
@@ -527,7 +601,8 @@ def test_segregated_gs_matches_dense_oracle():
     omega = 0.125
 
     sm = SegregatedGSSmoother(k, lay, omega)
-    x = sm.presmooth(x0.copy(), rhs, 1)
+    x = x0.copy()
+    sm.presmooth(x, rhs, 1)
     sigma = sm.pressure_scaling
     # dense application of [[M_A, 0], [B, -omega^-1 Sigma]]^-1
     ma = 2.0 * np.diag(np.diag(a))  # inverse of 0.5 * D^-1
@@ -545,7 +620,8 @@ def test_segregated_gs_fixed_point(mixed2):
     k = mixed2.monolithic()
     rng = np.random.default_rng(15)
     x_star = rng.standard_normal(k.shape[0])
-    x = SegregatedGSSmoother(k, mixed2.layout).presmooth(x_star.copy(), k @ x_star, 1)
+    x = x_star.copy()
+    SegregatedGSSmoother(k, mixed2.layout).presmooth(x, k @ x_star, 1)
     assert np.linalg.norm(x - x_star) <= 1e-13 * np.linalg.norm(x_star)
 
 
