@@ -248,7 +248,6 @@ class BlockSystem:
     right_hand_side: np.ndarray
     vertex_block: np.ndarray
     edge_block: np.ndarray
-    dirichlet_lift: np.ndarray
     pressure_adjacency: sp.csr_matrix | None = None
 
     def monolithic(self) -> sp.csr_matrix:
@@ -520,7 +519,6 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         right_hand_side=rhs,
         vertex_block=vertex_block,
         edge_block=edge_block,
-        dirichlet_lift=lift,
         pressure_adjacency=adj,
     )
 

@@ -17,7 +17,6 @@ Config schema (all keys except ``problem`` and ``solvers`` optional)::
       "coarsening": "separated" | "monolithic",
       "coarse_size_cap": 500,
       "tolerance": 1e-11,            # default 1e-11 elliptic, 1e-9 saddle
-      "seed": 0,
       "solvers": [
         {"method": "amg",   "cycle": "V", "smoother": "GS-2-2"},
         {"method": "pcg",   "cycle": "V", "smoother": "GS-2-2"},
@@ -164,7 +163,6 @@ class ExperimentConfig:
     coarsening: str = SEPARATED
     coarse_size_cap: int = 500
     tolerance: float | None = None
-    seed: int = 0
 
     @property
     def kind(self) -> ProblemKind:
@@ -306,7 +304,6 @@ def load_config(source) -> ExperimentConfig:
         coarsening=coarsening,
         coarse_size_cap=coarse_size_cap,
         tolerance=_tolerance(raw),
-        seed=_number(raw, "seed", 0, integer=True),
     )
 
 

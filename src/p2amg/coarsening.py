@@ -1,22 +1,23 @@
 """Graph-based coarsening and the Galerkin level hierarchy.
 
-Node graphs are built per partition from the structural pattern of that
-partition's diagonal block (linear-node block, quadratic-node block,
-and the vertex connectivity for pressure); the couplings between
-partitions are deliberately ignored, which keeps linear and quadratic
-unknowns separated on every coarse level.  A "monolithic" mode that
-builds one graph over all velocity nodes, couplings included, is kept
-for comparison runs.
+Each level is coarsened as one node graph over all of its nodes, with
+no edge between partitions: velocity nodes are adjacent where a node
+block of the operator holds a stored entry, but only within the
+linear-node and within the quadratic-node partition, and pressure nodes
+are adjacent through the vertex connectivity.  That keeps linear,
+quadratic and pressure unknowns separated on every coarse level.  A
+"monolithic" mode that lets all velocity nodes couple, across the
+linear/quadratic split, is kept for comparison runs.
 
 Coarse/fine selection is a deterministic greedy independent set in
 ascending node order; interpolation weights are uniform over the
-coarse neighbours of each fine node.  Coarse operators are formed by
-the Galerkin triple product with the block-diagonal prolongation.
+coarse neighbours of each fine node.  The node prolongation is expanded
+to the dofs (each node row applies to every component of the node), and
+coarse operators are formed by the Galerkin triple product with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +36,6 @@ __all__ = [
     "FINE",
     "NodeGraph",
     "CFSplit",
-    "Prolongation",
     "build_node_graph",
     "select_coarse",
     "build_prolongation",
@@ -51,11 +51,12 @@ FINE = 1
 
 SEPARATED = "separated"
 MONOLITHIC = "monolithic"
+MAX_LEVELS = 10
 
 
 @dataclass(frozen=True)
 class NodeGraph:
-    """Symmetric adjacency (CSR arrays) over the nodes of one partition."""
+    """Symmetric adjacency (CSR arrays) over the nodes of one level."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -128,7 +129,7 @@ def select_coarse(graph: NodeGraph) -> CFSplit:
 
 
 def build_prolongation(split: CFSplit, graph: NodeGraph) -> sp.csr_matrix:
-    """Scalar interpolation block of one partition.
+    """Node-level interpolation of one graph.
 
     Coarse nodes inject; each fine node averages its ``k`` coarse
     neighbours with weight ``1/k``.  The last weight of every fine row
@@ -152,38 +153,13 @@ def build_prolongation(split: CFSplit, graph: NodeGraph) -> sp.csr_matrix:
     return p
 
 
-@dataclass(frozen=True)
-class Prolongation:
-    """Block-diagonal prolongation built from per-partition blocks.
-
-    Each scalar block applies identically to all components of a node;
-    ``matrix`` expands it to the monolithic dof numbering.
-    """
-
-    blocks: tuple[sp.csr_matrix, ...]
-    components: tuple[int, ...]
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        expanded = [
-            sp.kron(b, sp.identity(c, format="csr"), format="csr") if c > 1 else b
-            for b, c in zip(self.blocks, self.components)
-        ]
-        if len(expanded) == 1:
-            full = expanded[0].tocsr()
-        else:
-            full = sp.block_diag(expanded, format="csr")
-        full.sort_indices()
-        return full
-
-
 @dataclass(eq=False)
 class Level:
     """One hierarchy level: operator, partition sizes, transfer downwards."""
 
     operator: sp.csr_matrix
     layout: BlockLayout
-    prolongation: Prolongation | None = None
+    prolongation: sp.csr_matrix | None = None
     pressure_adjacency: sp.csr_matrix | None = None
 
     @property
@@ -207,58 +183,52 @@ class Hierarchy:
         return sum(lv.operator.nnz for lv in self.levels) / self.levels[0].operator.nnz
 
 
-def _partition_graphs(level: Level, mode: str) -> tuple[list[NodeGraph], list[int]]:
-    """Graphs and component counts of the partitions of one level."""
+def _level_graph(level: Level, mode: str) -> NodeGraph:
+    """The node graph of one level, with no edge between partitions."""
     lay = level.layout
     op = level.operator
-    bs = lay.block_size
-    vd = lay.velocity_dof
-    graphs: list[NodeGraph] = []
-    comps: list[int] = []
+    # shares op's index arrays: every stored entry couples, whatever its value
+    pattern = sp.csr_matrix(
+        (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
+    )
+    dof_node = lay.node_incidence()
+    coupled = (dof_node.T @ pattern @ dof_node).tocoo()
+    i, j = coupled.row, coupled.col
+    nv = lay.n_velocity_nodes
+    keep = (i < nv) & (j < nv)
     if mode == SEPARATED:
-        split = bs * lay.n_linear
-        if lay.n_linear:
-            graphs.append(build_node_graph(op[:split, :split], bs))
-            comps.append(bs)
-        if lay.n_quadratic:
-            graphs.append(build_node_graph(op[split:vd, split:vd], bs))
-            comps.append(bs)
-    else:
-        graphs.append(build_node_graph(op[:vd, :vd], bs))
-        comps.append(bs)
+        keep &= (i < lay.n_linear) == (j < lay.n_linear)
+    i, j = i[keep], j[keep]
     if lay.is_saddle:
-        graphs.append(build_node_graph(level.pressure_adjacency, 1))
-        comps.append(1)
-    return graphs, comps
+        adj = level.pressure_adjacency.tocoo()
+        i = np.concatenate([i, nv + adj.row])
+        j = np.concatenate([j, nv + adj.col])
+    n = lay.n_nodes
+    return build_node_graph(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)))
 
 
-def _coarse_layout(lay: BlockLayout, mode: str, counts: list[int]) -> BlockLayout:
-    it = iter(counts)
-    if mode == SEPARATED:
-        n_l = next(it) if lay.n_linear else 0
-        n_q = next(it) if lay.n_quadratic else 0
-    else:
-        n_l = next(it)
-        n_q = 0
-    n_p = next(it) if lay.is_saddle else 0
-    return BlockLayout(
-        n_linear=n_l, n_quadratic=n_q, n_pressure=n_p, block_size=lay.block_size
+def _dof_prolongation(p_nodes, fine: BlockLayout, coarse: BlockLayout) -> sp.csr_matrix:
+    """Expand a node prolongation to the dofs, component by component."""
+    node = fine.node_of_dof()
+    component = np.arange(fine.total_dof) - fine.first_dof()[node]
+    lengths = np.diff(p_nodes.indptr)[node]
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    pos = np.repeat(p_nodes.indptr[node] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    cols = coarse.first_dof()[p_nodes.indices[pos]] + np.repeat(component, lengths)
+    return sp.csr_matrix(
+        (p_nodes.data[pos], cols, indptr), shape=(fine.total_dof, coarse.total_dof)
     )
 
 
 def build_hierarchy(
-    system,
-    mode: str = SEPARATED,
-    coarse_size_cap: int = 500,
-    max_levels: int = 10,
+    system, mode: str = SEPARATED, coarse_size_cap: int = 500
 ) -> Hierarchy:
     """Coarsen a system down to a directly solvable operator.
 
-    ``system`` may be an assembled block system, a plain square sparse
-    matrix (treated as one scalar partition) or an ``(operator,
-    layout)`` pair.  Coarsening stops once the monolithic size drops to
-    ``coarse_size_cap``, ``max_levels`` is reached, or a level keeps
-    more than 90% of its nodes coarse.
+    ``system`` may be an assembled block system or a plain square sparse
+    matrix (treated as one scalar partition).  Coarsening stops once the
+    monolithic size drops to ``coarse_size_cap``, ``MAX_LEVELS`` is
+    reached, or a level keeps more than 90% of its nodes coarse.
     """
     if mode not in (SEPARATED, MONOLITHIC):
         raise InvalidParameter(f"unknown coarsening mode {mode!r}")
@@ -266,26 +236,34 @@ def build_hierarchy(
     level = Level(operator=op, layout=layout, pressure_adjacency=adjacency)
     levels = [level]
 
-    while level.n_dof > coarse_size_cap and len(levels) < max_levels:
-        graphs, comps = _partition_graphs(level, mode)
-        splits = [select_coarse(g) for g in graphs]
-        n_nodes = sum(g.n_nodes for g in graphs)
-        n_coarse = sum(s.n_coarse for s in splits)
-        if n_coarse > 0.9 * n_nodes:
+    while level.n_dof > coarse_size_cap and len(levels) < MAX_LEVELS:
+        lay = level.layout
+        graph = _level_graph(level, mode)
+        split = select_coarse(graph)
+        if split.n_coarse > 0.9 * graph.n_nodes:
             break
-        blocks = tuple(
-            build_prolongation(s, g) for s, g in zip(splits, graphs)
+        p_nodes = build_prolongation(split, graph)
+        # coarse nodes keep the ascending order, so each partition's
+        # coarse nodes stay contiguous
+        is_coarse = split.labels == COARSE
+        n_v = int(np.count_nonzero(is_coarse[: lay.n_velocity_nodes]))
+        n_q = int(np.count_nonzero(is_coarse[lay.n_linear : lay.n_velocity_nodes]))
+        if mode == MONOLITHIC:
+            n_q = 0
+        coarse_lay = BlockLayout(
+            n_linear=n_v - n_q,
+            n_quadratic=n_q,
+            n_pressure=split.n_coarse - n_v,
+            block_size=lay.block_size,
         )
-        prol = Prolongation(blocks=blocks, components=tuple(comps))
-        level.prolongation = prol
-        coarse_op = triple_product(prol.matrix, level.operator, symmetric=True)
-        lay = _coarse_layout(level.layout, mode, [s.n_coarse for s in splits])
+        level.prolongation = _dof_prolongation(p_nodes, lay, coarse_lay)
+        coarse_op = triple_product(level.prolongation, level.operator, symmetric=True)
         adj = None
-        if level.layout.is_saddle:
-            h = blocks[-1]
+        if lay.is_saddle:
+            h = p_nodes[lay.n_velocity_nodes :, n_v:]
             adj = (h.T @ level.pressure_adjacency @ h).tocsr()
             adj.data[:] = 1.0
-        level = Level(operator=coarse_op, layout=lay, pressure_adjacency=adj)
+        level = Level(operator=coarse_op, layout=coarse_lay, pressure_adjacency=adj)
         levels.append(level)
 
     return Hierarchy(levels=levels, coarse=coarse_factor(levels[-1].operator))

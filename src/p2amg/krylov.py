@@ -23,15 +23,11 @@ _STAGNATION_REDUCTION = 1e-3
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Method selection and stopping parameters.
-
-    ``restart`` applies to GMRES only; 0 means unrestarted.
-    """
+    """Method selection and stopping parameters."""
 
     method: str = "cg"
     tol: float = 1e-11
     maxit: int = 500
-    restart: int = 0
 
     def __post_init__(self):
         if self.method not in ("cg", "gmres"):
@@ -40,8 +36,6 @@ class KrylovConfig:
             raise InvalidParameter(f"tol must lie in (0, 1), got {self.tol}")
         if self.maxit < 1:
             raise InvalidParameter("maxit must be at least 1")
-        if self.restart < 0:
-            raise InvalidParameter("restart must be non-negative")
 
 
 def _identity_precond(r: np.ndarray) -> np.ndarray:
@@ -127,18 +121,30 @@ def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
     )
 
 
-def _gmres_cycle(a, precond, b, x0, b_norm, tol, max_steps, residuals):
-    """One (possibly full-length) right-preconditioned Arnoldi cycle.
+def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
+    """Right-preconditioned GMRES with modified Gram-Schmidt Arnoldi.
 
-    Returns (x, converged).  With right preconditioning the rotated
-    residual norm is the true residual of the unpreconditioned system.
+    One Arnoldi loop from ``x = 0``, unrestarted.  Because the
+    preconditioner is applied on the right, the rotated residual norm
+    is the true residual of the unpreconditioned system and decreases
+    monotonically; the last entry of the history is recomputed from
+    ``b - A x``.
     """
-    n = b.shape[0]
-    r0 = b - a @ x0
-    beta = np.linalg.norm(r0)
-    if beta == 0.0:
-        return x0, True
+    if precond is None:
+        precond = _identity_precond
 
+    start = time.perf_counter()
+    b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    x = np.zeros(n)
+    b_norm = np.linalg.norm(b)
+    residuals = [1.0]
+    if b_norm == 0.0:
+        return x, SolveReport(0, residuals, True, time.perf_counter() - start)
+
+    r0 = b - a @ x
+    beta = np.linalg.norm(r0)
+    max_steps = config.maxit
     v = np.zeros((max_steps + 1, n))
     h = np.zeros((max_steps + 1, max_steps))
     cs = np.zeros(max_steps)
@@ -148,7 +154,6 @@ def _gmres_cycle(a, precond, b, x0, b_norm, tol, max_steps, residuals):
     v[0] = r0 / beta
 
     k_used = 0
-    converged = False
     for k in range(max_steps):
         w = a @ precond(v[k])
         for i in range(k + 1):  # modified Gram-Schmidt
@@ -173,9 +178,8 @@ def _gmres_cycle(a, precond, b, x0, b_norm, tol, max_steps, residuals):
         k_used = k + 1
         rel = abs(g[k + 1]) / b_norm
         residuals.append(float(rel))
-        m = len(residuals) - 1
         if (
-            m > _STAGNATION_WINDOW
+            k_used > _STAGNATION_WINDOW
             and residuals[-1]
             > residuals[-1 - _STAGNATION_WINDOW] * (1.0 - _STAGNATION_REDUCTION)
         ):
@@ -183,50 +187,18 @@ def _gmres_cycle(a, precond, b, x0, b_norm, tol, max_steps, residuals):
                 f"residual reduced by less than {_STAGNATION_REDUCTION:.0e} "
                 f"over the last {_STAGNATION_WINDOW} iterations"
             )
-        if rel <= tol or lucky_breakdown:
-            converged = rel <= tol
+        if rel <= config.tol or lucky_breakdown:
             break
 
     # h is upper triangular after the rotations
     y = np.linalg.solve(h[:k_used, :k_used], g[:k_used])
-    x = x0 + precond(v[:k_used].T @ y)
-    return x, converged
-
-
-def gmres(k, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
-    """Right-preconditioned GMRES with modified Gram-Schmidt Arnoldi.
-
-    Unrestarted by default (``config.restart == 0``); because the
-    preconditioner is applied on the right, the reported residual is
-    the true system residual and is monotone within each Arnoldi cycle.
-    """
-    if precond is None:
-        precond = _identity_precond
-
-    start = time.perf_counter()
-    b = np.asarray(b, dtype=float)
-    n = k.shape[0]
-    x = np.zeros(n)
-    b_norm = np.linalg.norm(b)
-    residuals = [1.0]
-    if b_norm == 0.0:
-        return x, SolveReport(0, residuals, True, time.perf_counter() - start)
-
-    converged = False
-    while len(residuals) - 1 < config.maxit and not converged:
-        remaining = config.maxit - (len(residuals) - 1)
-        steps = remaining if config.restart == 0 else min(config.restart, remaining)
-        x, converged = _gmres_cycle(
-            k, precond, b, x, b_norm, config.tol, steps, residuals
-        )
-
-    true_rel = np.linalg.norm(b - k @ x) / b_norm
+    x += precond(v[:k_used].T @ y)
+    true_rel = np.linalg.norm(b - a @ x) / b_norm
     residuals[-1] = float(true_rel)
-    converged = bool(true_rel <= config.tol)
     return x, SolveReport(
-        iterations=len(residuals) - 1,
+        iterations=k_used,
         residuals=residuals,
-        converged=converged,
+        converged=bool(true_rel <= config.tol),
         wall_time=time.perf_counter() - start,
         operator_complexity=getattr(precond, "operator_complexity", 1.0),
     )

@@ -104,7 +104,7 @@ def amg_cycle(
 
     r = sm.presmooth(x, b, cfg.m_pre)
 
-    p = lv.prolongation.matrix
+    p = lv.prolongation
     b_coarse = p.T @ r
     if level + 1 == last:
         x_coarse = coarse_solve(hierarchy.coarse, b_coarse)

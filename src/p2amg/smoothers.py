@@ -2,12 +2,15 @@
 
 For the SPD velocity systems: damped pointwise Jacobi and block
 Gauss-Seidel over the 3x3 node blocks.  For saddle systems: the
-multiplicative Vanka smoother (one patch per pressure dof, swept in
+multiplicative Vanka smoother (one patch per pressure dof, built for
+all patches at once as one patch-to-dof incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
 wave), a Braess-Sarazin step with diagonal velocity approximation and
-an inner solver for the approximate Schur complement, and a
-segregated Gauss-Seidel (Uzawa-type) step.
+an inner multigrid preconditioner for the approximate Schur
+complement, and a segregated Gauss-Seidel (Uzawa-type) step.  Node
+blocks and patches take the dof-to-node numbering from
+:class:`BlockLayout`; this module keeps no copy of it.
 
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
@@ -44,7 +47,6 @@ __all__ = [
     "SmootherKind",
     "SmootherConfig",
     "parse_smoother",
-    "VankaPatch",
     "SchurPreconditioner",
     "build_schur_preconditioner",
     "make_smoother",
@@ -153,15 +155,13 @@ def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout) -> np.ndarr
     """Inverses of the diagonal node blocks of the velocity partition."""
     bs = layout.block_size
     vd = layout.velocity_dof
-    n = layout.n_velocity_nodes
+    node, first = layout.node_of_dof(), layout.first_dof()
     coo = op[:vd, :vd].tocoo()
-    mask = coo.row // bs == coo.col // bs
-    blocks = np.zeros((n, bs, bs))
-    np.add.at(
-        blocks,
-        (coo.row[mask] // bs, coo.row[mask] % bs, coo.col[mask] % bs),
-        coo.data[mask],
-    )
+    i = node[coo.row]
+    mask = i == node[coo.col]
+    i, row, col = i[mask], coo.row[mask], coo.col[mask]
+    blocks = np.zeros((layout.n_velocity_nodes, bs, bs))
+    np.add.at(blocks, (i, row - first[i], col - first[i]), coo.data[mask])
     try:
         return np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
@@ -173,14 +173,6 @@ def _apply_block_inverses(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", inverses, r.reshape(len(inverses), -1)).ravel()
 
 
-def _node_index(layout: BlockLayout) -> np.ndarray:
-    """Node (block) index of every monolithic dof."""
-    bs = layout.block_size
-    vel = np.arange(layout.velocity_dof) // bs
-    pres = layout.n_velocity_nodes + np.arange(layout.n_pressure)
-    return np.concatenate([vel, pres])
-
-
 def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
     """SuperLU factor of the block lower triangle ``T`` of ``op`` and the
     strict block upper triangle ``U = op - T`` as CSR.
@@ -188,7 +180,7 @@ def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
     ``T`` includes the full diagonal node blocks, so applying the factor
     realizes one exact block Gauss-Seidel substitution.
     """
-    node = _node_index(layout)
+    node = layout.node_of_dof()
     coo = op.tocoo()
     lower = node[coo.col] <= node[coo.row]
     upper = ~lower
@@ -305,47 +297,41 @@ class GaussSeidelSmoother(_Smoother):
 # Vanka
 
 
-@dataclass(frozen=True)
-class VankaPatch:
-    """One pressure dof and the velocity nodes its divergence row touches."""
+def _patch_incidence(op: sp.csr_matrix, layout: BlockLayout) -> sp.csr_matrix:
+    """Patch-to-dof incidence of the Vanka patches, as boolean CSR.
 
-    pressure_index: int
-    velocity_nodes: np.ndarray
-
-
-def _patches_from_operator(op: sp.csr_matrix, layout: BlockLayout) -> list[VankaPatch]:
+    Patch ``i`` holds pressure dof ``i`` and every component of each
+    velocity node on which row ``i`` of ``B`` has a nonzero entry, in
+    ascending dof order.
+    """
     if not layout.is_saddle:
         raise MalformedSystem("Vanka patches require a saddle system")
     vd = layout.velocity_dof
-    bs = layout.block_size
-    b_block = op[vd:, :vd].tocsr()
-    patches = []
-    for i in range(layout.n_pressure):
-        row = b_block.indices[b_block.indptr[i] : b_block.indptr[i + 1]]
-        vals = b_block.data[b_block.indptr[i] : b_block.indptr[i + 1]]
-        nodes = np.unique(row[vals != 0.0] // bs)
-        if nodes.size == 0:
-            raise MalformedSystem(f"pressure dof {i} couples to no velocity dof")
-        patches.append(VankaPatch(pressure_index=i, velocity_nodes=nodes))
-    return patches
+    b_block = op[vd:, :vd].astype(bool)
+    b_block.eliminate_zeros()
+    empty = np.flatnonzero(np.diff(b_block.indptr) == 0)
+    if empty.size:
+        raise MalformedSystem(f"pressure dof {empty[0]} couples to no velocity dof")
+    dof_node = layout.node_incidence()
+    pattern = sp.hstack(
+        [b_block, sp.identity(layout.n_pressure, dtype=bool)], format="csr"
+    )
+    incidence = pattern @ dof_node @ dof_node.T
+    incidence.sort_indices()
+    return incidence
 
 
-def _dependency_waves(op: sp.csr_matrix, dofs: list[np.ndarray]) -> list[np.ndarray]:
+def _dependency_waves(op: sp.csr_matrix, incidence: sp.csr_matrix) -> list[np.ndarray]:
     """Group patches into dependency waves (level scheduling).
 
-    Patch ``p`` couples to patch ``q`` when ``op[dofs_p, dofs_q]`` or
-    ``op[dofs_q, dofs_p]`` is structurally nonzero, or when the two
-    share a dof.  A patch's wave is one more than the latest wave of any
-    earlier patch it couples to, so the patches of one wave have
-    disjoint, mutually uncoupled dofs.  Returns the patch indices of
-    each wave, in patch order within a wave.
+    ``incidence`` is the patch-to-dof incidence.  Patch ``p`` couples
+    to patch ``q`` when ``op[dofs_p, dofs_q]`` or ``op[dofs_q, dofs_p]``
+    is structurally nonzero, or when the two share a dof.  A patch's
+    wave is one more than the latest wave of any earlier patch it
+    couples to, so the patches of one wave have disjoint, mutually
+    uncoupled dofs.  Returns the patch indices of each wave, in patch
+    order within a wave.
     """
-    sizes = np.array([d.size for d in dofs])
-    incidence = sp.csr_matrix(
-        (np.ones(sizes.sum(), dtype=bool), np.concatenate(dofs),
-         np.concatenate([[0], np.cumsum(sizes)])),
-        shape=(len(dofs), op.shape[0]),
-    )
     # shares op's index arrays: only the pattern is read, no value copied
     pattern = sp.csr_matrix(
         (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
@@ -354,8 +340,9 @@ def _dependency_waves(op: sp.csr_matrix, dofs: list[np.ndarray]) -> list[np.ndar
     coupling = sp.tril(
         coupling + coupling.T + incidence @ incidence.T, k=-1, format="csr"
     )
-    wave = np.zeros(len(dofs), dtype=np.intp)
-    for p in range(1, len(dofs)):
+    n_patches = incidence.shape[0]
+    wave = np.zeros(n_patches, dtype=np.intp)
+    for p in range(1, n_patches):
         earlier = coupling.indices[coupling.indptr[p] : coupling.indptr[p + 1]]
         if earlier.size:
             wave[p] = wave[earlier].max() + 1
@@ -385,33 +372,25 @@ class VankaSmoother(_Smoother):
     differs.  Each wave's patch matrices are scattered into one
     contiguous segment of a per-level buffer, as Fortran-ordered views,
     and factored in place; ``_dofs`` and ``_factors`` list the patches
-    in patch order.
+    in patch order, one patch per pressure dof.
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
         self.op = op.tocsr()
         self.op_csc = op.tocsc()
-        self.layout = layout
         self.omega = omega
-        self.patches = _patches_from_operator(self.op, layout)
-        bs = layout.block_size
-        vd = layout.velocity_dof
-        self._dofs = [
-            np.concatenate([
-                (bs * patch.velocity_nodes[:, None] + np.arange(bs)).ravel(),
-                [vd + patch.pressure_index],
-            ])
-            for patch in self.patches
-        ]
-        self._factors = [None] * len(self.patches)
+        incidence = _patch_incidence(self.op, layout)
+        self._dofs = np.split(incidence.indices, incidence.indptr[1:-1])
+        patch_sizes = np.diff(incidence.indptr)
+        self._factors = [None] * len(self._dofs)
         self._waves = []
         # one buffer per level: a single large allocation, which the
         # allocator maps and unmaps whole instead of leaving heap holes
-        buffer = np.empty(sum(d.size * d.size for d in self._dofs))
+        buffer = np.empty(int(patch_sizes @ patch_sizes))
         start = 0
-        for members in _dependency_waves(self.op, self._dofs):
+        for members in _dependency_waves(self.op, incidence):
             dofs = np.concatenate([self._dofs[p] for p in members])
-            sizes = np.array([self._dofs[p].size for p in members])
+            sizes = patch_sizes[members]
             bounds = np.concatenate([[0], np.cumsum(sizes)])
             offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
             # the patches of a wave are uncoupled, so op[dofs][:, dofs] is
@@ -431,8 +410,7 @@ class VankaSmoother(_Smoother):
                     self._factors[p] = coarse_factor(block, out=block)
                 except SingularCoarseMatrix as exc:
                     raise SingularPatch(
-                        f"local matrix of patch {self.patches[p].pressure_index} "
-                        "is singular"
+                        f"local matrix of patch {p} is singular"
                     ) from exc
             self._waves.append(
                 _VankaWave(
@@ -492,19 +470,17 @@ def build_schur_preconditioner(
             matrix=schur, solve=lambda r: coarse_solve(factor, r), kind="dense"
         )
 
+    # imported here: multigrid imports this module
     from .coarsening import build_hierarchy
-    from .multigrid import CycleConfig, amg_cycle, build_level_smoothers
+    from .multigrid import CycleConfig, Preconditioner
 
     hierarchy = build_hierarchy(schur, coarse_size_cap=coarse_size_cap)
     config = CycleConfig(
         smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=1, m_post=1)
     )
-    smoothers = build_level_smoothers(hierarchy, config)
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        return amg_cycle(hierarchy, 0, np.zeros_like(r), r, config, smoothers)
-
-    return SchurPreconditioner(matrix=schur, solve=solve, kind="amg")
+    return SchurPreconditioner(
+        matrix=schur, solve=Preconditioner(hierarchy, config), kind="amg"
+    )
 
 
 class BraessSarazinSmoother(_Smoother):

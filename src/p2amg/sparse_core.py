@@ -2,11 +2,13 @@
 
 Every operator is one monolithic scipy CSR matrix; a
 :class:`BlockLayout` names its partitions (linear-node, quadratic-node
-and pressure unknowns) and node blocks.  This module adds the small
-amount of machinery scipy does not provide directly: the one adapter
-from a system, an ``(operator, layout)`` pair or a matrix to that
-form, a symmetrizing Galerkin triple product, and a dense LU with
-partial pivoting for the coarsest level of a hierarchy.
+and pressure unknowns) and is the only code that knows how dofs are
+numbered within nodes (``node_of_dof``, ``first_dof``,
+``node_incidence``).  This module
+adds the small amount of machinery scipy does not provide directly: the
+one adapter from a system or a matrix to that form, a symmetrizing
+Galerkin triple product, and a dense LU with partial pivoting for the
+coarsest level of a hierarchy.
 """
 from __future__ import annotations
 
@@ -35,8 +37,10 @@ class BlockLayout:
 
     Degrees of freedom are ordered linear-node components, then
     quadratic-node components, then pressure.  Every velocity node
-    carries ``block_size`` components (3 for vector fields, 1 for the
-    scalar hierarchies used inside the Schur preconditioner).
+    carries ``block_size`` consecutive components (3 for vector fields,
+    1 for the scalar hierarchies used inside the Schur preconditioner);
+    every pressure dof is a node of its own.  Nodes are numbered in the
+    same order: linear, quadratic, pressure.
     """
 
     n_linear: int
@@ -57,21 +61,40 @@ class BlockLayout:
         return self.velocity_dof + self.n_pressure
 
     @property
+    def n_nodes(self) -> int:
+        return self.n_velocity_nodes + self.n_pressure
+
+    @property
     def is_saddle(self) -> bool:
         return self.n_pressure > 0
+
+    def first_dof(self) -> np.ndarray:
+        """First dof of every node, then ``total_dof``: node ``i`` owns
+        the dofs ``first[i]:first[i + 1]``."""
+        vel = self.block_size * np.arange(self.n_velocity_nodes)
+        return np.concatenate([vel, self.velocity_dof + np.arange(self.n_pressure + 1)])
+
+    def node_of_dof(self) -> np.ndarray:
+        """Node index of every dof."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.first_dof()))
+
+    def node_incidence(self) -> sp.csr_matrix:
+        """Dof-to-node incidence, boolean ``total_dof x n_nodes``."""
+        node = self.node_of_dof()
+        return sp.csr_matrix(
+            (np.ones(node.size, dtype=bool), node, np.arange(node.size + 1)),
+            shape=(self.total_dof, self.n_nodes),
+        )
 
 
 def as_operator(system) -> tuple[sp.csr_matrix, BlockLayout, sp.csr_matrix | None]:
     """Operator, layout and pressure adjacency of a solver's input.
 
-    ``system`` is an assembled ``BlockSystem``, an ``(operator,
-    layout)`` pair or a square sparse matrix (one scalar partition).
-    The assembled operator is returned as stored, not copied; only an
-    assembled saddle system carries a pressure adjacency.
+    ``system`` is an assembled ``BlockSystem`` or a square sparse matrix
+    (one scalar partition).  The assembled operator is returned as
+    stored, not copied; only an assembled saddle system carries a
+    pressure adjacency.
     """
-    if isinstance(system, tuple):
-        op, layout = system
-        return op.tocsr(), layout, None
     if sp.issparse(system):
         op = system.tocsr()
         return op, BlockLayout(n_linear=op.shape[0], n_quadratic=0, block_size=1), None

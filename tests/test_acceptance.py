@@ -89,13 +89,13 @@ def test_criterion_02_galerkin_consistency():
         system, _ = case(problem, 2)
         hier = build_hierarchy(system, coarse_size_cap=60)
         assert hier.n_levels >= 2
-        p = hier.levels[0].prolongation.matrix.toarray()
+        p = hier.levels[0].prolongation.toarray()
         a = hier.levels[0].operator.toarray()
         oracle = p.T @ a @ p
         coarse = hier.levels[1].operator.toarray()
         worst_op = max(worst_op, np.abs(coarse - oracle).max() / np.abs(oracle).max())
         for lv in hier.levels[:-1]:
-            sums = np.asarray(lv.prolongation.matrix.sum(axis=1)).ravel()
+            sums = np.asarray(lv.prolongation.sum(axis=1)).ravel()
             worst_sum = max(worst_sum, np.abs(sums - 1.0).max())
     passed = worst_op <= 1e-12 and worst_sum <= 1e-15
     report(

@@ -8,6 +8,9 @@ from p2amg.assembly import ProblemKind, ProblemSpec, assemble
 from p2amg.coarsening import (
     COARSE,
     FINE,
+    MAX_LEVELS,
+    MONOLITHIC,
+    SEPARATED,
     CFSplit,
     NodeGraph,
     build_hierarchy,
@@ -19,6 +22,7 @@ from p2amg.coarsening import (
 )
 from p2amg.errors import CoarseningFailure, InvalidParameter
 from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
+from p2amg.sparse_core import BlockLayout, as_operator, triple_product
 
 
 def graph_from_edges(n, edges):
@@ -233,7 +237,7 @@ def test_hierarchy_strictly_decreasing(laplace4):
 def test_hierarchy_galerkin_matches_dense_oracle(laplace2):
     hier = build_hierarchy(laplace2, coarse_size_cap=60)
     assert hier.n_levels >= 2
-    p = hier.levels[0].prolongation.matrix.toarray()
+    p = hier.levels[0].prolongation.toarray()
     a = hier.levels[0].operator.toarray()
     oracle = p.T @ a @ p
     coarse = hier.levels[1].operator.toarray()
@@ -244,7 +248,7 @@ def test_hierarchy_prolongation_row_sums(laplace4, mixed2):
     for system in (laplace4, mixed2):
         hier = build_hierarchy(system, coarse_size_cap=100)
         for lv in hier.levels[:-1]:
-            sums = np.asarray(lv.prolongation.matrix.sum(axis=1)).ravel()
+            sums = np.asarray(lv.prolongation.sum(axis=1)).ravel()
             assert np.abs(sums - 1.0).max() <= 1e-15
 
 
@@ -260,7 +264,7 @@ def test_hierarchy_coarse_operators_spd(laplace4):
 def test_separated_blocks_stay_block_diagonal(mixed2):
     hier = build_hierarchy(mixed2, coarse_size_cap=100)
     lv = hier.levels[0]
-    p = lv.prolongation.matrix.tocsr()
+    p = lv.prolongation.tocsr()
     lay = lv.layout
     coarse_lay = hier.levels[1].layout
     bs = lay.block_size
@@ -278,7 +282,7 @@ def test_separated_blocks_stay_block_diagonal(mixed2):
 
 def test_constant_preservation(laplace4):
     hier = build_hierarchy(laplace4, coarse_size_cap=500)
-    p = hier.levels[0].prolongation.matrix
+    p = hier.levels[0].prolongation
     ones = np.ones(p.shape[1])
     assert np.abs(p @ ones - 1.0).max() <= 1e-14
 
@@ -298,6 +302,80 @@ def test_pure_neumann_constant_identity():
     rhs = p.T @ (a_ll @ np.ones(a_ll.shape[0]))
     scale = np.abs(a_ll).max()
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def per_partition_hierarchy(system, mode, coarse_size_cap):
+    """Oracle: coarsen each partition on its own graph, then stitch the
+    prolongation blocks together with ``kron`` and ``block_diag``.
+
+    Returns ``(operator, layout, pressure adjacency, prolongation)`` per
+    level, the prolongation of the coarsest level being None.
+    """
+    op, lay, adj = as_operator(system)
+    levels = []
+    while op.shape[0] > coarse_size_cap and len(levels) + 1 < MAX_LEVELS:
+        bs, vd, split = lay.block_size, lay.velocity_dof, lay.block_size * lay.n_linear
+        if mode == SEPARATED:
+            parts = [(op[:split, :split], bs)] if lay.n_linear else []
+            parts += [(op[split:vd, split:vd], bs)] if lay.n_quadratic else []
+        else:
+            parts = [(op[:vd, :vd], bs)]
+        parts += [(adj, 1)] if lay.is_saddle else []
+        graphs = [build_node_graph(m, c) for m, c in parts]
+        splits = [select_coarse(g) for g in graphs]
+        counts = [s.n_coarse for s in splits]
+        if sum(counts) > 0.9 * sum(g.n_nodes for g in graphs):
+            break
+        blocks = [build_prolongation(s, g) for s, g in zip(splits, graphs)]
+        expanded = [
+            sp.kron(b, sp.identity(c, format="csr"), format="csr") if c > 1 else b
+            for b, (_, c) in zip(blocks, parts)
+        ]
+        p = expanded[0].tocsr() if len(expanded) == 1 else sp.block_diag(expanded, format="csr")
+        p.sort_indices()
+        levels.append((op, lay, adj, p))
+        n_p = counts.pop() if lay.is_saddle else 0
+        if mode == SEPARATED:
+            n_l = counts.pop(0) if lay.n_linear else 0
+            n_q = counts.pop(0) if lay.n_quadratic else 0
+        else:
+            n_l, n_q = counts[0], 0
+        if lay.is_saddle:
+            adj = (blocks[-1].T @ adj @ blocks[-1]).tocsr()
+            adj.data[:] = 1.0
+        op = triple_product(p, op, symmetric=True)
+        lay = BlockLayout(n_linear=n_l, n_quadratic=n_q, n_pressure=n_p, block_size=bs)
+    return levels + [(op, lay, adj, None)]
+
+
+def assert_same_csr(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [("laplace4", SEPARATED), ("laplace4", MONOLITHIC), ("mixed2", SEPARATED),
+     ("mixed2", MONOLITHIC), ("stokes2", SEPARATED)],
+)
+def test_one_node_graph_matches_per_partition_oracle(request, name, mode):
+    # no edge joins two partitions, so one greedy pass over all nodes
+    # labels and numbers them as one pass per partition does
+    system = request.getfixturevalue(name)
+    hier = build_hierarchy(system, mode=mode, coarse_size_cap=20)
+    oracle = per_partition_hierarchy(system, mode, coarse_size_cap=20)
+    assert len(hier.levels) == len(oracle) >= 3
+    for lv, (op, lay, adj, p) in zip(hier.levels, oracle):
+        assert lv.layout == lay
+        assert_same_csr(lv.operator, op)
+        assert_same_csr(lv.pressure_adjacency, adj)
+        assert_same_csr(lv.prolongation, p)
 
 
 def test_hierarchy_modes_and_errors(laplace4):

@@ -49,7 +49,7 @@ def test_two_level_coarse_correction_exact_on_range(laplace2):
     hier = build_hierarchy(laplace2, coarse_size_cap=60)
     assert hier.n_levels == 2
     a = hier.levels[0].operator
-    p = hier.levels[0].prolongation.matrix
+    p = hier.levels[0].prolongation
     rng = np.random.default_rng(2)
     x_star = rng.standard_normal(a.shape[0])
     b = a @ x_star

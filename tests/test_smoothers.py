@@ -284,15 +284,18 @@ def test_carried_residual_matches_recomputed(carried_cases, name, stage, start, 
 # Vanka
 
 
-def test_vanka_patches_match_pattern_oracle(stokes1):
-    patches = VankaSmoother(stokes1.monolithic(), stokes1.layout).patches
-    assert len(patches) == stokes1.layout.n_pressure
-    vd = stokes1.layout.velocity_dof
-    b = stokes1.monolithic()[vd:, :vd]
-    for patch in patches:
-        row = b.getrow(patch.pressure_index)
-        nodes = np.unique(row.indices[row.data != 0.0] // 3)
-        assert np.array_equal(nodes, patch.velocity_nodes)
+def test_vanka_patches_match_pattern_oracle(stokes1, stokes2):
+    # stokes2's B stores exact zeros, which must not pull a node in
+    for system in (stokes1, stokes2):
+        dofs = VankaSmoother(system.monolithic(), system.layout)._dofs
+        assert len(dofs) == system.layout.n_pressure
+        vd = system.layout.velocity_dof
+        b = system.monolithic()[vd:, :vd]
+        for i, patch in enumerate(dofs):
+            row = b.getrow(i)
+            nodes = np.unique(row.indices[row.data != 0.0] // 3)
+            oracle = np.concatenate([(3 * nodes[:, None] + np.arange(3)).ravel(), [vd + i]])
+            assert np.array_equal(oracle, patch)
 
 
 def test_vanka_empty_patch_raises():
@@ -302,6 +305,15 @@ def test_vanka_empty_patch_raises():
     k, lay = saddle_parts(a, b, c)
     with pytest.raises(MalformedSystem):
         VankaSmoother(k, lay)
+    # the same row with its couplings stored as exact zeros
+    coo = k.tocoo()
+    stored = sp.csr_matrix(
+        (np.r_[coo.data, 0.0, 0.0], (np.r_[coo.row, 3, 3], np.r_[coo.col, 0, 1])),
+        shape=k.shape,
+    )
+    assert stored.nnz == k.nnz + 2
+    with pytest.raises(MalformedSystem):
+        VankaSmoother(stored, lay)
 
 
 def test_vanka_requires_saddle(laplace2):
