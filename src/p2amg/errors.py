@@ -34,7 +34,8 @@ class SingularBlock(SolverError):
 
 
 class SingularPatch(SolverError):
-    """A local Vanka patch matrix is singular."""
+    """A local Vanka patch cannot be solved: its velocity block is not
+    positive definite or its one-pressure Schur complement not positive."""
 
 
 class MalformedSystem(SolverError):

@@ -19,6 +19,7 @@ __all__ = ["KrylovConfig", "pcg", "gmres"]
 _TRUE_RESIDUAL_EVERY = 50
 _STAGNATION_WINDOW = 50
 _STAGNATION_REDUCTION = 1e-3
+_GMRES_FIRST_CAPACITY = 32
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,9 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     preconditioner is applied on the right, the rotated residual norm
     is the true residual of the unpreconditioned system and decreases
     monotonically; the last entry of the history is recomputed from
-    ``b - A x``.
+    ``b - A x``.  The basis, the Hessenberg matrix and the rotations
+    double their capacity as the iterations need it, so memory follows
+    the iterations done, not ``maxit``.
     """
     if precond is None:
         precond = _identity_precond
@@ -145,16 +148,23 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     r0 = b - a @ x
     beta = np.linalg.norm(r0)
     max_steps = config.maxit
-    v = np.zeros((max_steps + 1, n))
-    h = np.zeros((max_steps + 1, max_steps))
-    cs = np.zeros(max_steps)
-    sn = np.zeros(max_steps)
-    g = np.zeros(max_steps + 1)
+    capacity = min(max_steps, _GMRES_FIRST_CAPACITY)
+    v = np.zeros((capacity + 1, n))
+    h = np.zeros((capacity + 1, capacity))
+    cs = np.zeros(capacity)
+    sn = np.zeros(capacity)
+    g = np.zeros(capacity + 1)
     g[0] = beta
     v[0] = r0 / beta
 
     k_used = 0
     for k in range(max_steps):
+        if k == capacity:
+            grow = min(capacity, max_steps - capacity)
+            capacity += grow
+            v = np.pad(v, ((0, grow), (0, 0)))
+            h = np.pad(h, ((0, grow), (0, grow)))
+            cs, sn, g = (np.pad(rot, (0, grow)) for rot in (cs, sn, g))
         w = a @ precond(v[k])
         for i in range(k + 1):  # modified Gram-Schmidt
             h[i, k] = w @ v[i]

@@ -83,10 +83,11 @@ def amg_cycle(
     x: np.ndarray,
     b: np.ndarray,
     config: CycleConfig,
-    smoothers: list | None = None,
+    smoothers: list,
 ) -> np.ndarray:
     """One multigrid cycle on ``K_level x = b`` starting from ``x``.
 
+    ``smoothers`` is the per-level state of :func:`build_level_smoothers`.
     Mutates and returns ``x`` (except on the coarsest level, which is
     solved exactly regardless of the passed iterate).
     """
@@ -95,8 +96,6 @@ def amg_cycle(
         raise InvalidParameter(f"level {level} outside 0..{last}")
     if level == last:
         return coarse_solve(hierarchy.coarse, b)
-    if smoothers is None:
-        smoothers = build_level_smoothers(hierarchy, config)
 
     lv = hierarchy.levels[level]
     sm = smoothers[level]
@@ -189,15 +188,13 @@ def apply_preconditioner(
     hierarchy: Hierarchy,
     r: np.ndarray,
     config: CycleConfig,
-    smoothers: list | None = None,
+    smoothers: list,
 ) -> np.ndarray:
     """Apply ``cycles_per_application`` cycles to ``M z = r`` from zero.
 
     Zero initial guesses on every level make this a fixed linear
     operator in ``r``.
     """
-    if smoothers is None:
-        smoothers = build_level_smoothers(hierarchy, config)
     z = np.zeros_like(np.asarray(r, dtype=float))
     for _ in range(config.cycles_per_application):
         z = amg_cycle(hierarchy, 0, z, r, config, smoothers)

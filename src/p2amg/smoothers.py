@@ -6,7 +6,9 @@ multiplicative Vanka smoother (one patch per pressure dof, built for
 all patches at once as one patch-to-dof incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
-wave), a Braess-Sarazin step with diagonal velocity approximation and
+wave; each patch is solved through its one-pressure Schur complement,
+with a packed Cholesky factor of its SPD velocity block as the only
+stored factor), a Braess-Sarazin step with diagonal velocity approximation and
 an inner multigrid preconditioner for the approximate Schur
 complement, and a segregated Gauss-Seidel (Uzawa-type) step.  Node
 blocks and patches take the dof-to-node numbering from
@@ -33,12 +35,12 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .errors import (
     InvalidParameter,
     MalformedSystem,
     SingularBlock,
-    SingularCoarseMatrix,
     SingularPatch,
 )
 from .sparse_core import BlockLayout, coarse_factor, coarse_solve
@@ -352,11 +354,22 @@ def _dependency_waves(op: sp.csr_matrix, incidence: sp.csr_matrix) -> list[np.nd
 
 @dataclass(frozen=True)
 class _VankaWave:
-    """Patches with disjoint, uncoupled dofs, solved as one batch."""
+    """Patches with disjoint, uncoupled dofs, solved as one batch.
 
-    dofs: np.ndarray  # concatenated patch dofs
-    factors: list  # CoarseFactorization per patch, lu views of one segment
-    segments: list  # slice of ``dofs`` per patch
+    Arrays over ``dofs`` hold, for each patch, its pressure row ``h``
+    (0 at the pressure dof) and ``w = A_p^{-1} g`` (-1 at the pressure
+    dof, so that one product forms the whole correction).
+    """
+
+    members: np.ndarray  # patch indices, in patch order
+    dofs: np.ndarray  # concatenated patch dofs, each patch's pressure dof last
+    sizes: np.ndarray  # dofs per patch
+    starts: np.ndarray  # position of each patch's first dof in ``dofs``
+    pressure: np.ndarray  # position of each patch's pressure dof in ``dofs``
+    factors: list  # (velocity dofs, packed Cholesky factor, their slice) per patch
+    h: np.ndarray
+    w: np.ndarray
+    schur: np.ndarray  # s_p = c_p + h_p . w_p per patch
 
 
 class VankaSmoother(_Smoother):
@@ -369,10 +382,19 @@ class VankaSmoother(_Smoother):
     residual once, solves its patches, and updates ``x`` and the
     residual once; that is exactly the local solves of the patch-by-
     patch order, and only the rounding order of the residual sums
-    differs.  Each wave's patch matrices are scattered into one
-    contiguous segment of a per-level buffer, as Fortran-ordered views,
-    and factored in place; ``_dofs`` and ``_factors`` list the patches
-    in patch order, one patch per pressure dof.
+    differs.
+
+    In ascending dof order a patch is ``[[A_p, g_p], [h_p^T, -c_p]]``
+    with its one pressure dof last and ``A_p`` a principal block of the
+    SPD velocity operator, so it is solved through its one-pressure
+    Schur complement ``s_p = c_p + h_p . w_p``, ``w_p = A_p^{-1} g_p``:
+    ``y = A_p^{-1} r_u``, ``x_p = (h_p . y - r_p) / s_p`` and ``d_u = y -
+    x_p w_p``.  Only the lower triangle of each ``A_p`` is stored,
+    scattered from the wave's block-diagonal slice of ``op`` into one
+    LAPACK-packed per-level buffer and Cholesky-factored in place.  A
+    patch whose ``A_p`` is not positive definite, or whose ``s_p`` is
+    not positive, raises :class:`SingularPatch`.  ``_dofs`` lists the
+    patches in patch order, one patch per pressure dof.
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
@@ -381,52 +403,71 @@ class VankaSmoother(_Smoother):
         self.omega = omega
         incidence = _patch_incidence(self.op, layout)
         self._dofs = np.split(incidence.indices, incidence.indptr[1:-1])
-        patch_sizes = np.diff(incidence.indptr)
-        self._factors = [None] * len(self._dofs)
+        n_velocity = np.diff(incidence.indptr) - 1
         self._waves = []
         # one buffer per level: a single large allocation, which the
         # allocator maps and unmaps whole instead of leaving heap holes
-        buffer = np.empty(int(patch_sizes @ patch_sizes))
+        buffer = np.empty(int(n_velocity @ (n_velocity + 1)) // 2)
         start = 0
         for members in _dependency_waves(self.op, incidence):
             dofs = np.concatenate([self._dofs[p] for p in members])
-            sizes = patch_sizes[members]
-            bounds = np.concatenate([[0], np.cumsum(sizes)])
-            offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+            m = n_velocity[members]
+            bounds = np.concatenate([[0], np.cumsum(m + 1)])
+            offsets = np.concatenate([[0], np.cumsum(m * (m + 1) // 2)])
             # the patches of a wave are uncoupled, so op[dofs][:, dofs] is
-            # block diagonal: its entries go straight into the patch
-            # matrices, Fortran-ordered blocks of the wave's contiguous
-            # segment of the buffer, which are then factored in place
+            # block diagonal: each entry belongs to the patch of its row
             local = self.op[dofs][:, dofs].tocoo()
-            owner = np.repeat(np.arange(len(members)), sizes)[local.row]
-            pos = (offsets[owner] + local.row - bounds[owner]
-                   + (local.col - bounds[owner]) * sizes[owner])
+            owner = np.repeat(np.arange(len(members)), m + 1)[local.row]
+            i, j, mo = local.row - bounds[owner], local.col - bounds[owner], m[owner]
+            p_row, p_col = i == mo, j == mo  # the pressure row and column
+            lower = (j <= i) & ~p_row  # packed lower triangle of A_p, by column
             segment = buffer[start : start + offsets[-1]]
-            segment[:] = np.bincount(pos, weights=local.data, minlength=offsets[-1])
-            start += offsets[-1]
-            for p, k, offset in zip(members, sizes, offsets):
-                block = segment[offset : offset + k * k].reshape(k, k, order="F")
-                try:
-                    self._factors[p] = coarse_factor(block, out=block)
-                except SingularCoarseMatrix as exc:
-                    raise SingularPatch(
-                        f"local matrix of patch {p} is singular"
-                    ) from exc
-            self._waves.append(
-                _VankaWave(
-                    dofs=dofs,
-                    factors=[self._factors[p] for p in members],
-                    segments=[slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])],
-                )
+            segment[:] = np.bincount(
+                (offsets[owner] + i + j * (2 * mo - j - 1) // 2)[lower],
+                weights=local.data[lower],
+                minlength=offsets[-1],
             )
+            start += offsets[-1]
+            g, hs, corner = p_col & ~p_row, p_row & ~p_col, p_row & p_col
+            w = np.bincount(local.row[g], local.data[g], minlength=dofs.size)
+            h = np.bincount(local.col[hs], local.data[hs], minlength=dofs.size)
+            c = -np.bincount(owner[corner], local.data[corner], minlength=len(members))
+            factors = []
+            for p, n, lo, offset in zip(members, m, bounds, offsets):
+                ap = segment[offset : offset + n * (n + 1) // 2]
+                if dpptrf(n, ap, lower=1, overwrite_ap=1)[1] != 0:
+                    raise SingularPatch(
+                        f"velocity block of patch {p} is not positive definite"
+                    )
+                velocity = slice(lo, lo + n)
+                dpptrs(n, ap, w[velocity], lower=1, overwrite_b=1)  # w = A_p^{-1} g_p
+                factors.append((n, ap, velocity))
+            schur = c + np.add.reduceat(h * w, bounds[:-1])
+            if np.any(schur <= 0.0):
+                p = members[np.argmax(schur <= 0.0)]
+                raise SingularPatch(f"Schur complement of patch {p} is not positive")
+            w[bounds[1:] - 1] = -1.0
+            self._waves.append(
+                _VankaWave(members=members, dofs=dofs, sizes=m + 1,
+                           starts=bounds[:-1], pressure=bounds[1:] - 1,
+                           factors=factors, h=h, w=w, schur=schur)
+            )
+
+    @staticmethod
+    def _solve_wave(wave: _VankaWave, r_wave: np.ndarray) -> np.ndarray:
+        """Exact patch solves of one wave for its gathered residual,
+        computed in place in ``r_wave``."""
+        for n, ap, velocity in wave.factors:
+            dpptrs(n, ap, r_wave[velocity], lower=1, overwrite_b=1)
+        r_p = r_wave[wave.pressure]
+        r_wave[wave.pressure] = 0.0
+        x_p = (np.add.reduceat(wave.h * r_wave, wave.starts) - r_p) / wave.schur
+        r_wave -= np.repeat(x_p, wave.sizes) * wave.w
+        return r_wave
 
     def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> np.ndarray:
         for wave in self._waves:
-            r_wave = r[wave.dofs]
-            delta = np.concatenate([
-                coarse_solve(factor, r_wave[seg])
-                for factor, seg in zip(wave.factors, wave.segments)
-            ])
+            delta = self._solve_wave(wave, r[wave.dofs])
             delta *= self.omega
             x[wave.dofs] += delta
             r -= self.op_csc[:, wave.dofs] @ delta

@@ -8,7 +8,9 @@ numbered within nodes (``node_of_dof``, ``first_dof``,
 adds the small amount of machinery scipy does not provide directly: the
 one adapter from a system or a matrix to that form, a symmetrizing
 Galerkin triple product, and a dense LU with partial pivoting for the
-coarsest level of a hierarchy.
+coarsest level of a hierarchy and for a small Braess-Sarazin Schur
+complement.  The Vanka patches do not use it: ``smoothers`` solves
+them through packed Cholesky factors of their velocity blocks.
 """
 from __future__ import annotations
 
@@ -133,15 +135,12 @@ class CoarseFactorization:
     n: int
 
 
-def coarse_factor(a, out: np.ndarray | None = None) -> CoarseFactorization:
+def coarse_factor(a) -> CoarseFactorization:
     """Factor a (small) square operator with dense partial-pivot LU.
 
     Works for SPD and indefinite saddle matrices alike.  Raises
     ``SingularCoarseMatrix`` if a pivot of the equilibrated matrix
-    falls below ``1e-14`` times its largest entry.  The factors are
-    computed in place in ``out``, a Fortran-ordered float array of the
-    operator's shape, when one is given (many small factors can so
-    share one buffer), else in a new array.
+    falls below ``1e-14`` times its largest entry.
     """
     if sp.issparse(a):
         dense = a.toarray()
@@ -153,12 +152,8 @@ def coarse_factor(a, out: np.ndarray | None = None) -> CoarseFactorization:
     if np.any(row_max == 0.0):
         raise SingularCoarseMatrix("coarse operator has an empty row")
     scaling = 1.0 / np.sqrt(row_max)
-    if out is None:
-        out = np.empty(dense.shape, order="F")
-    if out.shape != dense.shape or not out.flags.f_contiguous:
-        raise ShapeError(f"factor buffer must be Fortran-ordered {dense.shape}")
-    scaled = np.multiply(scaling[:, None] * dense, scaling[None, :], out=out)
-    largest = np.abs(scaled).max()  # read before the LU overwrites it
+    scaled = scaling[:, None] * dense * scaling[None, :]
+    largest = np.abs(scaled).max()  # read first: lu_factor may overwrite it
     with warnings.catch_warnings():
         # exact singularity is detected by the pivot check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -176,7 +171,7 @@ def coarse_solve(f: CoarseFactorization, b: np.ndarray) -> np.ndarray:
     Calls LAPACK ``getrs`` directly, which is what
     ``scipy.linalg.lu_solve`` calls too, so the result is the same to
     the bit; the direct call skips ``lu_solve``'s batching wrapper,
-    which costs more than the solve itself for small Vanka patches.
+    which costs more than the solve itself for small systems.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):

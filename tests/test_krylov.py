@@ -148,6 +148,29 @@ def test_gmres_restarted():
     assert np.linalg.norm(k @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
+def test_gmres_memory_follows_iterations_not_maxit():
+    import tracemalloc
+
+    # a 1D convection-diffusion operator: unpreconditioned GMRES needs
+    # more iterations than the basis holds at first, so it grows
+    n = 400
+    k = sp.diags(
+        [-1.3 * np.ones(n - 1), 2.2 * np.ones(n), -0.7 * np.ones(n - 1)], [-1, 0, 1]
+    ).tocsr()
+    b = np.random.default_rng(23).standard_normal(n)
+    _, bounded = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-10, maxit=500))
+    tracemalloc.start()
+    try:
+        _, report = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-10, maxit=10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bounded.converged and bounded.iterations > 64
+    assert report.iterations == bounded.iterations
+    assert report.residuals == bounded.residuals
+    assert peak < 50 * 2**20
+
+
 def test_gmres_stagnation_detected():
     # cyclic shift: GMRES makes no progress until the full dimension
     n = 80

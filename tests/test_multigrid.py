@@ -41,7 +41,7 @@ def test_single_level_cycle_is_direct_solve():
     b = rng.standard_normal(30)
     for nu in (1, 2):
         cfg = gs_config(nu=nu)
-        x = amg_cycle(hier, 0, np.zeros(30), b, cfg)
+        x = amg_cycle(hier, 0, np.zeros(30), b, cfg, build_level_smoothers(hier, cfg))
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -58,7 +58,7 @@ def test_two_level_coarse_correction_exact_on_range(laplace2):
     cfg = CycleConfig(
         smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=0, m_post=0)
     )
-    x = amg_cycle(hier, 0, x_star - err0, b, cfg)
+    x = amg_cycle(hier, 0, x_star - err0, b, cfg, build_level_smoothers(hier, cfg))
     assert np.abs(x - x_star).max() <= 1e-10 * np.abs(x_star).max()
 
 
@@ -179,7 +179,10 @@ def test_preconditioner_linear_and_deterministic(laplace2):
     assert np.allclose(
         combined, alpha * pre(r) + beta * pre(s), rtol=1e-12, atol=1e-12 * np.abs(combined).max()
     )
-    zero = apply_preconditioner(hier, np.zeros_like(r), gs_config(2, 2))
+    cfg = gs_config(2, 2)
+    zero = apply_preconditioner(
+        hier, np.zeros_like(r), cfg, build_level_smoothers(hier, cfg)
+    )
     assert np.all(zero == 0.0)
 
 
@@ -254,5 +257,7 @@ def test_w_cycle_not_slower_than_v(laplace2, laplace4):
 
 def test_level_bounds(laplace2):
     hier = build_hierarchy(laplace2, coarse_size_cap=60)
+    cfg = gs_config()
+    smoothers = build_level_smoothers(hier, cfg)
     with pytest.raises(InvalidParameter):
-        amg_cycle(hier, 5, np.zeros(3), np.zeros(3), gs_config())
+        amg_cycle(hier, 5, np.zeros(3), np.zeros(3), cfg, smoothers)

@@ -342,16 +342,15 @@ def test_vanka_per_patch_residual_annihilation(stokes2):
     b = rng.standard_normal(k.shape[0])
     b_norm = np.linalg.norm(b)
     x = np.zeros(k.shape[0])
-    # replicate one multiplicative sweep, checking each local residual
-    # right after its patch update
-    from p2amg.sparse_core import coarse_solve
-
+    # replicate one multiplicative sweep wave by wave, checking each
+    # local residual right after its wave's update
     r = b - k @ x
-    for dofs, factor in zip(sm._dofs, sm._factors):
-        delta = coarse_solve(factor, r[dofs])
-        x[dofs] += delta
-        r -= sm.op_csc[:, dofs] @ delta
-        assert np.abs(r[dofs]).max() <= 1e-12 * b_norm
+    for wave in sm._waves:
+        delta = sm._solve_wave(wave, r[wave.dofs])
+        x[wave.dofs] += delta
+        r -= sm.op_csc[:, wave.dofs] @ delta
+        for p in wave.members:
+            assert np.abs(r[sm._dofs[p]]).max() <= 1e-12 * b_norm
 
 
 def test_vanka_two_disjoint_patches_match_dense_oracle():
@@ -407,9 +406,8 @@ def channel_vanka():
 
 
 def vanka_wave_members(sm):
-    """Patch indices of each wave, recovered from its factor objects."""
-    index = {id(f): p for p, f in enumerate(sm._factors)}
-    return [[index[id(f)] for f in wave.factors] for wave in sm._waves]
+    """Patch indices of each wave."""
+    return [list(wave.members) for wave in sm._waves]
 
 
 def test_vanka_waves_are_uncoupled_and_ordered(channel_vanka):
@@ -436,11 +434,11 @@ def test_vanka_waves_are_uncoupled_and_ordered(channel_vanka):
                 assert wave_of[q] < wave_of[p]
 
 
-@pytest.mark.parametrize("omega", [1.0, 0.7])
-def test_vanka_wave_sweep_matches_sequential_oracle(channel_vanka, omega):
-    k, lay, _ = channel_vanka
+def vanka_sweep_and_oracle(k, lay, omega, seed):
+    """One wave sweep from a random iterate, and the same sweep as
+    sequential dense patch solves with explicit residual updates."""
     sm = VankaSmoother(k, lay, omega=omega)
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(seed)
     b = rng.standard_normal(k.shape[0])
     x0 = rng.standard_normal(k.shape[0])
     x = x0.copy()
@@ -451,17 +449,69 @@ def test_vanka_wave_sweep_matches_sequential_oracle(channel_vanka, omega):
     for dofs in sm._dofs:
         r = b - kd @ ref
         ref[dofs] += omega * np.linalg.solve(kd[np.ix_(dofs, dofs)], r[dofs])
+    return sm, x, ref
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.7])
+def test_vanka_wave_sweep_matches_sequential_oracle(channel_vanka, omega):
+    k, lay, _ = channel_vanka
+    _, x, ref = vanka_sweep_and_oracle(k, lay, omega, seed=16)
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.fixture(scope="module")
+def vanka_operators():
+    """Mixed elasticity at n = 3 (``c_p != 0``) and the L1 Galerkin
+    operator of a Stokes hierarchy at n = 4, with their layouts; the
+    smallest sizes at which some waves hold several patches."""
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+    from p2amg.coarsening import build_hierarchy
+
+    mixed = assemble(*build_case("elasticity_mixed", 3, mu=1.15e6, lam=1.73e6))
+    coarse = build_hierarchy(assemble(*build_case("stokes", 4, mu=0.5))).levels[1]
+    return {
+        "mixed-elasticity": (mixed.monolithic(), mixed.layout),
+        "stokes-L1": (coarse.operator, coarse.layout),
+    }
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.7])
+@pytest.mark.parametrize("name", ["mixed-elasticity", "stokes-L1"])
+def test_vanka_schur_sweep_matches_dense_oracle(vanka_operators, name, omega):
+    k, lay = vanka_operators[name]
+    vd = lay.velocity_dof
+    if name == "mixed-elasticity":
+        assert np.all(k.diagonal()[vd:] < 0.0)  # every patch has c_p != 0
+    sm, x, ref = vanka_sweep_and_oracle(k, lay, omega, seed=25)
+    assert max(len(wave.members) for wave in sm._waves) >= 2
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(x[:vd] - ref[:vd]) <= 1e-13 * np.linalg.norm(ref[:vd])
+
+
+def test_vanka_needs_spd_velocity_block_and_positive_schur():
+    # the patch [[1, 0, 1], [0, -1, 2], [1, 2, 0]] is nonsingular, but
+    # its velocity block is indefinite: the one-pressure Schur solve
+    # needs an SPD velocity block, so the patch is rejected
+    k, lay = saddle_parts(np.diag([1.0, -1.0]), np.array([[1.0, 2.0]]), np.zeros((1, 1)))
+    assert abs(np.linalg.det(k.toarray())) > 1.0
+    with pytest.raises(SingularPatch, match="not positive definite"):
+        VankaSmoother(k, lay)
+    # an SPD velocity block with s_p = c_p + g^T A^{-1} g = -10 + 2 < 0
+    k, lay = saddle_parts(np.eye(2), np.array([[1.0, 1.0]]), np.array([[-10.0]]))
+    with pytest.raises(SingularPatch, match="Schur complement"):
+        VankaSmoother(k, lay)
 
 
 def test_coarse_solve_matches_lu_solve_bitwise(channel_vanka):
     import scipy.linalg
 
-    from p2amg.sparse_core import coarse_solve
+    from p2amg.sparse_core import coarse_factor, coarse_solve
 
-    _, _, sm = channel_vanka
+    k, _, sm = channel_vanka
     rng = np.random.default_rng(17)
-    for factor in sm._factors:
+    for dofs in sm._dofs:
+        factor = coarse_factor(k[dofs][:, dofs])
         rhs = rng.standard_normal(factor.n)
         ref = factor.scaling * scipy.linalg.lu_solve(
             (factor.lu, factor.piv), factor.scaling * rhs, check_finite=False

@@ -122,19 +122,6 @@ def test_coarse_pivot_test_uses_matrix_not_factor_scale():
     assert np.abs(f.lu).max() >= 2.0**29
 
 
-def test_coarse_factor_in_place_buffer():
-    rng = np.random.default_rng(24)
-    a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    buffer = np.zeros(40)
-    out = buffer[4:].reshape(6, 6, order="F")
-    f = coarse_factor(a, out=out)
-    assert f.lu is out
-    assert np.array_equal(f.lu, coarse_factor(a).lu)
-    assert not buffer[:4].any()
-    with pytest.raises(ShapeError):
-        coarse_factor(a, out=np.empty((6, 6)))  # C-ordered: no in-place LU
-
-
 def test_coarse_singular():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0
