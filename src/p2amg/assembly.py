@@ -15,16 +15,25 @@ kinds add the divergence coupling and, for mixed elasticity, the
 pressure mass block.
 
 The element kernel computes only the integrals a kind uses: the
-gradient products for the vector Laplacian, the component-pair blocks
-(the upper ones, the lower ones being their transposes) for the other
-kinds, the divergence and pressure mass terms only where they enter.
-Elements are processed in chunks.  Each chunk's triplets are summed by
-one COO-to-CSR conversion; a scatter map, built once from the node
-pattern of ``T^T T`` (T the tet-to-node incidence), then adds those
-sums into the free-dof CSR of A, chunk after chunk, and the couplings
-to Dirichlet unknowns into a lift block that only forms the
-right-hand side.  A stores no entry whose sum is exactly zero; B and C
-keep their structural (element) pattern, stored zeros included.
+gradient products for the vector Laplacian, the nine component-pair
+blocks for the other kinds, the divergence and pressure mass terms
+only where they enter.
+It has no quadrature loop: the products of the reference gradients are
+integrated once, and each element contracts them with its inverse
+Jacobian (the reference-tensor form of Kirby and Logg, ACM TOMS 2006).
+
+Elements are processed in chunks.  A scatter map, built once from the
+node pattern of ``T^T T`` (T the tet-to-node incidence), gives every
+node pair its place in the free-dof CSR of A, and in a lift block that
+holds the couplings to Dirichlet unknowns and only forms the
+right-hand side.  Each chunk reduces its tets' node pairs to the
+distinct ones, sums every component block over them with one
+``bincount`` and adds the sums in place.  A then keeps only the entries
+that couple (``sparse_core.coupling_mask``): an entry at or below
+``COUPLING_TOL * sqrt(a_ii a_jj)`` is rounding residue of a coupling
+that is zero, and is not stored.  B and C keep their structural
+(element) pattern; an entry of B that does not couple
+(``sparse_core.divergence_mask``) is stored as an exact zero.
 """
 from __future__ import annotations
 
@@ -33,14 +42,13 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import basis as basis_mod
 from .errors import DegenerateElement, InvalidParameter, MissingTags
 from .mesh import FACE_EDGES, BoundaryTag, Mesh
-from .sparse_core import BlockLayout
+from .sparse_core import BlockLayout, coupling_mask, divergence_mask
 
 __all__ = [
     "ProblemKind",
@@ -49,7 +57,6 @@ __all__ = [
     "element_matrices",
     "assemble",
     "manufactured_solution_residual",
-    "export_matrix_market",
 ]
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -115,17 +122,35 @@ class ProblemSpec:
 
 
 def _element_geometry(coords: np.ndarray):
-    """Jacobian determinant (6V) and hat gradients of a batch of tets."""
+    """Jacobian determinant (6V) and inverse Jacobian of a batch of tets."""
     t = coords[:, 1:] - coords[:, :1]
     det = np.linalg.det(t)
     extent = np.max(np.abs(t), axis=(1, 2))
     if np.any(det <= 1e-14 * extent**3):
         raise DegenerateElement("tetrahedron with non-positive volume")
-    tinv = np.linalg.inv(t)
-    grad = np.empty((coords.shape[0], 4, 3))
-    grad[:, 1:] = np.transpose(tinv, (0, 2, 1))
-    grad[:, 0] = -grad[:, 1:].sum(axis=1)
-    return det, grad
+    return det, np.linalg.inv(t)
+
+
+def _reference_tensors():
+    """Quadrature of the basis products on the reference tetrahedron.
+
+    With ``g_q[i, a]`` the derivative of basis function ``i`` along the
+    reference coordinate ``lambda_{a+1}`` at point ``q``, returns
+    ``stiffness[(a, b), (i, j)] = sum_q w_q g_q[i, a] g_q[j, b]``,
+    ``divergence[a, (i, j)] = -sum_q w_q lambda_i g_q[j, a]`` (pressure
+    hat ``i``) and ``mass[i, j] = sum_q w_q lambda_i lambda_j``.
+    """
+    rule = basis_mod.reference_basis()
+    hat_gradients = np.vstack([-np.ones(3), np.eye(3)])[None]
+    g = np.stack([basis_mod.shape_gradients(q, hat_gradients)[0] for q in rule.points])
+    hats = rule.points
+    stiffness = np.einsum("q,qia,qjb->abij", rule.weights, g, g).reshape(9, 100)
+    divergence = -np.einsum("q,qi,qja->aij", rule.weights, hats, g).reshape(3, 40)
+    mass = np.einsum("q,qi,qj->ij", rule.weights, hats, hats)
+    return stiffness, divergence, mass
+
+
+_STIFFNESS, _DIVERGENCE, _MASS = _reference_tensors()
 
 
 def _element_parts(coords: np.ndarray, kind: ProblemKind):
@@ -136,46 +161,31 @@ def _element_parts(coords: np.ndarray, kind: ProblemKind):
     d_d(phi_j)``, keyed by the component pair; for the saddle kinds
     ``bvec[c,e,i,j] = -int lam_i d_c(phi_j)`` (pressure hat i); and for
     mixed elasticity ``pmass[e,i,j] = int lam_i lam_j``.  Parts a kind
-    does not use are ``None``.  Each part is accumulated over the
-    quadrature points in rule order.
+    does not use are ``None``.  Each part contracts the reference
+    tensors with the element's inverse Jacobian: one matrix product for
+    all gradient parts and one for the three divergence components.
     """
-    rule = basis_mod.reference_basis()
-    det, grad = _element_geometry(coords)
+    det, tinv = _element_geometry(coords)
     vol = det / 6.0
     m = coords.shape[0]
+    # k[e, a, c]: derivative of lambda_{a+1} along x_c
+    k = np.transpose(tinv, (0, 2, 1))
+    kv = k * vol[:, None, None]
 
-    m1 = np.zeros((m, 10, 10))
+    # the reference products weigh sum_c kv[e,a,c] k[e,b,c] in the gradient
+    # product and kv[e,a,c] k[e,b,d] in the component pair (c, d)
     ecd = bvec = pmass = None
-    if kind is not ProblemKind.VECTOR_LAPLACE:
-        # c <= d only: ecd[d, c] is the transpose, since products commute
-        ecd = {(c, d): np.zeros((m, 10, 10)) for c in range(3) for d in range(c, 3)}
+    if kind is ProblemKind.VECTOR_LAPLACE:
+        m1 = (np.matmul(kv, tinv).reshape(m, 9) @ _STIFFNESS).reshape(m, 10, 10)
+    else:
+        weights = np.einsum("eac,ebd->ecdab", kv, k).reshape(9 * m, 9)
+        parts = (weights @ _STIFFNESS).reshape(m, 9, 10, 10)
+        ecd = {(c, d): parts[:, 3 * c + d] for c in range(3) for d in range(3)}
+        m1 = ecd[0, 0] + ecd[1, 1] + ecd[2, 2]
     if kind in _SADDLE_KINDS:
-        bvec = np.zeros((3, m, 4, 10))
+        bvec = (kv.transpose(2, 0, 1).reshape(-1, 3) @ _DIVERGENCE).reshape(3, m, 4, 10)
     if kind is ProblemKind.ELASTICITY_MIXED:
-        pmass = np.zeros((m, 4, 4))
-
-    term = np.empty((m, 10, 10))
-    for q, w in zip(rule.points, rule.weights):
-        g = basis_mod.shape_gradients(q, grad)  # (m, 10, 3)
-        wv = (w * vol)[:, None, None]
-        m1 += np.multiply(np.einsum("eic,ejc->eij", g, g, out=term), wv, out=term)
-        g_c = [np.ascontiguousarray(g[:, :, c]) for c in range(3)]
-        if ecd is not None:
-            for (c, d), part in ecd.items():
-                part += np.multiply(
-                    np.multiply(g_c[c][:, :, None], g_c[d][:, None, :], out=term),
-                    wv,
-                    out=term,
-                )
-        if bvec is not None:
-            for c in range(3):
-                bvec[c] -= wv * (q[:4][None, :, None] * g_c[c][:, None, :])
-        if pmass is not None:
-            pmass += wv * np.outer(q[:4], q[:4])[None]
-    if ecd is not None:
-        ecd.update(
-            {(d, c): part.transpose(0, 2, 1) for (c, d), part in list(ecd.items()) if c < d}
-        )
+        pmass = vol[:, None, None] * _MASS
     return m1, ecd, bvec, pmass
 
 
@@ -329,21 +339,25 @@ class _ScatterMap:
             self.indptr[d:-1:3] = comps * (3 * self.ptr[:-1] + d * self.length)
         self.indptr[-1] = self.nnz
         self.indices = np.empty(self.nnz, dtype=idx)
-        entry = np.arange(len(node_rows))
+        offsets = self.offsets(node_rows, np.arange(len(node_rows)))
         for d in range(3):
             for c in range(3) if comps == 3 else (d,):
-                pos = self._position(node_rows, entry, d, c)
-                self.indices[pos] = 3 * nodes.indices + c
+                self.indices[self.position(offsets, d, c)] = 3 * nodes.indices + c
 
-    def _position(self, i, entry, d, c):
-        """Position of row ``(i, d)``, column component ``c``, node entry ``entry``."""
-        pos = self.comps * (2 * self.ptr[i] + d * self.length[i] + entry)
+    def offsets(self, i, entry):
+        """Position of row ``(i, 0)`` at node entry ``entry``, column
+        component 0, and the step from one row component to the next."""
+        return self.comps * (2 * self.ptr[i] + entry), self.comps * self.length[i]
+
+    def position(self, offsets, d, c):
+        """Position of row component ``d``, column component ``c``."""
+        base, step = offsets
+        pos = base + d * step
         return pos + c if self.comps == 3 else pos
 
-    def positions(self, i, j, d, c):
-        """Positions of the entries ``(i, d; j, c)``, all in the pattern."""
-        entry = np.searchsorted(self.keys, i * self.n_cols + j)
-        return self._position(i, entry, d, c)
+    def entries(self, i, j):
+        """Node-pattern entries of the node pairs ``(i, j)``, all in the pattern."""
+        return np.searchsorted(self.keys, i * self.n_cols + j)
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -383,13 +397,14 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     renumber = np.empty(n_nodes, dtype=np.int64)
     renumber[free_nodes] = np.arange(n_free)
     renumber[dir_nodes] = n_free + np.arange(len(dir_nodes))
+    tet_nodes = renumber[elem_nodes]
 
     # node patterns T^T T of the tet-to-node incidence T: free rows against
     # free columns (A) and against Dirichlet columns (the lift block)
     incidence = sp.csr_matrix(
         (
             np.ones(elem_nodes.size, dtype=bool),
-            renumber[elem_nodes].ravel(),
+            tet_nodes.ravel(),
             np.arange(0, elem_nodes.size + 1, 10),
         ),
         shape=(mesh.n_tets, n_nodes),
@@ -418,37 +433,29 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         m = len(nodes)
         m1, ecd, bvec, pmass = _element_parts(mesh.vertices[mesh.tets[sel]], spec.kind)
 
-        # the chunk's triplets, block (c, d) after block, each element-major
-        rows_node = np.repeat(3 * nodes, 10, axis=1)  # (m, 100) node i varying slow
-        cols_node = np.tile(3 * nodes, (1, 10))  # node j varying fast
-        size = 100 * m
-        rows = np.empty(len(blocks) * size, dtype=idx)
-        cols = np.empty_like(rows)
-        data = np.empty(len(rows))
-        for k, (c, d) in enumerate(blocks):
-            part = slice(k * size, (k + 1) * size)
-            rows[part] = (rows_node + d).ravel()
-            cols[part] = (cols_node + c).ravel()
-            data[part].reshape(m, 10, 10)[...] = _a_block_coefficient(
-                spec, c, d, m1, ecd
-            )
-        del rows_node, cols_node, m1, ecd
-        # the chunk's own conversion sums its duplicates in a fixed order;
-        # the sums are then added into A chunk after chunk
-        chunk = sp.coo_matrix((data, (rows, cols)), shape=(n_full, n_full)).tocsr()
-        del rows, cols, data
-        i, d = np.divmod(np.repeat(np.arange(n_full), np.diff(chunk.indptr)), 3)
-        j, c = np.divmod(chunk.indices, 3)
-        i, j = renumber[i], renumber[j]
+        # the chunk's node pairs, element-major with node j varying fastest,
+        # reduced to its distinct pairs; each block (c, d) is then summed
+        # over the pairs' occurrences and added into A or the lift block
+        pair_rows = np.repeat(tet_nodes[sel], 10, axis=1).ravel()
+        pair_cols = np.tile(tet_nodes[sel], (1, 10)).ravel()
+        pairs, occurrence = np.unique(pair_rows * n_nodes + pair_cols, return_inverse=True)
+        del pair_rows, pair_cols
+        i, j = np.divmod(pairs, n_nodes)
         free_row = i < n_free
+        targets = []
         for scatter, values, keep, col in (
             (a_map, a_data, free_row & (j < n_free), j),
             (lift_map, lift_data, free_row & (j >= n_free), j - n_free),
         ):
-            values[scatter.positions(i[keep], col[keep], d[keep], c[keep])] += (
-                chunk.data[keep]
-            )
-        del chunk, i, d, j, c, free_row, keep, col
+            rows = i[keep]
+            offsets = scatter.offsets(rows, scatter.entries(rows, col[keep]))
+            targets.append((scatter, values, keep, offsets))
+        for c, d in blocks:
+            coef = _a_block_coefficient(spec, c, d, m1, ecd)
+            sums = np.bincount(occurrence, weights=coef.ravel(), minlength=len(pairs))
+            for scatter, values, keep, offsets in targets:
+                values[scatter.position(offsets, d, c)] += sums[keep]
+        del m1, ecd, pairs, occurrence, i, j, targets
 
         if spec.is_saddle:
             p_rows = np.repeat(mesh.tets[sel], 10, axis=1).ravel()  # 40 a tet
@@ -461,11 +468,13 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         if spec.has_pressure_mass:
             c_data[16 * start : 16 * (start + m)] = (pmass / spec.lam).ravel()
 
-    # A stores no exact zeros; B and C keep their structural pattern.  The
-    # copy gives A arrays of the stored size and frees the pattern's
-    a = a_map.matrix(a_data)
-    a.eliminate_zeros()
-    a = a.copy()
+    # A stores only the entries that couple; B and C keep their structural
+    # pattern.  The copy gives A arrays of the stored size and frees the
+    # pattern's
+    operator = a_map.matrix(a_data)
+    operator.data[~coupling_mask(operator)] = 0.0
+    operator.eliminate_zeros()
+    operator = operator.copy()
     del a_map, a_data
 
     lift = _hierarchical_lift(mesh, spec)
@@ -478,18 +487,29 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         lift_map.matrix(lift_data) @ lift_flat[dir_dofs]
     )
 
-    operator, rhs, adj = a, f, None
+    del lift_map, lift_data
+    rhs, adj = f, None
     if spec.is_saddle:
         b_full = sp.coo_matrix((b_data, (b_rows, b_cols)), shape=(nv, n_full)).tocsr()
+        del b_rows, b_cols, b_data
         g = -(b_full @ lift_flat)
         b = b_full[:, free_dofs].tocsr()
+        del b_full
         b.sort_indices()
+        # B keeps its element pattern; an entry that does not couple is
+        # stored as an exact zero
+        b.data[~divergence_mask(b)] = 0.0
 
-        minus_c = None  # Stokes has no pressure block
+        minus_c = sp.csr_matrix((nv, nv))  # Stokes has no pressure block
         if spec.has_pressure_mass:
             minus_c = -sp.coo_matrix((c_data, (c_rows, c_cols)), shape=(nv, nv)).tocsr()
 
-        operator = sp.bmat([[a, b.T], [b, minus_c]], format="csr")
+        # stacked from CSR blocks a block row at a time, which concatenates
+        # their arrays instead of converting through COO
+        operator = sp.hstack([operator, b.T.tocsr()], format="csr")
+        operator = sp.vstack(
+            [operator, sp.hstack([b, minus_c], format="csr")], format="csr"
+        )
         operator.sort_indices()
         rhs = np.concatenate([f, g])
 
@@ -561,23 +581,3 @@ def manufactured_solution_residual(
         for v in range(mesh.n_vertices):
             err = max(err, abs(p[v] - exact_p(mesh.vertices[v])))
     return err
-
-
-def export_matrix_market(system: BlockSystem, prefix: str) -> tuple[str, str]:
-    """Write the monolithic matrix plus a sidecar naming the partitions.
-
-    Produces ``<prefix>.mtx`` and ``<prefix>.header.txt``; the header
-    records the block partition sizes that define the monolithic dof
-    numbering.
-    """
-    mtx_path = f"{prefix}.mtx"
-    header_path = f"{prefix}.header.txt"
-    scipy.io.mmwrite(mtx_path, system.monolithic())
-    lay = system.layout
-    with open(header_path, "w") as fh:
-        fh.write("monolithic dof order: linear nodes, quadratic nodes, pressure\n")
-        fh.write(f"linear_nodes {lay.n_linear}\n")
-        fh.write(f"quadratic_nodes {lay.n_quadratic}\n")
-        fh.write(f"components_per_node {lay.block_size}\n")
-        fh.write(f"pressure_dof {lay.n_pressure}\n")
-    return mtx_path, header_path

@@ -2,12 +2,13 @@
 
 Each level is coarsened as one node graph over all of its nodes, with
 no edge between partitions: velocity nodes are adjacent where a node
-block of the operator holds a stored entry, but only within the
-linear-node and within the quadratic-node partition, and pressure nodes
-are adjacent through the vertex connectivity.  That keeps linear,
-quadratic and pressure unknowns separated on every coarse level.  A
-"monolithic" mode that lets all velocity nodes couple, across the
-linear/quadratic split, is kept for comparison runs.
+block of the operator holds an entry that couples
+(``sparse_core.coupling_mask``), but only within the linear-node and
+within the quadratic-node partition, and pressure nodes are adjacent
+through the vertex connectivity.  That keeps linear, quadratic and
+pressure unknowns separated on every coarse level.  A "monolithic" mode
+that lets all velocity nodes couple, across the linear/quadratic split,
+is kept for comparison runs.
 
 Coarse/fine selection is a deterministic greedy independent set in
 ascending node order; interpolation weights are uniform over the
@@ -28,6 +29,7 @@ from .sparse_core import (
     CoarseFactorization,
     as_operator,
     coarse_factor,
+    coupling_mask,
     triple_product,
 )
 
@@ -43,7 +45,6 @@ __all__ = [
     "Hierarchy",
     "build_hierarchy",
     "hierarchy_summary",
-    "write_hierarchy_csv",
 ]
 
 COARSE = 0
@@ -67,25 +68,18 @@ class NodeGraph:
         return self.indices.shape[0] // 2
 
 
-def build_node_graph(matrix, block_size: int = 1) -> NodeGraph:
-    """Adjacency of node blocks from the stored pattern of ``matrix``.
+def build_node_graph(matrix) -> NodeGraph:
+    """Adjacency of the nodes of a node-level matrix.
 
-    Two nodes are adjacent iff the corresponding off-diagonal
-    ``block_size`` x ``block_size`` block holds at least one stored
-    entry.  The graph is symmetrized and self-loops are dropped.
+    Two nodes are adjacent iff ``matrix`` stores an off-diagonal entry
+    between them.  The graph is symmetrized and self-loops are dropped.
     """
     if matrix.shape[0] != matrix.shape[1]:
         raise InvalidParameter(f"partition matrix must be square, got {matrix.shape}")
-    if matrix.shape[0] % block_size:
-        raise InvalidParameter(
-            f"matrix size {matrix.shape[0]} is not a multiple of block size {block_size}"
-        )
-    n = matrix.shape[0] // block_size
+    n = matrix.shape[0]
     coo = matrix.tocoo()
-    i = coo.row // block_size
-    j = coo.col // block_size
-    off = i != j
-    i, j = i[off], j[off]
+    off = coo.row != coo.col
+    i, j = coo.row[off], coo.col[off]
     pattern = sp.coo_matrix(
         (np.ones(2 * len(i)), (np.concatenate([i, j]), np.concatenate([j, i]))),
         shape=(n, n),
@@ -187,10 +181,9 @@ def _level_graph(level: Level, mode: str) -> NodeGraph:
     """The node graph of one level, with no edge between partitions."""
     lay = level.layout
     op = level.operator
-    # shares op's index arrays: every stored entry couples, whatever its value
-    pattern = sp.csr_matrix(
-        (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
-    )
+    # shares op's index arrays; the entries that do not couple are stored
+    # False, which the products below drop
+    pattern = sp.csr_matrix((coupling_mask(op), op.indices, op.indptr), shape=op.shape)
     dof_node = lay.node_incidence()
     coupled = (dof_node.T @ pattern @ dof_node).tocoo()
     i, j = coupled.row, coupled.col
@@ -291,11 +284,3 @@ def hierarchy_summary(hier: Hierarchy) -> list[dict]:
         )
     return rows
 
-
-def write_hierarchy_csv(hier: Hierarchy, path: str) -> None:
-    rows = hierarchy_summary(hier)
-    cols = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")

@@ -27,7 +27,6 @@ __all__ = [
     "generate_channel_mesh",
     "tag_boundary",
     "tet_volumes",
-    "write_mesh_text",
 ]
 
 
@@ -274,16 +273,3 @@ def tag_boundary(mesh: Mesh, dirichlet_predicate: Callable[[np.ndarray], bool]) 
         dirichlet_faces=_read_only(face_dir),
     )
 
-
-def write_mesh_text(mesh: Mesh, prefix: str) -> tuple[str, str]:
-    """Export the mesh as plain-text node/element files (0-based indices).
-
-    Writes ``<prefix>.nodes`` with one ``x y z`` line per vertex and
-    ``<prefix>.elems`` with one ``v0 v1 v2 v3`` line per tetrahedron.
-    Returns the two file paths.
-    """
-    nodes_path = f"{prefix}.nodes"
-    elems_path = f"{prefix}.elems"
-    np.savetxt(nodes_path, mesh.vertices, fmt="%.17g")
-    np.savetxt(elems_path, mesh.tets, fmt="%d")
-    return nodes_path, elems_path

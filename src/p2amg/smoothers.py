@@ -43,7 +43,7 @@ from .errors import (
     SingularBlock,
     SingularPatch,
 )
-from .sparse_core import BlockLayout, coarse_factor, coarse_solve
+from .sparse_core import BlockLayout, coarse_factor, coarse_solve, divergence_mask
 
 __all__ = [
     "SmootherKind",
@@ -303,13 +303,14 @@ def _patch_incidence(op: sp.csr_matrix, layout: BlockLayout) -> sp.csr_matrix:
     """Patch-to-dof incidence of the Vanka patches, as boolean CSR.
 
     Patch ``i`` holds pressure dof ``i`` and every component of each
-    velocity node on which row ``i`` of ``B`` has a nonzero entry, in
-    ascending dof order.
+    velocity node to which row ``i`` of ``B`` couples
+    (``sparse_core.divergence_mask``), in ascending dof order.
     """
     if not layout.is_saddle:
         raise MalformedSystem("Vanka patches require a saddle system")
     vd = layout.velocity_dof
-    b_block = op[vd:, :vd].astype(bool)
+    b_block = op[vd:, :vd]
+    b_block.data = divergence_mask(b_block)
     b_block.eliminate_zeros()
     empty = np.flatnonzero(np.diff(b_block.indptr) == 0)
     if empty.size:
@@ -529,18 +530,10 @@ class BraessSarazinSmoother(_Smoother):
 
     One sweep applies the inverse of ``[[Ahat, B^T], [B, B Ahat^{-1} B^T
     - Shat]]`` to the current residual, where ``Ahat = 2 diag(A)`` and
-    ``Shat`` approximates ``C + B Ahat^{-1} B^T``.  Custom ``ahat_solve``
-    and ``schur_solve`` callables may replace the defaults (used to
-    cross-check against exact block elimination).
+    ``Shat`` approximates ``C + B Ahat^{-1} B^T``.
     """
 
-    def __init__(
-        self,
-        op,
-        layout: BlockLayout,
-        ahat_solve: Callable[[np.ndarray], np.ndarray] | None = None,
-        schur_solve: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, op, layout: BlockLayout):
         if not layout.is_saddle:
             raise MalformedSystem("Braess-Sarazin requires a saddle system")
         self.op = op.tocsr()
@@ -551,23 +544,15 @@ class BraessSarazinSmoother(_Smoother):
         if np.any(diag <= 0.0):
             raise SingularBlock("velocity diagonal must be strictly positive")
         self.ahat = 2.0 * diag
-        if ahat_solve is None:
-            inv = 1.0 / self.ahat
-            ahat_solve = lambda r: inv * r
-        self.ahat_solve = ahat_solve
-        if schur_solve is None:
-            self.schur = build_schur_preconditioner(self.op, layout, self.ahat)
-            schur_solve = self.schur.solve
-        else:
-            self.schur = None
-        self.schur_solve = schur_solve
+        self._ahat_inv = 1.0 / self.ahat
+        self.schur = build_schur_preconditioner(self.op, layout, self.ahat)
 
     def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
-        u_star = self.ahat_solve(ru)
-        q = self.schur_solve(self.b_block @ u_star - rp)
-        x[:vd] += u_star - self.ahat_solve(self.b_block.T @ q)
+        u_star = self._ahat_inv * ru
+        q = self.schur.solve(self.b_block @ u_star - rp)
+        x[:vd] += u_star - self._ahat_inv * (self.b_block.T @ q)
         x[vd:] += q
 
 

@@ -6,8 +6,9 @@ and pressure unknowns) and is the only code that knows how dofs are
 numbered within nodes (``node_of_dof``, ``first_dof``,
 ``node_incidence``).  This module
 adds the small amount of machinery scipy does not provide directly: the
-one adapter from a system or a matrix to that form, a symmetrizing
-Galerkin triple product, and a dense LU with partial pivoting for the
+one adapter from a system or a matrix to that form, the one rule that
+says which stored entries couple, a symmetrizing Galerkin triple
+product, and a dense LU with partial pivoting for the
 coarsest level of a hierarchy and for a small Braess-Sarazin Schur
 complement.  The Vanka patches do not use it: ``smoothers`` solves
 them through packed Cholesky factors of their velocity blocks.
@@ -26,12 +27,25 @@ from .errors import InvalidParameter, ShapeError, SingularCoarseMatrix
 
 __all__ = [
     "BlockLayout",
+    "COUPLING_TOL",
+    "DIVERGENCE_TOL",
     "as_operator",
+    "coupling_mask",
+    "divergence_mask",
     "triple_product",
     "CoarseFactorization",
     "coarse_factor",
     "coarse_solve",
 ]
+
+#: Relative size at or below which an operator entry is rounding
+#: residue and couples nothing (``coupling_mask``).
+COUPLING_TOL = 1e-12
+#: The same for a divergence entry, relative to ``max|B|``, since ``B``
+#: has no diagonal to scale by (``divergence_mask``).
+DIVERGENCE_TOL = 1e-13
+_MASK_BLOCK = 1 << 20  # stored entries ``coupling_mask`` reads at a time
+
 
 @dataclass(frozen=True)
 class BlockLayout:
@@ -101,6 +115,34 @@ def as_operator(system) -> tuple[sp.csr_matrix, BlockLayout, sp.csr_matrix | Non
         op = system.tocsr()
         return op, BlockLayout(n_linear=op.shape[0], n_quadratic=0, block_size=1), None
     return system.monolithic(), system.layout, system.pressure_adjacency
+
+
+def coupling_mask(a: sp.csr_matrix) -> np.ndarray:
+    """Which stored entries of a square CSR matrix couple.
+
+    True where ``|a_ij| > COUPLING_TOL * sqrt(|a_ii a_jj|)``; computed a
+    block of rows at a time, so the temporaries stay small next to the
+    matrix.
+    """
+    scale = np.sqrt(COUPLING_TOL * np.abs(a.diagonal()))
+    mask = np.empty(a.nnz, dtype=bool)
+    n = a.shape[0]
+    step = max(1, _MASK_BLOCK * n // max(a.nnz, 1))  # rows per block
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        seg = slice(a.indptr[lo], a.indptr[hi])
+        row_scale = np.repeat(scale[lo:hi], np.diff(a.indptr[lo : hi + 1]))
+        np.greater(np.abs(a.data[seg]), row_scale * scale[a.indices[seg]], out=mask[seg])
+    return mask
+
+
+def divergence_mask(b: sp.csr_matrix) -> np.ndarray:
+    """Which stored entries of a divergence block ``B`` couple.
+
+    True where ``|b_ij| > DIVERGENCE_TOL * max|B|``.
+    """
+    size = np.abs(b.data)
+    return size > DIVERGENCE_TOL * size.max(initial=0.0)
 
 
 def triple_product(p, a, symmetric: bool = False) -> sp.csr_matrix:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import roots_jacobi, roots_legendre
@@ -11,10 +10,9 @@ from p2amg.assembly import (
     ProblemSpec,
     assemble,
     element_matrices,
-    export_matrix_market,
     manufactured_solution_residual,
 )
-from p2amg.basis import triangle_quadrature_degree4
+from p2amg.basis import reference_basis, shape_gradients, triangle_quadrature_degree4
 from p2amg.coarsening import build_hierarchy
 from p2amg.errors import DegenerateElement, InvalidParameter, MissingTags
 from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
@@ -125,6 +123,67 @@ def oracle_element_forms(coords, spec):
         b -= weight * np.outer(phi[:4], div)
         c += weight * np.outer(phi[:4], phi[:4])
     return a, b, c / spec.lam
+
+
+def quadrature_parts(coords, kind):
+    """The parts of ``assembly._element_parts``, accumulated over the
+    11-point degree-4 rule point by point."""
+    rule = reference_basis()
+    t = coords[:, 1:] - coords[:, :1]
+    vol = np.linalg.det(t) / 6.0
+    grad = np.empty((coords.shape[0], 4, 3))
+    grad[:, 1:] = np.transpose(np.linalg.inv(t), (0, 2, 1))
+    grad[:, 0] = -grad[:, 1:].sum(axis=1)
+    m = coords.shape[0]
+    m1 = np.zeros((m, 10, 10))
+    ecd = bvec = pmass = None
+    if kind is not ProblemKind.VECTOR_LAPLACE:
+        ecd = {(c, d): np.zeros((m, 10, 10)) for c in range(3) for d in range(3)}
+    if kind in (ProblemKind.ELASTICITY_MIXED, ProblemKind.STOKES):
+        bvec = np.zeros((3, m, 4, 10))
+    if kind is ProblemKind.ELASTICITY_MIXED:
+        pmass = np.zeros((m, 4, 4))
+    for q, w in zip(rule.points, rule.weights):
+        g = shape_gradients(q, grad)  # (m, 10, 3)
+        wv = (w * vol)[:, None, None]
+        m1 += wv * np.einsum("eic,ejc->eij", g, g)
+        if ecd is not None:
+            for (c, d), part in ecd.items():
+                part += wv * (g[:, :, c, None] * g[:, None, :, d])
+        if bvec is not None:
+            for c in range(3):
+                bvec[c] -= wv * (q[:4][None, :, None] * g[:, None, :, c])
+        if pmass is not None:
+            pmass += wv * np.outer(q[:4], q[:4])[None]
+    return m1, ecd, bvec, pmass
+
+
+KERNEL_TETS = {
+    "reference": REF_TET,
+    # x += 3 y + 2 z: faces far from orthogonal
+    "sheared": REF_TET @ np.array([[1.0, 0.0, 0.0], [3.0, 1.0, 0.0], [2.0, 0.0, 1.0]]),
+    # nearly flat and anisotropic, off the origin
+    "distorted": np.array(
+        [[0.3, -0.2, 1.0], [2.1, 0.1, 0.9], [0.4, 0.05, 1.02], [1.0, 0.6, 1.05]]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_element_parts_match_quadrature_loop(kind):
+    # the reference-tensor kernel against the quadrature it replaces
+    for name, coords in KERNEL_TETS.items():
+        coords = coords[None]
+        got = assembly._element_parts(coords, kind)
+        want = quadrature_parts(coords, kind)
+        for part, x, y in zip(("m1", "ecd", "bvec", "pmass"), got, want):
+            if y is None:
+                assert x is None, (name, part)
+                continue
+            if isinstance(y, dict):
+                assert x.keys() == y.keys()
+                x, y = np.stack([x[k] for k in y]), np.stack(list(y.values()))
+            assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max(), (name, part)
 
 
 def test_p1_laplace_rows_sum_to_zero():
@@ -488,16 +547,6 @@ def test_divergence_rows_on_translation_lift(cube1):
             local = list(tet).index(vertex)
             volume += vol * grad[local] @ const
         assert abs(flux - volume) <= 1e-13
-
-
-def test_export_matrix_market(tmp_path, laplace2):
-    prefix = str(tmp_path / "system")
-    mtx, header = export_matrix_market(laplace2, prefix)
-    again = scipy.io.mmread(mtx)
-    assert np.abs(again - laplace2.monolithic()).max() <= 0.0
-    text = open(header).read()
-    assert f"linear_nodes {laplace2.layout.n_linear}" in text
-    assert f"quadratic_nodes {laplace2.layout.n_quadratic}" in text
 
 
 def test_neumann_load_enters_rhs(cube2):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import fsum
 
 import numpy as np
@@ -18,11 +19,11 @@ from p2amg.coarsening import (
     build_prolongation,
     hierarchy_summary,
     select_coarse,
-    write_hierarchy_csv,
 )
 from p2amg.errors import CoarseningFailure, InvalidParameter
 from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
-from p2amg.sparse_core import BlockLayout, as_operator, triple_product
+from p2amg.smoothers import _patch_incidence, build_schur_preconditioner
+from p2amg.sparse_core import BlockLayout, as_operator, coupling_mask, triple_product
 
 
 def graph_from_edges(n, edges):
@@ -35,6 +36,18 @@ def graph_from_edges(n, edges):
     else:
         m = sp.coo_matrix((n, n))
     return build_node_graph(m.tocsr() + sp.identity(n, format="csr"))
+
+
+def node_matrix(matrix, block_size, keep=None):
+    """Node-level matrix of a dof-level one whose nodes carry
+    ``block_size`` consecutive dofs: an entry wherever a node block
+    holds a stored entry (one selected by the mask ``keep``, if given)."""
+    coo = matrix.tocoo()
+    rows, cols = (coo.row, coo.col) if keep is None else (coo.row[keep], coo.col[keep])
+    n = matrix.shape[0] // block_size
+    return sp.coo_matrix(
+        (np.ones(len(rows)), (rows // block_size, cols // block_size)), shape=(n, n)
+    ).tocsr()
 
 
 def neighbors(graph, i):
@@ -65,7 +78,7 @@ def test_node_graph_blockwise():
     dense[np.diag_indices(6)] = 1.0
     dense[0, 3] = 5.0
     m = sp.csr_matrix(dense)
-    g = build_node_graph(m, block_size=3)
+    g = build_node_graph(node_matrix(m, 3))
     assert g.n_nodes == 2
     assert g.n_edges == 1
 
@@ -73,17 +86,15 @@ def test_node_graph_blockwise():
 def test_node_graph_validation():
     with pytest.raises(InvalidParameter):
         build_node_graph(sp.csr_matrix((3, 4)))
-    with pytest.raises(InvalidParameter):
-        build_node_graph(sp.identity(5, format="csr"), block_size=2)
 
 
 def test_monolithic_graph_denser_than_separated(laplace2):
     op = laplace2.monolithic()
     lay = laplace2.layout
     split = 3 * lay.n_linear
-    g_lin = build_node_graph(op[:split, :split], 3)
-    g_quad = build_node_graph(op[split:, split:], 3)
-    g_mono = build_node_graph(op, 3)
+    g_lin = build_node_graph(node_matrix(op[:split, :split], 3))
+    g_quad = build_node_graph(node_matrix(op[split:, split:], 3))
+    g_mono = build_node_graph(node_matrix(op, 3))
     assert g_mono.n_edges > g_lin.n_edges + g_quad.n_edges
 
 
@@ -208,7 +219,7 @@ def test_prolongation_matches_loop_oracle_laplace4(laplace4):
     op = laplace4.monolithic()
     split_at = 3 * laplace4.layout.n_linear
     for block in (op[:split_at, :split_at], op[split_at:, split_at:]):
-        g = build_node_graph(block, 3)
+        g = build_node_graph(node_matrix(block, 3))
         assert_matches_loop_oracle(select_coarse(g), g)
 
 
@@ -295,7 +306,7 @@ def test_pure_neumann_constant_identity():
     lay = system.layout
     split = 3 * lay.n_linear
     a_ll = op[:split, :split]
-    g = build_node_graph(a_ll, 3)
+    g = build_node_graph(node_matrix(a_ll, 3))
     p_nodes = build_prolongation(select_coarse(g), g)
     p = sp.kron(p_nodes, sp.identity(3, format="csr"), format="csr")
     lhs = (p.T @ a_ll @ p) @ np.ones(p.shape[1])
@@ -308,8 +319,10 @@ def per_partition_hierarchy(system, mode, coarse_size_cap):
     """Oracle: coarsen each partition on its own graph, then stitch the
     prolongation blocks together with ``kron`` and ``block_diag``.
 
-    Returns ``(operator, layout, pressure adjacency, prolongation)`` per
-    level, the prolongation of the coarsest level being None.
+    A velocity partition's graph reads the entries that couple
+    (``coupling_mask``).  Returns ``(operator, layout, pressure
+    adjacency, prolongation)`` per level, the prolongation of the
+    coarsest level being None.
     """
     op, lay, adj = as_operator(system)
     levels = []
@@ -320,8 +333,10 @@ def per_partition_hierarchy(system, mode, coarse_size_cap):
             parts += [(op[split:vd, split:vd], bs)] if lay.n_quadratic else []
         else:
             parts = [(op[:vd, :vd], bs)]
-        parts += [(adj, 1)] if lay.is_saddle else []
-        graphs = [build_node_graph(m, c) for m, c in parts]
+        graphs = [build_node_graph(node_matrix(m, c, coupling_mask(m))) for m, c in parts]
+        if lay.is_saddle:
+            parts.append((adj, 1))
+            graphs.append(build_node_graph(adj))
         splits = [select_coarse(g) for g in graphs]
         counts = [s.n_coarse for s in splits]
         if sum(counts) > 0.9 * sum(g.n_nodes for g in graphs):
@@ -400,7 +415,7 @@ def test_scalar_hierarchy_from_plain_matrix():
     assert hier.levels[0].layout.block_size == 1
 
 
-def test_hierarchy_summary_and_csv(tmp_path, laplace4):
+def test_hierarchy_summary(laplace4):
     hier = build_hierarchy(laplace4, coarse_size_cap=100)
     rows = hierarchy_summary(hier)
     assert rows[0]["total_dof"] == laplace4.monolithic().shape[0]
@@ -410,8 +425,86 @@ def test_hierarchy_summary_and_csv(tmp_path, laplace4):
         a["total_dof"] > b["total_dof"] for a, b in zip(rows, rows[1:])
     )
     assert rows[-1]["operator_complexity"] == pytest.approx(hier.operator_complexity)
-    path = tmp_path / "levels.csv"
-    write_hierarchy_csv(hier, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(rows) + 1
-    assert lines[0].startswith("level,")
+
+
+def with_sub_threshold_entries(system, mesh, seed):
+    """``system`` with entries of at most 1e-14 relative size added at
+    every structural position A does not store (relative to
+    ``sqrt(a_ii a_jj)``) and at every stored zero of B (relative to
+    ``max|B|``), symmetrically."""
+    k = system.monolithic()
+    lay = system.layout
+    vd = lay.velocity_dof
+    node = np.concatenate(
+        [
+            system.vertex_block,
+            np.where(system.edge_block >= 0, lay.n_linear + system.edge_block, -1),
+        ]
+    )
+    comps = [(0, 0), (1, 1), (2, 2)]
+    if system.spec.kind is not ProblemKind.VECTOR_LAPLACE:
+        comps = [(c, d) for c in range(3) for d in range(3)]
+    rows, cols = [], []
+    for tet, edges in zip(mesh.tets, mesh.tet_edges):
+        free = node[np.concatenate([tet, mesh.n_vertices + edges])]
+        free = free[free >= 0]
+        for c, d in comps:
+            rows.append(np.repeat(3 * free + d, len(free)))
+            cols.append(np.tile(3 * free + c, len(free)))
+    structural = sp.coo_matrix(
+        (np.ones(sum(map(len, rows))), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(vd, vd),
+    ).tocsr()
+    stored = abs(k[:vd, :vd]).astype(bool).astype(float)
+    missing = sp.triu(structural.astype(bool).astype(float) - stored).tocoo()
+    assert missing.nnz > 0 and missing.data.min() == 1.0
+    rng = np.random.default_rng(seed)
+    diag = k.diagonal()
+    i, j = missing.row, missing.col
+    values = rng.uniform(-1e-14, 1e-14, len(i)) * np.sqrt(diag[i] * diag[j])
+    extra = [(i, j, values), (j, i, values)]
+    if lay.is_saddle:
+        b = k[vd:, :vd].tocoo()
+        zero = b.data == 0.0
+        assert zero.any()
+        p, u = b.row[zero], b.col[zero]
+        values = rng.uniform(-1e-14, 1e-14, len(p)) * np.abs(b.data).max()
+        extra += [(vd + p, u, values), (u, vd + p, values)]
+    r, c, v = (np.concatenate(parts) for parts in zip(*extra))
+    perturbed = (k + sp.csr_matrix((v, (r, c)), shape=k.shape)).tocsr()
+    perturbed.sort_indices()
+    assert perturbed.nnz > k.nnz
+    return replace(system, operator=perturbed)
+
+
+@pytest.mark.parametrize("name", ["laplace2", "stokes2"])
+def test_sub_threshold_entries_change_no_pattern(request, cube2, name):
+    # entries at or below the coupling thresholds are rounding residue:
+    # they move no coarse node, no prolongation bit and no Vanka patch
+    system = request.getfixturevalue(name)
+    perturbed = with_sub_threshold_entries(system, cube2, seed=5)
+    hier = build_hierarchy(system, coarse_size_cap=20)
+    other = build_hierarchy(perturbed, coarse_size_cap=20)
+    assert len(hier.levels) == len(other.levels) >= 3
+    for lv, lo in zip(hier.levels, other.levels):
+        assert lv.layout == lo.layout
+        assert_same_csr(lv.prolongation, lo.prolongation)
+        assert_same_csr(lv.pressure_adjacency, lo.pressure_adjacency)
+        if lv.layout.is_saddle:
+            assert_same_csr(
+                _patch_incidence(lv.operator, lv.layout),
+                _patch_incidence(lo.operator, lo.layout),
+            )
+    if system.layout.is_saddle:
+        # and the inner Schur hierarchy of Braess-Sarazin
+        schur = [
+            build_schur_preconditioner(
+                s.monolithic(), s.layout, 2.0 * s.monolithic().diagonal()[: s.layout.velocity_dof],
+                coarse_size_cap=10,
+            ).solve.hierarchy
+            for s in (system, perturbed)
+        ]
+        assert len(schur[0].levels) == len(schur[1].levels) >= 2
+        for lv, lo in zip(*(h.levels for h in schur)):
+            assert lv.layout == lo.layout
+            assert_same_csr(lv.prolongation, lo.prolongation)

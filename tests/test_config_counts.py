@@ -1,0 +1,43 @@
+"""Pinned iteration counts of every config cell at n = 4.
+
+The counts are the program's published output.  A change that moves one
+edits this table and states why, with every moved cell (n = 4, 8 and
+16), in CHANGES.md.
+"""
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from p2amg.bench_cli import load_config, run_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (config file, solver label, smoother) -> iterations at n = 4
+PINNED_N4 = {
+    ("elasticity_displacement.json", "AMG-V", "JA-1-1-0.5"): "DIVERGED",
+    ("elasticity_displacement.json", "AMG-V", "GS-2-2"): 54,
+    ("elasticity_displacement.json", "PCG (1 V-cycle)", "GS-2-2"): 19,
+    ("elasticity_mixed.json", "AMG-V", "sGS-2-2"): 58,
+    ("elasticity_mixed.json", "AMG-V", "Braess-Sarazin-1-1"): 109,
+    ("elasticity_mixed.json", "GMRES (1 V-cycle)", "Braess-Sarazin-1-1"): 29,
+    ("elasticity_mixed.json", "GMRES (2 V-cycles)", "Braess-Sarazin-1-1"): 18,
+    ("stokes_channel.json", "GMRES (1 V-cycle)", "Braess-Sarazin-1-1"): 30,
+    ("stokes_channel.json", "GMRES (2 V-cycles)", "Braess-Sarazin-1-1"): 18,
+    ("vector_laplace.json", "AMG-V", "JA-1-1-0.5"): 134,
+    ("vector_laplace.json", "AMG-V", "GS-1-1"): 123,
+    ("vector_laplace.json", "AMG-V", "GS-2-2"): 33,
+    ("vector_laplace.json", "PCG (1 V-cycle)", "GS-2-2"): 15,
+    ("vector_laplace_ablation.json", "AMG-W", "GS-1-1"): 127,
+    ("vector_laplace_ablation.json", "PCG (1 W-cycle)", "GS-1-1"): 28,
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_config_counts_at_n4_are_pinned(path):
+    config = replace(load_config(str(path)), levels=(4,))
+    counts = {
+        (path.name, row["solver"], row["smoother"]): row["iterations"]
+        for row in run_experiment(config)
+    }
+    assert counts == {k: v for k, v in PINNED_N4.items() if k[0] == path.name}

@@ -9,7 +9,6 @@ from p2amg.mesh import (
     generate_unit_cube_mesh,
     tag_boundary,
     tet_volumes,
-    write_mesh_text,
 )
 
 from conftest import z_faces
@@ -156,10 +155,3 @@ def test_tag_always_false_predicate():
 def test_mesh_arrays_read_only(cube2):
     with pytest.raises(ValueError):
         cube2.vertices[0, 0] = 3.0
-
-
-def test_write_mesh_text(tmp_path):
-    mesh = generate_unit_cube_mesh(1)
-    nodes, elems = write_mesh_text(mesh, str(tmp_path / "cube"))
-    assert np.allclose(np.loadtxt(nodes), mesh.vertices)
-    assert np.array_equal(np.loadtxt(elems, dtype=int), mesh.tets)
