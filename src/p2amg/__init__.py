@@ -6,8 +6,6 @@ from .assembly import (
     ProblemKind,
     ProblemSpec,
     assemble,
-    element_matrices,
-    manufactured_solution_residual,
 )
 from .coarsening import (
     Hierarchy,
@@ -29,7 +27,6 @@ from .multigrid import (
     Preconditioner,
     SolveReport,
     amg_cycle,
-    apply_preconditioner,
     solve_amg,
 )
 from .smoothers import SmootherConfig, SmootherKind, parse_smoother
@@ -48,16 +45,13 @@ __all__ = [
     "SmootherKind",
     "SolveReport",
     "amg_cycle",
-    "apply_preconditioner",
     "assemble",
     "build_hierarchy",
     "build_node_graph",
     "build_prolongation",
-    "element_matrices",
     "generate_channel_mesh",
     "generate_unit_cube_mesh",
     "gmres",
-    "manufactured_solution_residual",
     "parse_smoother",
     "pcg",
     "select_coarse",

@@ -37,13 +37,12 @@ that is zero, and is not stored.  B and C keep their structural
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import basis as basis_mod
 from .errors import DegenerateElement, InvalidParameter, MissingTags
@@ -54,9 +53,7 @@ __all__ = [
     "ProblemKind",
     "ProblemSpec",
     "BlockSystem",
-    "element_matrices",
     "assemble",
-    "manufactured_solution_residual",
 ]
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -203,33 +200,6 @@ def _a_block_coefficient(spec: ProblemSpec, c: int, d: int, m1, ecd):
     if spec.kind is ProblemKind.ELASTICITY_DISPLACEMENT:
         coef = coef + spec.lam * ecd[d, c]
     return coef
-
-
-def element_matrices(coords, spec: ProblemSpec):
-    """Local matrices of one tetrahedron.
-
-    Returns ``(a, b, c)`` where ``a`` is the 30x30 stiffness block (dof
-    order: node-major, components interleaved), ``b`` the 4x30
-    divergence coupling for saddle problems (else ``None``) and ``c``
-    the 4x4 pressure block (identically zero for Stokes, ``None`` for
-    the elliptic kinds).
-    """
-    coords = np.asarray(coords, dtype=float).reshape(1, 4, 3)
-    m1, ecd, bvec, pmass = _element_parts(coords, spec.kind)
-
-    a = np.zeros((30, 30))
-    for c in range(3):
-        for d in range(3):
-            coef = _a_block_coefficient(spec, c, d, m1, ecd)
-            if coef is not None:
-                a[d::3, c::3] = coef[0]
-    if not spec.is_saddle:
-        return a, None, None
-    b = np.zeros((4, 30))
-    for c in range(3):
-        b[:, c::3] = bvec[c][0]
-    cmat = pmass[0] / spec.lam if spec.has_pressure_mass else np.zeros((4, 4))
-    return a, b, cmat
 
 
 # ---------------------------------------------------------------------------
@@ -541,43 +511,3 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         edge_block=edge_block,
         pressure_adjacency=adj,
     )
-
-
-def manufactured_solution_residual(
-    mesh: Mesh,
-    spec: ProblemSpec,
-    exact_u: VectorField,
-    exact_p: Callable[[np.ndarray], float] | None = None,
-) -> float:
-    """Max-norm DOF error of a direct solve against an exact solution.
-
-    The exact velocity is imposed as Dirichlet data on the tagged
-    Dirichlet boundary (``spec.g_neumann`` must supply the matching
-    traction on any Neumann part).  The discrete solution is compared
-    with the hierarchical interpolant of ``exact_u``; for saddle
-    problems with ``exact_p`` given, the pressure error at vertices is
-    included in the max.
-    """
-    solve_spec = replace(spec, g_dirichlet=exact_u)
-    system = assemble(mesh, solve_spec)
-    x = spla.spsolve(system.monolithic().tocsc(), system.rhs())
-
-    err = 0.0
-    n_l = system.layout.n_linear
-    for v in np.flatnonzero(system.vertex_block >= 0):
-        blk = system.vertex_block[v]
-        err = max(err, np.abs(x[3 * blk : 3 * blk + 3] - exact_u(mesh.vertices[v])).max())
-    for e in np.flatnonzero(system.edge_block >= 0):
-        blk = n_l + system.edge_block[e]
-        a, b = mesh.edges[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        coeff = np.asarray(exact_u(mid), dtype=float) - 0.5 * (
-            np.asarray(exact_u(mesh.vertices[a]), dtype=float)
-            + np.asarray(exact_u(mesh.vertices[b]), dtype=float)
-        )
-        err = max(err, np.abs(x[3 * blk : 3 * blk + 3] - coeff).max())
-    if spec.is_saddle and exact_p is not None:
-        p = x[system.layout.velocity_dof :]
-        for v in range(mesh.n_vertices):
-            err = max(err, abs(p[v] - exact_p(mesh.vertices[v])))
-    return err

@@ -21,7 +21,6 @@ __all__ = [
     "reference_basis",
     "tet_quadrature_degree4",
     "triangle_quadrature_degree4",
-    "shape_values",
     "shape_gradients",
     "face_shape_values",
 ]
@@ -96,20 +95,6 @@ def triangle_quadrature_degree4() -> tuple[np.ndarray, np.ndarray]:
             points.append(tuple(p))
             weights.append(w)
     return np.array(points), np.array(weights)
-
-
-def shape_values(bary: np.ndarray) -> np.ndarray:
-    """Evaluate all ten scalar basis functions.
-
-    ``bary`` is (..., 4) barycentric coordinates; the result appends a
-    last axis of length 10 in hat-then-bubble order.
-    """
-    bary = np.asarray(bary, dtype=float)
-    out = np.empty(bary.shape[:-1] + (N_SCALAR_BASIS,))
-    out[..., :4] = bary
-    for m, (i, j) in enumerate(TET_EDGES):
-        out[..., 4 + m] = 4.0 * bary[..., i] * bary[..., j]
-    return out
 
 
 def shape_gradients(bary: np.ndarray, grad_lambda: np.ndarray) -> np.ndarray:

@@ -362,8 +362,9 @@ def _cycle_config(entry: SolverEntry) -> CycleConfig:
 _REFERENCE_LEVELS = {4: 0, 8: 1, 16: 2, 32: 3}
 
 
-def _reference_value(config: ExperimentConfig, entry: SolverEntry, n: int):
-    key = (
+def _reference_key(config: ExperimentConfig, entry: SolverEntry) -> tuple:
+    """The ``REFERENCE_ITERATIONS`` key of one config cell family."""
+    return (
         config.problem,
         entry.method,
         entry.cycle,
@@ -371,7 +372,10 @@ def _reference_value(config: ExperimentConfig, entry: SolverEntry, n: int):
         entry.precond_cycles,
         config.coarsening,
     )
-    values = REFERENCE_ITERATIONS.get(key)
+
+
+def _reference_value(config: ExperimentConfig, entry: SolverEntry, n: int):
+    values = REFERENCE_ITERATIONS.get(_reference_key(config, entry))
     pos = _REFERENCE_LEVELS.get(n)
     if values is None or pos is None:
         return ""

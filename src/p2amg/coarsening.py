@@ -63,10 +63,6 @@ class NodeGraph:
     indices: np.ndarray
     n_nodes: int
 
-    @property
-    def n_edges(self) -> int:
-        return self.indices.shape[0] // 2
-
 
 def build_node_graph(matrix) -> NodeGraph:
     """Adjacency of the nodes of a node-level matrix.

@@ -58,8 +58,8 @@ def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
         precond = _identity_precond
     elif getattr(precond, "symmetric", True) is False:
         raise IndefiniteBreakdown(
-            "CG requires a symmetric preconditioner; use the symmetric "
-            "Gauss-Seidel pairing or Jacobi smoothing"
+            "CG requires a symmetric preconditioner; use Jacobi or "
+            "Gauss-Seidel smoothing with as many post- as pre-sweeps"
         )
     n = a.shape[0]
     if n <= 500:

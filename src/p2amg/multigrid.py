@@ -6,6 +6,10 @@ residual they return with the transpose of the prolongation, recurses
 ``nu`` times (from a zero coarse guess, so a preconditioner application
 is a fixed linear operator), prolongates the correction and runs
 ``m_post`` sweeps.  The coarsest level is solved directly.
+The caller picks the post-smoothing sweep: the stand-alone iteration
+smooths forward after the coarse correction too, and the preconditioner
+applies the transposed block Gauss-Seidel sweep ``T^{-T}``, which CG
+needs.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ __all__ = [
     "build_level_smoothers",
     "amg_cycle",
     "solve_amg",
-    "apply_preconditioner",
     "Preconditioner",
 ]
 
@@ -84,12 +87,15 @@ def amg_cycle(
     b: np.ndarray,
     config: CycleConfig,
     smoothers: list,
+    forward: bool = False,
 ) -> np.ndarray:
     """One multigrid cycle on ``K_level x = b`` starting from ``x``.
 
     ``smoothers`` is the per-level state of :func:`build_level_smoothers`.
-    Mutates and returns ``x`` (except on the coarsest level, which is
-    solved exactly regardless of the passed iterate).
+    ``forward`` post-smooths with ``presmooth``, its residual dropped,
+    instead of ``postsmooth``.  Mutates and returns ``x`` (except on the
+    coarsest level, which is solved exactly regardless of the passed
+    iterate).
     """
     last = hierarchy.n_levels - 1
     if not 0 <= level <= last:
@@ -111,11 +117,14 @@ def amg_cycle(
         x_coarse = np.zeros(p.shape[1])
         for _ in range(config.nu):
             x_coarse = amg_cycle(
-                hierarchy, level + 1, x_coarse, b_coarse, config, smoothers
+                hierarchy, level + 1, x_coarse, b_coarse, config, smoothers, forward
             )
     x += p @ x_coarse
 
-    sm.postsmooth(x, b, cfg.m_post)
+    if forward and cfg.m_post:  # presmooth forms b - A x even for no sweep
+        sm.presmooth(x, b, cfg.m_post)
+    else:
+        sm.postsmooth(x, b, cfg.m_post)
     return x
 
 
@@ -160,11 +169,13 @@ def solve_amg(
 
     if smoothers is None:
         smoothers = build_level_smoothers(hierarchy, config)
+    # only block GS post-smooths with a sweep of its own, the transposed one
+    forward = cfg.kind is SmootherKind.GAUSS_SEIDEL
     converged = False
     iterations = 0
     r = b
     for iterations in range(1, maxit + 1):
-        x += amg_cycle(hierarchy, 0, np.zeros_like(x), r, config, smoothers)
+        x += amg_cycle(hierarchy, 0, np.zeros_like(x), r, config, smoothers, forward)
         r = b - op @ x
         rel = np.linalg.norm(r) / b_norm
         residuals.append(float(rel))
@@ -184,23 +195,6 @@ def solve_amg(
     )
 
 
-def apply_preconditioner(
-    hierarchy: Hierarchy,
-    r: np.ndarray,
-    config: CycleConfig,
-    smoothers: list,
-) -> np.ndarray:
-    """Apply ``cycles_per_application`` cycles to ``M z = r`` from zero.
-
-    Zero initial guesses on every level make this a fixed linear
-    operator in ``r``.
-    """
-    z = np.zeros_like(np.asarray(r, dtype=float))
-    for _ in range(config.cycles_per_application):
-        z = amg_cycle(hierarchy, 0, z, r, config, smoothers)
-    return z
-
-
 class Preconditioner:
     """Callable multigrid preconditioner with cached smoother state."""
 
@@ -210,23 +204,26 @@ class Preconditioner:
         self._smoothers = build_level_smoothers(hierarchy, config)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return apply_preconditioner(self.hierarchy, r, self.config, self._smoothers)
+        """``cycles_per_application`` cycles on ``M z = r`` from zero, which
+        makes the application a fixed linear operator in ``r``."""
+        z = np.zeros_like(np.asarray(r, dtype=float))
+        for _ in range(self.config.cycles_per_application):
+            z = amg_cycle(self.hierarchy, 0, z, r, self.config, self._smoothers)
+        return z
 
     @property
     def symmetric(self) -> bool:
         """Whether the application is a symmetric operator.
 
-        True for Jacobi smoothing and for Gauss-Seidel under the
-        symmetric direction policy with matching sweep counts; the
-        saddle smoothers are not symmetric in general.
+        True for Jacobi and Gauss-Seidel smoothing iff ``m_pre ==
+        m_post`` (Gauss-Seidel post-smooths with the transposed sweep);
+        the saddle smoothers are not symmetric in general.
         """
         cfg = self.config.smoother
         if self.hierarchy.n_levels == 1:
             return True
-        if cfg.kind is SmootherKind.JACOBI:
+        if cfg.kind in (SmootherKind.JACOBI, SmootherKind.GAUSS_SEIDEL):
             return cfg.m_pre == cfg.m_post
-        if cfg.kind is SmootherKind.GAUSS_SEIDEL:
-            return cfg.gs_direction == "symmetric" and cfg.m_pre == cfg.m_post
         return False
 
     @property

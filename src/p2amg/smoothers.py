@@ -23,7 +23,9 @@ the sweeps and carries the residual from one sweep to the next: block
 GS and Vanka update it as part of their sweep, and for the other
 smoothers the loop computes ``b - A x`` once per sweep.  It starts from
 ``b`` itself when ``x`` is zero, and ``presmooth`` returns the residual
-of the smoothed iterate, which the cycle restricts.
+of the smoothed iterate, which the cycle restricts.  Only block GS has
+a post-smoothing sweep of its own, the transposed one; the cycle's
+caller decides whether to use it (see :mod:`multigrid`).
 """
 from __future__ import annotations
 
@@ -70,28 +72,18 @@ class SmootherKind(Enum):
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Smoother kind, damping, and pre/post sweep counts.
-
-    ``gs_direction`` selects the Gauss-Seidel policy: "symmetric" runs
-    forward sweeps before coarse-grid correction and their exact
-    transposes after it (the backward sweep when the operator is
-    symmetric; keeps the V-cycle self-adjoint), "forward" runs forward
-    sweeps in both stages.
-    """
+    """Smoother kind, damping, and pre/post sweep counts."""
 
     kind: SmootherKind
     m_pre: int = 1
     m_post: int = 1
     omega: float = 1.0
-    gs_direction: str = "symmetric"
 
     def __post_init__(self):
         if not self.omega > 0.0:
             raise InvalidParameter(f"damping must be positive, got {self.omega}")
         if self.m_pre < 0 or self.m_post < 0:
             raise InvalidParameter("sweep counts must be non-negative")
-        if self.gs_direction not in ("symmetric", "forward"):
-            raise InvalidParameter(f"unknown GS direction {self.gs_direction!r}")
 
     @property
     def name(self) -> str:
@@ -268,31 +260,26 @@ class GaussSeidelSmoother(_Smoother):
     and ``U`` the strict block upper triangle.  A forward sweep is
     ``d = T^{-1} r, x += d``, and its new residual ``r - T d - U d =
     -U d`` costs a strict-triangle product instead of a full matvec.
-    The post-smoothing sweeps are forward under ``"forward"``.  Under
-    ``"symmetric"`` they are the exact transpose of the forward sweep,
-    ``d = T^{-T} r``, which keeps the V-cycle self-adjoint; their
-    carried residual ``-U^T d`` assumes ``op = T^T + U^T``, i.e. a
-    symmetric ``op``, for which ``T^T`` is the block upper triangle and
-    the sweep is the backward block sweep.
+    The post-smoothing sweep is its exact transpose, ``d = T^{-T} r``,
+    which keeps a V-cycle preconditioner self-adjoint; its carried
+    residual ``-U^T d`` assumes ``op = T^T + U^T``, i.e. a symmetric
+    ``op``, for which ``T^T`` is the block upper triangle and the sweep
+    is the backward block sweep.
     """
 
-    def __init__(self, op, layout: BlockLayout, direction: str = "symmetric"):
+    def __init__(self, op, layout: BlockLayout):
         self.op = op
         self._factor, self._upper = _block_triangles(op, layout)
-        self._post = (
-            ("N", self._upper) if direction == "forward" else ("T", self._upper.T)
-        )
-
-    def _substitute(self, x, r, carry, trans, upper):
-        d = self._factor.solve(r, trans=trans)
-        x += d
-        return -(upper @ d) if carry else None
 
     def correct(self, x: np.ndarray, r: np.ndarray, carry: bool):
-        return self._substitute(x, r, carry, "N", self._upper)
+        d = self._factor.solve(r)
+        x += d
+        return -(self._upper @ d) if carry else None
 
     def correct_post(self, x: np.ndarray, r: np.ndarray, carry: bool):
-        return self._substitute(x, r, carry, *self._post)
+        d = self._factor.solve(r, trans="T")
+        x += d
+        return -(self._upper.T @ d) if carry else None
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +595,7 @@ def make_smoother(op, layout: BlockLayout, config: SmootherConfig):
     if config.kind is SmootherKind.JACOBI:
         return JacobiSmoother(op, config.omega)
     if config.kind is SmootherKind.GAUSS_SEIDEL:
-        return GaussSeidelSmoother(op, layout, config.gs_direction)
+        return GaussSeidelSmoother(op, layout)
     if config.kind is SmootherKind.VANKA:
         return VankaSmoother(op, layout, config.omega)
     if config.kind is SmootherKind.BRAESS_SARAZIN:

@@ -9,8 +9,6 @@ from p2amg.assembly import (
     ProblemKind,
     ProblemSpec,
     assemble,
-    element_matrices,
-    manufactured_solution_residual,
 )
 from p2amg.basis import reference_basis, shape_gradients, triangle_quadrature_degree4
 from p2amg.coarsening import build_hierarchy
@@ -18,6 +16,7 @@ from p2amg.errors import DegenerateElement, InvalidParameter, MissingTags
 from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
 
 from conftest import lid_displacement, z_faces
+from fem_oracles import element_matrices, manufactured_solution_residual
 
 REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -349,9 +348,10 @@ def test_saddle_operator_stored_once(name, request):
 
 @pytest.mark.parametrize("name", ["stokes2", "mixed2"])
 def test_stored_pattern_rule(name, request, cube2):
-    # A drops every sum that is exactly zero; B keeps the element pattern,
-    # stored zeros included: each pressure vertex against the three
-    # components of every free velocity node of its tets
+    # A drops every sum at or below COUPLING_TOL * sqrt(a_ii a_jj), so it
+    # stores no zero; B keeps the element pattern, stored zeros included:
+    # each pressure vertex against the three components of every free
+    # velocity node of its tets
     system = request.getfixturevalue(name)
     k = system.monolithic()
     vd = system.layout.velocity_dof

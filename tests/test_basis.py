@@ -7,10 +7,11 @@ from p2amg.basis import (
     face_shape_values,
     reference_basis,
     shape_gradients,
-    shape_values,
     tet_quadrature_degree4,
     triangle_quadrature_degree4,
 )
+
+from fem_oracles import shape_values
 
 
 def exact_tet_monomial(a, b, c):

@@ -69,9 +69,7 @@ def test_pcg_rejects_declared_nonsymmetric_preconditioner(laplace2):
     pre = Preconditioner(
         hier,
         CycleConfig(
-            smoother=SmootherConfig(
-                kind=SmootherKind.GAUSS_SEIDEL, m_pre=1, m_post=1, gs_direction="forward"
-            )
+            smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=2, m_post=1)
         ),
     )
     assert not pre.symmetric

@@ -8,11 +8,10 @@ from p2amg.multigrid import (
     CycleConfig,
     Preconditioner,
     amg_cycle,
-    apply_preconditioner,
     build_level_smoothers,
     solve_amg,
 )
-from p2amg.smoothers import SmootherConfig, SmootherKind
+from p2amg.smoothers import SmootherConfig, SmootherKind, parse_smoother
 
 
 def gs_config(m_pre=1, m_post=1, nu=1, cycles=1):
@@ -138,7 +137,8 @@ def test_report_history_shape(laplace2):
 @pytest.mark.parametrize("m,nu", [(2, 1), (1, 2)])
 def test_solve_matches_direct_iteration(laplace2, m, nu):
     """The correction-form solve (each cycle from zero on the current
-    residual) reproduces the iteration x = cycle(x, b) up to rounding:
+    residual) reproduces the iteration x = cycle(x, b) of the stand-alone
+    cycle, which smooths forward after the coarse correction, up to rounding:
     relative residuals agree to 1e-8, or to 1e-14 (about 50 ulp of the
     rounding in b - A x) where they near the tolerance."""
     hier = build_hierarchy(laplace2, coarse_size_cap=60)
@@ -150,10 +150,61 @@ def test_solve_matches_direct_iteration(laplace2, m, nu):
     x = np.zeros_like(b)
     history = [1.0]
     while history[-1] > 1e-11:
-        x = amg_cycle(hier, 0, x, b, cfg, smoothers)
+        x = amg_cycle(hier, 0, x, b, cfg, smoothers, forward=True)
         history.append(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
     assert report.iterations == len(history) - 1
     assert np.allclose(report.residuals, history, rtol=1e-8, atol=1e-14)
+
+
+def dense_two_grid(hier, b, m, post_transposed):
+    """One two-grid cycle from zero, in dense algebra: ``m`` block GS
+    sweeps ``x += T^{-1} (b - A x)``, an exact Galerkin coarse
+    correction, then ``m`` sweeps with ``T`` or with ``T^T``."""
+    lv = hier.levels[0]
+    a, p = lv.operator.toarray(), lv.prolongation.toarray()
+    node = lv.layout.node_of_dof()
+    t = np.where(node[None, :] <= node[:, None], a, 0.0)
+    post = t.T if post_transposed else t
+    x = np.zeros_like(b)
+    for _ in range(m):
+        x += np.linalg.solve(t, b - a @ x)
+    x += p @ np.linalg.solve(p.T @ a @ p, p.T @ (b - a @ x))
+    for _ in range(m):
+        x += np.linalg.solve(post, b - a @ x)
+    return x
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_two_grid_cycles_match_dense_oracles(laplace2, m):
+    """The stand-alone cycle smooths forward/forward, the preconditioner
+    forward/transposed."""
+    hier = build_hierarchy(laplace2, coarse_size_cap=60)
+    assert hier.n_levels == 2
+    b = laplace2.rhs()
+    cfg = gs_config(m, m)
+    x, _ = solve_amg(hier, b, cfg, tol=1e-11, maxit=1)
+    z = Preconditioner(hier, cfg)(b)
+    forward = dense_two_grid(hier, b, m, post_transposed=False)
+    symmetric = dense_two_grid(hier, b, m, post_transposed=True)
+    scale = np.abs(forward).max()
+    assert np.abs(x - forward).max() <= 1e-10 * scale
+    assert np.abs(z - symmetric).max() <= 1e-10 * scale
+    assert np.abs(forward - symmetric).max() > 1e-3 * scale
+
+
+@pytest.mark.parametrize(
+    "name,smoother",
+    [("laplace2", "JA-1-1-0.5"), ("stokes2", "sGS-2-2"), ("stokes2", "Braess-Sarazin-1-1")],
+)
+def test_standalone_cycle_is_the_preconditioner_cycle(name, smoother, request):
+    """Smoothers without a post-sweep of their own run one cycle for both
+    callers, bitwise."""
+    system = request.getfixturevalue(name)
+    hier = build_hierarchy(system, coarse_size_cap=60)
+    assert hier.n_levels >= 2
+    cfg = CycleConfig(smoother=parse_smoother(smoother))
+    x, _ = solve_amg(hier, system.rhs(), cfg, tol=1e-11, maxit=1)
+    assert np.array_equal(x, Preconditioner(hier, cfg)(system.rhs()))
 
 
 def test_preconditioner_single_level_exact():
@@ -179,11 +230,7 @@ def test_preconditioner_linear_and_deterministic(laplace2):
     assert np.allclose(
         combined, alpha * pre(r) + beta * pre(s), rtol=1e-12, atol=1e-12 * np.abs(combined).max()
     )
-    cfg = gs_config(2, 2)
-    zero = apply_preconditioner(
-        hier, np.zeros_like(r), cfg, build_level_smoothers(hier, cfg)
-    )
-    assert np.all(zero == 0.0)
+    assert np.all(pre(np.zeros_like(r)) == 0.0)
 
 
 def test_preconditioner_symmetry_flags(laplace2):
@@ -191,12 +238,6 @@ def test_preconditioner_symmetry_flags(laplace2):
     assert Preconditioner(hier, gs_config(2, 2)).symmetric
     assert Preconditioner(hier, gs_config(1, 1, nu=2)).symmetric
     assert not Preconditioner(hier, gs_config(2, 1)).symmetric
-    fwd = CycleConfig(
-        smoother=SmootherConfig(
-            kind=SmootherKind.GAUSS_SEIDEL, m_pre=1, m_post=1, gs_direction="forward"
-        )
-    )
-    assert not Preconditioner(hier, fwd).symmetric
     jac = CycleConfig(
         smoother=SmootherConfig(kind=SmootherKind.JACOBI, m_pre=1, m_post=1, omega=0.5)
     )
