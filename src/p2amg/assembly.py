@@ -22,18 +22,23 @@ It has no quadrature loop: the products of the reference gradients are
 integrated once, and each element contracts them with its inverse
 Jacobian (the reference-tensor form of Kirby and Logg, ACM TOMS 2006).
 
-Elements are processed in chunks.  A scatter map, built once from the
-node pattern of ``T^T T`` (T the tet-to-node incidence), gives every
-node pair its place in the free-dof CSR of A, and in a lift block that
-holds the couplings to Dirichlet unknowns and only forms the
-right-hand side.  Each chunk reduces its tets' node pairs to the
-distinct ones, sums every component block over them with one
-``bincount`` and adds the sums in place.  A then keeps only the entries
-that couple (``sparse_core.coupling_mask``): an entry at or below
-``COUPLING_TOL * sqrt(a_ii a_jj)`` is rounding residue of a coupling
-that is zero, and is not stored.  B and C keep their structural
-(element) pattern; an entry of B that does not couple
-(``sparse_core.divergence_mask``) is stored as an exact zero.
+Elements are processed in chunks of ``_CHUNK`` tets, whose coefficient
+blocks are scattered one at a time.  One scatter map, built from the
+node incidences of the tets (velocity against velocity, pressure
+against velocity and back, pressure against pressure for mixed
+elasticity), gives every node pair its place in the stored CSR operator
+``[[A, B^T], [B, -C]]``, or in a lift block that holds the couplings of
+A and B to Dirichlet unknowns and only forms the right-hand side.  Each
+chunk reduces its tets' node pairs to the distinct ones, sums every
+component block over them with one ``bincount`` and adds the sums in
+place; the sums of B also go, mirrored, to B^T.  Nothing is stacked
+afterwards.  On the one CSR, A then keeps only the entries that couple
+(``sparse_core.coupling_mask``): an entry at or below ``COUPLING_TOL *
+sqrt(a_ii a_jj)`` is rounding residue of a coupling that is zero.  B
+and C keep their structural (element) pattern, and an entry of B that
+does not couple (``sparse_core.divergence_mask``) is stored as an exact
+zero.  The dropped entries are moved out of the arrays in place, so the
+operator is never copied.
 """
 from __future__ import annotations
 
@@ -58,7 +63,8 @@ __all__ = [
 
 VectorField = Callable[[np.ndarray], np.ndarray]
 
-_CHUNK = 8192
+_CHUNK = 1024
+_COMPACT_BLOCK = 1 << 18  # stored entries ``_drop_entries`` moves at a time
 
 
 class ProblemKind(Enum):
@@ -287,43 +293,59 @@ def _neumann_load(mesh: Mesh, spec: ProblemSpec, n_nodes: int) -> np.ndarray:
 class _ScatterMap:
     """Dof-level CSR pattern of a node pattern, and positions in it.
 
-    Every node carries three components.  With ``comps == 3`` two
-    adjacent nodes couple every component pair; with ``comps == 1``
-    only equal components couple.  Row ``(i, d)`` lists the columns
-    ``(j, c)`` of the nodes ``j`` adjacent to ``i`` in ascending order.
+    Row node ``i`` carries ``row_sizes[i]`` dofs and column node ``j``
+    carries ``col_sizes[j]`` (3 for a velocity node, 1 for a pressure
+    node), numbered node by node.  Two adjacent nodes couple every
+    component pair; with ``diagonal`` only equal components couple.
+    Row ``(i, d)`` lists the columns of the nodes adjacent to ``i`` in
+    ascending order.
     """
 
-    def __init__(self, nodes: sp.csr_matrix, comps: int):
+    def __init__(self, nodes: sp.csr_matrix, row_sizes, col_sizes, diagonal: bool):
         nodes.sort_indices()
-        self.shape = (3 * nodes.shape[0], 3 * nodes.shape[1])
+        ptr = nodes.indptr.astype(np.int64)
+        j = nodes.indices
         self.n_cols = nodes.shape[1]
-        self.comps = comps
-        self.ptr = nodes.indptr.astype(np.int64)
-        self.length = np.diff(self.ptr)
-        node_rows = np.repeat(np.arange(nodes.shape[0]), self.length)
-        self.keys = node_rows * self.n_cols + nodes.indices
-        self.nnz = 3 * comps * int(self.ptr[-1])
+        self.diagonal = diagonal
+        node_rows = np.repeat(np.arange(nodes.shape[0]), np.diff(ptr))
+        self.keys = node_rows * self.n_cols + j
+        # each node entry's first column within its dof rows
+        ends = np.zeros(len(j) + 1, dtype=np.int64)
+        np.cumsum(np.ones(len(j), np.int8) if diagonal else col_sizes[j], out=ends[1:])
+        self.length = ends[ptr[1:]] - ends[ptr[:-1]]
+        row_lengths = np.repeat(self.length, row_sizes)
+        self.nnz = int(row_lengths.sum())
+        self.shape = (len(row_lengths), int(col_sizes.sum()))
         idx = np.int32 if self.nnz < np.iinfo(np.int32).max else np.int64
-        self.indptr = np.empty(self.shape[0] + 1, dtype=idx)
-        for d in range(3):
-            self.indptr[d:-1:3] = comps * (3 * self.ptr[:-1] + d * self.length)
-        self.indptr[-1] = self.nnz
+        self.col_offset = (ends[:-1] - ends[ptr[node_rows]]).astype(idx)
+        del ends
+        self.length = self.length.astype(idx)
+        self.indptr = np.zeros(self.shape[0] + 1, dtype=idx)
+        np.cumsum(row_lengths, out=self.indptr[1:])
+        self.start = self.indptr[np.cumsum(row_sizes) - row_sizes]
         self.indices = np.empty(self.nnz, dtype=idx)
-        offsets = self.offsets(node_rows, np.arange(len(node_rows)))
+        first_col = (np.cumsum(col_sizes) - col_sizes).astype(idx)[j]
+        pos = self.start[node_rows] + self.col_offset
+        step = self.length[node_rows]
+        row_sizes, col_sizes = row_sizes[node_rows], col_sizes[j]
+        del node_rows
         for d in range(3):
-            for c in range(3) if comps == 3 else (d,):
-                self.indices[self.position(offsets, d, c)] = 3 * nodes.indices + c
+            rows = row_sizes > d
+            for c in (d,) if diagonal else range(3):
+                has = np.flatnonzero(rows & (col_sizes > c))
+                self.indices[pos[has] + (0 if diagonal else c)] = first_col[has] + c
+            pos += step
 
     def offsets(self, i, entry):
         """Position of row ``(i, 0)`` at node entry ``entry``, column
         component 0, and the step from one row component to the next."""
-        return self.comps * (2 * self.ptr[i] + entry), self.comps * self.length[i]
+        return self.start[i] + self.col_offset[entry], self.length[i]
 
     def position(self, offsets, d, c):
         """Position of row component ``d``, column component ``c``."""
         base, step = offsets
         pos = base + d * step
-        return pos + c if self.comps == 3 else pos
+        return pos if self.diagonal else pos + c
 
     def entries(self, i, j):
         """Node-pattern entries of the node pairs ``(i, j)``, all in the pattern."""
@@ -331,6 +353,31 @@ class _ScatterMap:
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _drop_entries(data, indices, indptr, keep) -> None:
+    """Remove the entries of CSR arrays where ``keep`` is false.
+
+    Works in place: the kept entries move forward a block of rows at a
+    time and ``data`` and ``indices`` are then shrunk, so the arrays are
+    never copied.  No view of them may be alive.
+    """
+    n = len(indptr) - 1
+    step = max(1, _COMPACT_BLOCK * n // max(len(data), 1))  # rows per block
+    old = new = 0
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ends = indptr[lo + 1 : hi + 1] - old
+        seg = slice(old, old + int(ends[-1]))
+        kept = np.zeros(int(ends[-1]) + 1, dtype=np.int64)
+        np.cumsum(keep[seg], out=kept[1:])
+        count = int(kept[-1])
+        data[new : new + count] = data[seg][keep[seg]]
+        indices[new : new + count] = indices[seg][keep[seg]]
+        indptr[lo + 1 : hi + 1] = new + kept[ends]
+        old, new = seg.stop, new + count
+    data.resize(new, refcheck=False)
+    indices.resize(new, refcheck=False)
 
 
 def assemble(mesh: Mesh, spec: ProblemSpec):
@@ -355,134 +402,145 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     edge_block = np.full(ne, -1, dtype=np.int64)
     edge_block[free_e] = np.arange(n_q)
 
-    n_full = 3 * n_nodes
-    idx = np.int32 if n_full < np.iinfo(np.int32).max else np.int64
-    elem_nodes = np.hstack([mesh.tets, nv + mesh.tet_edges]).astype(idx)
-
-    # node numbering with the free nodes first, in layout order, then the
-    # Dirichlet nodes in ascending order
+    # one node numbering for the stored operator and its lift block: the
+    # free velocity nodes in layout order, the pressure nodes (vertices) of
+    # a saddle kind, then the Dirichlet velocity nodes in ascending order
     free_nodes = np.concatenate([free_v, nv + free_e])
     n_free = len(free_nodes)
     dir_nodes = np.setdiff1d(np.arange(n_nodes), free_nodes)
+    n_stored = n_free + (nv if spec.is_saddle else 0)
+    n_all = n_stored + len(dir_nodes)
     renumber = np.empty(n_nodes, dtype=np.int64)
     renumber[free_nodes] = np.arange(n_free)
-    renumber[dir_nodes] = n_free + np.arange(len(dir_nodes))
-    tet_nodes = renumber[elem_nodes]
+    renumber[dir_nodes] = n_stored + np.arange(len(dir_nodes))
+    tet_nodes = renumber[np.hstack([mesh.tets, nv + mesh.tet_edges])]
+    tet_pressure = n_free + mesh.tets.astype(np.int64)
 
-    # node patterns T^T T of the tet-to-node incidence T: free rows against
-    # free columns (A) and against Dirichlet columns (the lift block)
-    incidence = sp.csr_matrix(
-        (
-            np.ones(elem_nodes.size, dtype=bool),
-            tet_nodes.ravel(),
-            np.arange(0, elem_nodes.size + 1, 10),
-        ),
-        shape=(mesh.n_tets, n_nodes),
-    )
-    free_rows = incidence[:, :n_free].T.tocsr()
-    comps = 1 if spec.kind is ProblemKind.VECTOR_LAPLACE else 3
-    a_map = _ScatterMap(free_rows @ incidence[:, :n_free], comps)
-    lift_map = _ScatterMap(free_rows @ incidence[:, n_free:], comps)
-    del incidence, free_rows
-    a_data = np.zeros(a_map.nnz)
-    lift_data = np.zeros(lift_map.nnz)
+    def incidence(nodes):
+        return sp.csr_matrix(
+            (
+                np.ones(nodes.size, dtype=bool),
+                nodes.ravel(),
+                np.arange(0, nodes.size + 1, nodes.shape[1]),
+            ),
+            shape=(mesh.n_tets, n_all),
+        )
 
-    blocks = [(c, d) for c in range(3) for d in range(3) if comps == 3 or c == d]
+    # node pattern of the stored rows from the tet incidences: velocity
+    # against velocity (A and its lift), pressure against velocity (B and
+    # its lift), velocity against pressure (B^T) and, for mixed
+    # elasticity, pressure against pressure (C)
+    velocity = incidence(tet_nodes)
+    velocity_rows = velocity[:, :n_stored].T.tocsr()
+    pattern = velocity_rows @ velocity
     if spec.is_saddle:
-        b_rows = np.empty(120 * mesh.n_tets, dtype=idx)
-        b_cols = np.empty_like(b_rows)
-        b_data = np.empty(len(b_rows))
-    if spec.has_pressure_mass:
-        c_rows = np.repeat(mesh.tets, 4, axis=1).ravel()
-        c_cols = np.tile(mesh.tets, (1, 4)).ravel()
-        c_data = np.empty(len(c_rows))
+        pressure = incidence(tet_pressure)
+        pressure_rows = pressure[:, :n_stored].T.tocsr()
+        pattern = pattern + pressure_rows @ velocity + velocity_rows @ pressure
+        if spec.has_pressure_mass:
+            pattern = pattern + pressure_rows @ pressure
+        del pressure, pressure_rows
+    del velocity, velocity_rows
+    sizes = np.repeat(np.int8([3, 1]), [n_free, n_stored - n_free])
+    diagonal = spec.kind is ProblemKind.VECTOR_LAPLACE
+    stored = _ScatterMap(pattern[:, :n_stored], sizes, sizes, diagonal)
+    lift = _ScatterMap(pattern[:, n_stored:], sizes, np.full(len(dir_nodes), 3, np.int8), diagonal)
+    del pattern
+    stored_data = np.zeros(stored.nnz)
+    lift_data = np.zeros(lift.nnz)
 
+    def add(row_nodes, col_nodes, blocks, mirror=False):
+        """Add a chunk's element blocks at the node pairs (row, column).
+
+        The chunk's node pairs, element-major with the column varying
+        fastest, are reduced to the distinct ones; each block ``(d, c,
+        coef)`` (row component d, column component c) is summed over the
+        pairs' occurrences and added into the stored operator or the lift
+        block.  With ``mirror`` each sum is also added at the transposed
+        position of the stored operator.
+        """
+        keys = row_nodes[:, :, None] * n_all + col_nodes[:, None, :]
+        pairs, occurrence = np.unique(keys.ravel(), return_inverse=True)
+        del keys
+        i, j = np.divmod(pairs, n_all)
+        stored_row = i < n_stored
+        targets = [
+            (stored, stored_data, stored_row & (j < n_stored), i, j, False),
+            (lift, lift_data, stored_row & (j >= n_stored), i, j - n_stored, False),
+        ]
+        if mirror:
+            targets.append((stored, stored_data, j < n_stored, j, i, True))
+        located = []
+        for scatter, values, keep, rows, cols, swap in targets:
+            keep = np.flatnonzero(keep)
+            rows = rows[keep]
+            offsets = scatter.offsets(rows, scatter.entries(rows, cols[keep]))
+            located.append((scatter, values, keep, offsets, swap))
+        for d, c, coef in blocks:
+            sums = np.bincount(occurrence, weights=coef.ravel(), minlength=len(pairs))
+            for scatter, values, keep, offsets, swap in located:
+                pos = scatter.position(offsets, *((c, d) if swap else (d, c)))
+                values[pos] += sums[keep]
+
+    blocks = [(c, d) for c in range(3) for d in range(3) if not diagonal or c == d]
     for start in range(0, mesh.n_tets, _CHUNK):
         sel = slice(start, min(start + _CHUNK, mesh.n_tets))
-        nodes = elem_nodes[sel]
-        m = len(nodes)
         m1, ecd, bvec, pmass = _element_parts(mesh.vertices[mesh.tets[sel]], spec.kind)
-
-        # the chunk's node pairs, element-major with node j varying fastest,
-        # reduced to its distinct pairs; each block (c, d) is then summed
-        # over the pairs' occurrences and added into A or the lift block
-        pair_rows = np.repeat(tet_nodes[sel], 10, axis=1).ravel()
-        pair_cols = np.tile(tet_nodes[sel], (1, 10)).ravel()
-        pairs, occurrence = np.unique(pair_rows * n_nodes + pair_cols, return_inverse=True)
-        del pair_rows, pair_cols
-        i, j = np.divmod(pairs, n_nodes)
-        free_row = i < n_free
-        targets = []
-        for scatter, values, keep, col in (
-            (a_map, a_data, free_row & (j < n_free), j),
-            (lift_map, lift_data, free_row & (j >= n_free), j - n_free),
-        ):
-            rows = i[keep]
-            offsets = scatter.offsets(rows, scatter.entries(rows, col[keep]))
-            targets.append((scatter, values, keep, offsets))
-        for c, d in blocks:
-            coef = _a_block_coefficient(spec, c, d, m1, ecd)
-            sums = np.bincount(occurrence, weights=coef.ravel(), minlength=len(pairs))
-            for scatter, values, keep, offsets in targets:
-                values[scatter.position(offsets, d, c)] += sums[keep]
-        del m1, ecd, pairs, occurrence, i, j, targets
-
-        if spec.is_saddle:
-            p_rows = np.repeat(mesh.tets[sel], 10, axis=1).ravel()  # 40 a tet
-            v_cols = np.tile(3 * nodes, (1, 4)).ravel()
-            for c in range(3):
-                part = slice(120 * start + c * 40 * m, 120 * start + (c + 1) * 40 * m)
-                b_rows[part] = p_rows
-                b_cols[part] = v_cols + c
-                b_data[part] = bvec[c].ravel()
-        if spec.has_pressure_mass:
-            c_data[16 * start : 16 * (start + m)] = (pmass / spec.lam).ravel()
-
-    # A stores only the entries that couple; B and C keep their structural
-    # pattern.  The copy gives A arrays of the stored size and frees the
-    # pattern's
-    operator = a_map.matrix(a_data)
-    operator.data[~coupling_mask(operator)] = 0.0
-    operator.eliminate_zeros()
-    operator = operator.copy()
-    del a_map, a_data
-
-    lift = _hierarchical_lift(mesh, spec)
-    lift_flat = lift.ravel()
-
-    # free velocity dof, linear partition first
-    free_dofs = (3 * free_nodes[:, None] + np.arange(3)).ravel()
-    dir_dofs = (3 * dir_nodes[:, None] + np.arange(3)).ravel()
-    f = _neumann_load(mesh, spec, n_nodes)[free_dofs] - (
-        lift_map.matrix(lift_data) @ lift_flat[dir_dofs]
-    )
-
-    del lift_map, lift_data
-    rhs, adj = f, None
-    if spec.is_saddle:
-        b_full = sp.coo_matrix((b_data, (b_rows, b_cols)), shape=(nv, n_full)).tocsr()
-        del b_rows, b_cols, b_data
-        g = -(b_full @ lift_flat)
-        b = b_full[:, free_dofs].tocsr()
-        del b_full
-        b.sort_indices()
-        # B keeps its element pattern; an entry that does not couple is
-        # stored as an exact zero
-        b.data[~divergence_mask(b)] = 0.0
-
-        minus_c = sp.csr_matrix((nv, nv))  # Stokes has no pressure block
-        if spec.has_pressure_mass:
-            minus_c = -sp.coo_matrix((c_data, (c_rows, c_cols)), shape=(nv, nv)).tocsr()
-
-        # stacked from CSR blocks a block row at a time, which concatenates
-        # their arrays instead of converting through COO
-        operator = sp.hstack([operator, b.T.tocsr()], format="csr")
-        operator = sp.vstack(
-            [operator, sp.hstack([b, minus_c], format="csr")], format="csr"
+        # one coefficient block at a time
+        add(
+            tet_nodes[sel],
+            tet_nodes[sel],
+            ((d, c, _a_block_coefficient(spec, c, d, m1, ecd)) for c, d in blocks),
         )
-        operator.sort_indices()
-        rhs = np.concatenate([f, g])
+        del m1, ecd
+        if spec.is_saddle:
+            add(
+                tet_pressure[sel],
+                tet_nodes[sel],
+                ((0, c, bvec[c]) for c in range(3)),
+                mirror=True,
+            )
+        if spec.has_pressure_mass:
+            add(tet_pressure[sel], tet_pressure[sel], [(0, 0, -pmass / spec.lam)])
+        del bvec, pmass
 
+    shape, indices, indptr = stored.shape, stored.indices, stored.indptr
+    del stored
+
+    # the lift block carries the couplings to the Dirichlet unknowns, of A
+    # and of B alike, and only forms the right-hand side
+    lift_values = _hierarchical_lift(mesh, spec)[dir_nodes].ravel()
+    rhs = -(lift.matrix(lift_data) @ lift_values)
+    free_dofs = (3 * free_nodes[:, None] + np.arange(3)).ravel()
+    rhs[: 3 * n_free] += _neumann_load(mesh, spec, n_nodes)[free_dofs]
+    del lift, lift_data
+
+    # A stores only the entries that couple; B, B^T and C keep their
+    # structural pattern, and an entry of B that does not couple is stored
+    # as an exact zero
+    operator = sp.csr_matrix((stored_data, indices, indptr), shape=shape)
+    vd = 3 * n_free
+    if spec.is_saddle:
+        # B and B^T: the velocity columns of the pressure rows and the
+        # pressure columns of the velocity rows
+        divergence = indices >= vd
+        divergence[indptr[vd] :] ^= True
+        b_values = stored_data[divergence]
+        b_values[~divergence_mask(b_values)] = 0.0
+        stored_data[divergence] = b_values
+        del b_values
+    keep = coupling_mask(operator)
+    if spec.is_saddle:
+        keep[indptr[vd] :] = True
+        keep |= divergence
+        del divergence
+    del operator
+    _drop_entries(stored_data, indices, indptr, keep)
+    del keep
+    operator = sp.csr_matrix((stored_data, indices, indptr), shape=shape)
+
+    adj = None
+    if spec.is_saddle:
         # conventional linear-FE vertex connectivity, used to coarsen pressure
         ones = np.ones(len(mesh.edges))
         adj = sp.coo_matrix(

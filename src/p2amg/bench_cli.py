@@ -44,7 +44,7 @@ from .coarsening import MONOLITHIC, SEPARATED, build_hierarchy
 from .errors import DivergenceDetected, InvalidParameter, SolverError
 from .krylov import KrylovConfig, gmres, pcg
 from .mesh import generate_channel_mesh, generate_unit_cube_mesh, tag_boundary
-from .multigrid import CycleConfig, Preconditioner, solve_amg
+from .multigrid import CycleConfig, Preconditioner, build_level_smoothers, solve_amg
 from .smoothers import parse_smoother
 
 __all__ = [
@@ -386,7 +386,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run every (level, solver) cell; one result row per cell.
 
     Mesh, assembly and hierarchy are shared across the solver entries
-    of a level.  Rows appear in config order (levels outer, solvers
+    of a level, and so are the smoothers of the entries with the same
+    smoother kind and omega, which is all the smoother state depends on.
+    Rows appear in config order (levels outer, solvers
     inner).  A cell whose solve raises a ``SolverError`` gets a row
     with ``converged`` false and, in ``iterations``, ``DIVERGED`` for
     ``DivergenceDetected`` or the error's class name otherwise.
@@ -400,17 +402,21 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         hierarchy = build_hierarchy(
             system, mode=config.coarsening, coarse_size_cap=config.coarse_size_cap
         )
+        smoother_sets = {}
         for entry in config.solvers:
             cycle_cfg = _cycle_config(entry)
             tol = entry.tolerance or config.default_tolerance
-            status = ""
             try:
+                key = (cycle_cfg.smoother.kind, cycle_cfg.smoother.omega)
+                if key not in smoother_sets:
+                    smoother_sets[key] = build_level_smoothers(hierarchy, cycle_cfg)
+                smoothers = smoother_sets[key]
                 if entry.method == "amg":
                     maxit = entry.maxit or 200
-                    _, report = solve_amg(hierarchy, rhs, cycle_cfg, tol, maxit)
+                    _, report = solve_amg(hierarchy, rhs, cycle_cfg, tol, maxit, smoothers)
                 else:
                     maxit = entry.maxit or 500
-                    precond = Preconditioner(hierarchy, cycle_cfg)
+                    precond = Preconditioner(hierarchy, cycle_cfg, smoothers)
                     kcfg = KrylovConfig(
                         method="cg" if entry.method == "pcg" else "gmres",
                         tol=tol,

@@ -123,7 +123,8 @@ def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
 
 
 def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
-    """Right-preconditioned GMRES with modified Gram-Schmidt Arnoldi.
+    """Right-preconditioned GMRES with Arnoldi by classical Gram-Schmidt
+    run twice (CGS2), two matrix-vector products with the basis a pass.
 
     One Arnoldi loop from ``x = 0``, unrestarted.  Because the
     preconditioner is applied on the right, the rotated residual norm
@@ -166,9 +167,11 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
             h = np.pad(h, ((0, grow), (0, grow)))
             cs, sn, g = (np.pad(rot, (0, grow)) for rot in (cs, sn, g))
         w = a @ precond(v[k])
-        for i in range(k + 1):  # modified Gram-Schmidt
-            h[i, k] = w @ v[i]
-            w -= h[i, k] * v[i]
+        basis = v[: k + 1]
+        for _ in range(2):  # classical Gram-Schmidt, run twice
+            coef = basis @ w
+            w -= basis.T @ coef
+            h[: k + 1, k] += coef
         h[k + 1, k] = np.linalg.norm(w)
         lucky_breakdown = h[k + 1, k] == 0.0
         if not lucky_breakdown:

@@ -196,12 +196,18 @@ def solve_amg(
 
 
 class Preconditioner:
-    """Callable multigrid preconditioner with cached smoother state."""
+    """Callable multigrid preconditioner with cached smoother state.
 
-    def __init__(self, hierarchy: Hierarchy, config: CycleConfig):
+    ``smoothers`` is the per-level state of :func:`build_level_smoothers`,
+    built here when omitted.
+    """
+
+    def __init__(self, hierarchy: Hierarchy, config: CycleConfig, smoothers: list | None = None):
         self.hierarchy = hierarchy
         self.config = config
-        self._smoothers = build_level_smoothers(hierarchy, config)
+        if smoothers is None:
+            smoothers = build_level_smoothers(hierarchy, config)
+        self._smoothers = smoothers
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """``cycles_per_application`` cycles on ``M z = r`` from zero, which

@@ -297,7 +297,7 @@ def _patch_incidence(op: sp.csr_matrix, layout: BlockLayout) -> sp.csr_matrix:
         raise MalformedSystem("Vanka patches require a saddle system")
     vd = layout.velocity_dof
     b_block = op[vd:, :vd]
-    b_block.data = divergence_mask(b_block)
+    b_block.data = divergence_mask(b_block.data)
     b_block.eliminate_zeros()
     empty = np.flatnonzero(np.diff(b_block.indptr) == 0)
     if empty.size:

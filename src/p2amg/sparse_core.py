@@ -44,7 +44,7 @@ COUPLING_TOL = 1e-12
 #: The same for a divergence entry, relative to ``max|B|``, since ``B``
 #: has no diagonal to scale by (``divergence_mask``).
 DIVERGENCE_TOL = 1e-13
-_MASK_BLOCK = 1 << 20  # stored entries ``coupling_mask`` reads at a time
+_MASK_BLOCK = 1 << 18  # stored entries ``coupling_mask`` reads at a time
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,13 @@ def coupling_mask(a: sp.csr_matrix) -> np.ndarray:
     return mask
 
 
-def divergence_mask(b: sp.csr_matrix) -> np.ndarray:
+def divergence_mask(values: np.ndarray) -> np.ndarray:
     """Which stored entries of a divergence block ``B`` couple.
 
-    True where ``|b_ij| > DIVERGENCE_TOL * max|B|``.
+    ``values`` holds the stored entries; true where ``|b_ij| >
+    DIVERGENCE_TOL * max|B|``.
     """
-    size = np.abs(b.data)
+    size = np.abs(values)
     return size > DIVERGENCE_TOL * size.max(initial=0.0)
 
 

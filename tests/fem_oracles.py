@@ -1,18 +1,22 @@
 """Discretisation oracles that only the tests use.
 
 ``element_matrices`` assembles the local matrices of one tetrahedron
-from the library's element kernel, ``manufactured_solution_residual``
+from the library's element kernel, ``triplet_assembly`` assembles a
+whole system through global triplets, ``manufactured_solution_residual``
 checks a direct solve against an exact solution, and ``shape_values``
 evaluates the ten scalar basis functions.
 """
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from p2amg import assembly
 from p2amg.assembly import ProblemSpec, _a_block_coefficient, _element_parts, assemble
 from p2amg.basis import N_SCALAR_BASIS
-from p2amg.mesh import TET_EDGES
+from p2amg.mesh import TET_EDGES, BoundaryTag
+from p2amg.sparse_core import coupling_mask, divergence_mask
 
 
 def element_matrices(coords, spec: ProblemSpec):
@@ -40,6 +44,73 @@ def element_matrices(coords, spec: ProblemSpec):
         b[:, c::3] = bvec[c][0]
     cmat = pmass[0] / spec.lam if spec.has_pressure_mass else np.zeros((4, 4))
     return a, b, cmat
+
+
+def triplet_assembly(mesh, spec: ProblemSpec):
+    """Operator and right-hand side of ``assemble`` through global triplets.
+
+    Every element entry becomes one (row, column, value) triplet over all
+    velocity dofs, Dirichlet ones included, and one COO-to-CSR
+    conversion per block sums them.  The free rows and columns are then
+    sliced out: A keeps the entries that couple, B its element pattern
+    with the entries that do not couple stored as exact zeros, and the
+    blocks are stacked a block row at a time.
+    """
+    nv = mesh.n_vertices
+    n_full = 3 * (nv + mesh.n_edges)
+    dofs = 3 * np.hstack([mesh.tets, nv + mesh.tet_edges])[:, :, None] + np.arange(3)
+    m1, ecd, bvec, pmass = _element_parts(mesh.vertices[mesh.tets], spec.kind)
+
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        for d in range(3):
+            coef = _a_block_coefficient(spec, c, d, m1, ecd)
+            if coef is not None:
+                rows.append(np.broadcast_to(dofs[:, :, None, d], coef.shape).ravel())
+                cols.append(np.broadcast_to(dofs[:, None, :, c], coef.shape).ravel())
+                vals.append(coef.ravel())
+    k_full = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_full, n_full),
+    ).tocsr()
+
+    free_v = np.flatnonzero(mesh.vertex_tags != BoundaryTag.DIRICHLET)
+    free_e = np.flatnonzero(mesh.edge_tags != BoundaryTag.DIRICHLET)
+    free_nodes = np.concatenate([free_v, nv + free_e])
+    free = (3 * free_nodes[:, None] + np.arange(3)).ravel()
+    lift = assembly._hierarchical_lift(mesh, spec).ravel()
+    load = assembly._neumann_load(mesh, spec, nv + mesh.n_edges)
+    rhs = load[free] - k_full[free] @ lift
+    op = k_full[free][:, free].tocsr()
+    op.data[~coupling_mask(op)] = 0.0
+    op.eliminate_zeros()
+    if not spec.is_saddle:
+        return op, rhs
+
+    shape = bvec[0].shape
+    b_rows = np.broadcast_to(mesh.tets[:, :, None], shape).ravel()
+    b_cols = [np.broadcast_to(dofs[:, None, :, c], shape).ravel() for c in range(3)]
+    b_full = sp.coo_matrix(
+        (bvec.ravel(), (np.tile(b_rows, 3), np.concatenate(b_cols))), shape=(nv, n_full)
+    ).tocsr()
+    b = b_full[:, free].tocsr()
+    b.sort_indices()
+    b.data[~divergence_mask(b.data)] = 0.0
+    minus_c = sp.csr_matrix((nv, nv))
+    if spec.has_pressure_mass:
+        minus_c = -sp.coo_matrix(
+            (
+                (pmass / spec.lam).ravel(),
+                (np.repeat(mesh.tets, 4, axis=1).ravel(), np.tile(mesh.tets, (1, 4)).ravel()),
+            ),
+            shape=(nv, nv),
+        ).tocsr()
+    op = sp.vstack(
+        [sp.hstack([op, b.T.tocsr()], format="csr"), sp.hstack([b, minus_c], format="csr")],
+        format="csr",
+    )
+    op.sort_indices()
+    return op, np.concatenate([rhs, -(b_full @ lift)])
 
 
 def manufactured_solution_residual(mesh, spec: ProblemSpec, exact_u, exact_p=None) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,12 +13,13 @@ from p2amg.assembly import (
     assemble,
 )
 from p2amg.basis import reference_basis, shape_gradients, triangle_quadrature_degree4
+from p2amg.bench_cli import build_case
 from p2amg.coarsening import build_hierarchy
 from p2amg.errors import DegenerateElement, InvalidParameter, MissingTags
 from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
 
 from conftest import lid_displacement, z_faces
-from fem_oracles import element_matrices, manufactured_solution_residual
+from fem_oracles import element_matrices, manufactured_solution_residual, triplet_assembly
 
 REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -429,6 +432,35 @@ def test_assembly_across_chunks_matches_one_chunk(kind, cube2, monkeypatch):
     op_one, op_many = one.monolithic().toarray(), many.monolithic().toarray()
     assert np.abs(op_many - op_one).max() <= 1e-13 * np.abs(op_one).max()
     assert np.abs(many.rhs() - one.rhs()).max() <= 1e-13 * np.abs(one.rhs()).max()
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.STOKES, ProblemKind.ELASTICITY_MIXED])
+def test_saddle_assembly_matches_triplet_path(kind, cube2):
+    # the one stored pattern against global triplets summed through COO:
+    # the same stored entries, B's exact zeros included
+    spec = ProblemSpec(kind=kind, mu=2.0, lam=3.0, g_dirichlet=lid_displacement)
+    system = assemble(cube2, spec)
+    oracle, oracle_rhs = triplet_assembly(cube2, spec)
+    op = system.monolithic()
+    assert np.count_nonzero(oracle.data == 0.0) > 0
+    assert np.array_equal(op.indptr, oracle.indptr)
+    assert np.array_equal(op.indices, oracle.indices)
+    assert np.abs(op.data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
+    assert np.abs(system.rhs() - oracle_rhs).max() <= 1e-14 * np.abs(oracle_rhs).max()
+
+
+def test_assembly_memory_is_bounded():
+    # the traced peak of assemble stays within 3x the bytes of the operator
+    # it stores; Stokes n = 8 stores 17.1 MiB
+    mesh, spec = build_case("stokes", 8, mu=0.5)
+    tracemalloc.start()
+    try:
+        system = assemble(mesh, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    k = system.monolithic()
+    assert peak <= 3 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
 
 
 def test_hierarchical_split_matches_p1_assembly(cube2, laplace2):

@@ -113,6 +113,38 @@ def test_run_experiment_rows():
     assert by_n[(4, "PCG (1 V-cycle)")]["paper_ref_value"] == 17
 
 
+def test_solver_entries_share_smoothers(monkeypatch):
+    # GS-1-1 and GS-2-2 build the same smoother state (kind and omega), so
+    # each level builds it once; every row equals that of its entry run alone
+    from p2amg import multigrid
+
+    calls = []
+    build = multigrid.make_smoother
+    monkeypatch.setattr(
+        multigrid, "make_smoother", lambda op, *args: calls.append(op) or build(op, *args)
+    )
+    solvers = [
+        {"method": "amg", "cycle": "V", "smoother": "GS-1-1"},
+        {"method": "pcg", "cycle": "V", "smoother": "GS-2-2"},
+    ]
+    shared = run_experiment(tiny_config(levels=[2, 4], solvers=solvers))
+    shared_calls = len(calls)
+    alone = [
+        row
+        for entry in solvers
+        for row in run_experiment(tiny_config(levels=[2, 4], solvers=[entry]))
+    ]
+    assert shared_calls > 0
+    assert len({id(op) for op in calls[:shared_calls]}) == shared_calls
+    assert len(calls) == 3 * shared_calls
+
+    def cells(rows):
+        rows = [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+        return sorted(rows, key=lambda row: (row["n"], row["solver"]))
+
+    assert cells(shared) == cells(alone)
+
+
 def test_empty_solver_list_is_success(tmp_path):
     cfg = tiny_config(solvers=[])
     rows = run_experiment(cfg)
