@@ -389,9 +389,10 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     of a level, and so are the smoothers of the entries with the same
     smoother kind and omega, which is all the smoother state depends on.
     Rows appear in config order (levels outer, solvers
-    inner).  A cell whose solve raises a ``SolverError`` gets a row
-    with ``converged`` false and, in ``iterations``, ``DIVERGED`` for
-    ``DivergenceDetected`` or the error's class name otherwise.
+    inner).  A cell whose smoother setup or solve raises a
+    ``SolverError`` or a ``MemoryError`` gets a row with ``converged``
+    false and, in ``iterations``, ``DIVERGED`` for ``DivergenceDetected``
+    or the error's class name otherwise.
     """
     rows = []
     for pos, n in enumerate(config.levels):
@@ -431,7 +432,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 final = report.final_residual
                 opc = report.operator_complexity
                 wall = report.wall_time
-            except SolverError as exc:
+            except (SolverError, MemoryError) as exc:
                 # one failed cell leaves the other cells' rows intact
                 failure = (
                     "DIVERGED" if isinstance(exc, DivergenceDetected)

@@ -6,13 +6,14 @@ multiplicative Vanka smoother (one patch per pressure dof, built for
 all patches at once as one patch-to-dof incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
-wave; each patch is solved through its one-pressure Schur complement,
-with a packed Cholesky factor of its SPD velocity block as the only
-stored factor), a Braess-Sarazin step with diagonal velocity approximation and
-an inner multigrid preconditioner for the approximate Schur
-complement, and a segregated Gauss-Seidel (Uzawa-type) step.  Node
-blocks and patches take the dof-to-node numbering from
-:class:`BlockLayout`; this module keeps no copy of it.
+wave, the update an in-place product over the wave's columns of the
+stored CSC operator; each patch is solved through its one-pressure
+Schur complement, with a packed Cholesky factor of its SPD velocity
+block as the only stored factor), a Braess-Sarazin step with diagonal
+velocity approximation and an inner multigrid preconditioner for the
+approximate Schur complement, and a segregated Gauss-Seidel
+(Uzawa-type) step.  Node blocks and patches take the dof-to-node
+numbering from :class:`BlockLayout`; this module keeps no copy of it.
 
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
@@ -38,6 +39,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpptrf, dpptrs
+
+# Private kernel: csc_matvec(n_row, n_col, Ap, Ai, Ax, Xx, Yx) adds
+# Ax[Ap[j]:Ap[j+1]] * Xx[j] into Yx[Ai[...]] in place, for each j.  Given
+# the interleaved ranges [indptr[c], indptr[c+1]] of columns in descending
+# order, every odd "gap" range [indptr[c_m+1], indptr[c_{m+1}]) is empty,
+# so one call is the product over just those columns (``_subtract_columns``).
+# tests/test_smoothers.py::test_subtract_columns_matches_sliced_product
+# guards this contract.
+from scipy.sparse._sparsetools import csc_matvec
 
 from .errors import (
     InvalidParameter,
@@ -340,17 +350,41 @@ def _dependency_waves(op: sp.csr_matrix, incidence: sp.csr_matrix) -> list[np.nd
     return np.split(order, np.cumsum(np.bincount(wave))[:-1])
 
 
+def _column_ranges(op_csc: sp.csc_matrix, cols: np.ndarray):
+    """Interleaved ``[indptr[c], indptr[c+1]]`` of the columns ``cols``
+    in descending column order, in the dtype of ``op_csc.indices``, and
+    the permutation of ``cols`` into that order."""
+    order = np.argsort(cols)[::-1]
+    ranges = np.empty(2 * cols.size, dtype=op_csc.indices.dtype)
+    ranges[0::2] = op_csc.indptr[cols[order]]
+    ranges[1::2] = op_csc.indptr[cols[order] + 1]
+    return ranges, order
+
+
+def _subtract_columns(op_csc, ranges, order, d, r) -> None:
+    """``r -= op_csc[:, cols] @ d`` in place, for the ``ranges`` and
+    ``order`` of ``_column_ranges(op_csc, cols)``: one product over
+    ``op_csc``'s own arrays, which touches only the rows of those
+    columns' entries."""
+    xx = np.zeros(2 * d.size - 1)  # the odd slots belong to empty ranges
+    np.negative(d[order], out=xx[0::2])
+    csc_matvec(op_csc.shape[0], xx.size, ranges, op_csc.indices, op_csc.data, xx, r)
+
+
 @dataclass(frozen=True)
 class _VankaWave:
     """Patches with disjoint, uncoupled dofs, solved as one batch.
 
     Arrays over ``dofs`` hold, for each patch, its pressure row ``h``
     (0 at the pressure dof) and ``w = A_p^{-1} g`` (-1 at the pressure
-    dof, so that one product forms the whole correction).
+    dof, so that one product forms the whole correction).  ``ranges``
+    and ``order`` are ``_column_ranges(op_csc, dofs)``.
     """
 
     members: np.ndarray  # patch indices, in patch order
     dofs: np.ndarray  # concatenated patch dofs, each patch's pressure dof last
+    ranges: np.ndarray  # interleaved column ranges of ``dofs``, descending
+    order: np.ndarray  # permutation of ``dofs`` into descending order
     sizes: np.ndarray  # dofs per patch
     starts: np.ndarray  # position of each patch's first dof in ``dofs``
     pressure: np.ndarray  # position of each patch's pressure dof in ``dofs``
@@ -370,7 +404,9 @@ class VankaSmoother(_Smoother):
     residual once, solves its patches, and updates ``x`` and the
     residual once; that is exactly the local solves of the patch-by-
     patch order, and only the rounding order of the residual sums
-    differs.
+    differs.  The residual update ``r -= op[:, dofs] @ delta`` is one
+    product over ``op_csc``'s own arrays, restricted to the wave's
+    column ranges (``_subtract_columns``), so no column block is sliced.
 
     In ascending dof order a patch is ``[[A_p, g_p], [h_p^T, -c_p]]``
     with its one pressure dof last and ``A_p`` a principal block of the
@@ -435,8 +471,10 @@ class VankaSmoother(_Smoother):
                 p = members[np.argmax(schur <= 0.0)]
                 raise SingularPatch(f"Schur complement of patch {p} is not positive")
             w[bounds[1:] - 1] = -1.0
+            ranges, order = _column_ranges(self.op_csc, dofs)
             self._waves.append(
-                _VankaWave(members=members, dofs=dofs, sizes=m + 1,
+                _VankaWave(members=members, dofs=dofs, ranges=ranges,
+                           order=order, sizes=m + 1,
                            starts=bounds[:-1], pressure=bounds[1:] - 1,
                            factors=factors, h=h, w=w, schur=schur)
             )
@@ -458,7 +496,7 @@ class VankaSmoother(_Smoother):
             delta = self._solve_wave(wave, r[wave.dofs])
             delta *= self.omega
             x[wave.dofs] += delta
-            r -= self.op_csc[:, wave.dofs] @ delta
+            _subtract_columns(self.op_csc, wave.ranges, wave.order, delta, r)
         return r
 
 

@@ -145,6 +145,38 @@ def test_solver_entries_share_smoothers(monkeypatch):
     assert cells(shared) == cells(alone)
 
 
+def test_cell_out_of_memory_fails_alone(monkeypatch):
+    # a MemoryError in one cell's smoother setup gives that cell a failed
+    # row; the other rows are those of a run without the failure
+    from p2amg import bench_cli
+
+    solvers = [
+        {"method": "amg", "cycle": "V", "smoother": "GS-2-2"},
+        {"method": "pcg", "cycle": "V", "smoother": "JA-2-2-0.5"},
+    ]
+    config = tiny_config(levels=[2, 4], solvers=solvers)
+    clean = run_experiment(config)
+    build = bench_cli.build_level_smoothers
+
+    def build_or_fail(hierarchy, cycle_cfg):
+        n_dof = hierarchy.levels[0].n_dof
+        if cycle_cfg.smoother.kind.value == "jacobi" and n_dof == clean[3]["dof"]:
+            raise MemoryError("Not enough memory to perform factorization.")
+        return build(hierarchy, cycle_cfg)
+
+    monkeypatch.setattr(bench_cli, "build_level_smoothers", build_or_fail)
+    rows = run_experiment(config)
+    assert len(rows) == len(clean) == 4
+    failed = rows[3]
+    assert (failed["n"], failed["solver"]) == (4, "PCG (1 V-cycle)")
+    assert (failed["iterations"], failed["converged"]) == ("MemoryError", False)
+
+    def cells(rows):
+        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+    assert cells(rows[:3]) == cells(clean[:3])
+
+
 def test_empty_solver_list_is_success(tmp_path):
     cfg = tiny_config(solvers=[])
     rows = run_experiment(cfg)
