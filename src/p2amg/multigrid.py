@@ -9,7 +9,10 @@ is a fixed linear operator), prolongates the correction and runs
 The caller picks the post-smoothing sweep: the stand-alone iteration
 smooths forward after the coarse correction too, and the preconditioner
 applies the transposed block Gauss-Seidel sweep ``T^{-T}``, which CG
-needs.
+needs.  The forward post-smoothing returns the residual of the cycle's
+iterate, which block GS and Vanka carry from their last sweep, so the
+stand-alone iteration forms ``b - A x`` on the finest level only to
+confirm convergence.
 """
 from __future__ import annotations
 
@@ -88,20 +91,21 @@ def amg_cycle(
     config: CycleConfig,
     smoothers: list,
     forward: bool = False,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """One multigrid cycle on ``K_level x = b`` starting from ``x``.
 
     ``smoothers`` is the per-level state of :func:`build_level_smoothers`.
-    ``forward`` post-smooths with ``presmooth``, its residual dropped,
-    instead of ``postsmooth``.  Mutates and returns ``x`` (except on the
+    ``forward`` post-smooths with ``presmooth`` instead of ``postsmooth``.
+    Returns ``(x, r)``: ``x`` is mutated in place, except on the
     coarsest level, which is solved exactly regardless of the passed
-    iterate).
+    iterate; ``r`` is ``b - K_level x`` as the forward post-smoothing
+    returns it, and None otherwise.
     """
     last = hierarchy.n_levels - 1
     if not 0 <= level <= last:
         raise InvalidParameter(f"level {level} outside 0..{last}")
     if level == last:
-        return coarse_solve(hierarchy.coarse, b)
+        return coarse_solve(hierarchy.coarse, b), None
 
     lv = hierarchy.levels[level]
     sm = smoothers[level]
@@ -116,16 +120,15 @@ def amg_cycle(
     else:
         x_coarse = np.zeros(p.shape[1])
         for _ in range(config.nu):
-            x_coarse = amg_cycle(
+            x_coarse, _ = amg_cycle(
                 hierarchy, level + 1, x_coarse, b_coarse, config, smoothers, forward
             )
     x += p @ x_coarse
 
     if forward and cfg.m_post:  # presmooth forms b - A x even for no sweep
-        sm.presmooth(x, b, cfg.m_post)
-    else:
-        sm.postsmooth(x, b, cfg.m_post)
-    return x
+        return x, sm.presmooth(x, b, cfg.m_post)
+    sm.postsmooth(x, b, cfg.m_post)
+    return x, None
 
 
 def solve_amg(
@@ -139,10 +142,16 @@ def solve_amg(
     """Stand-alone multigrid iteration from a zero initial guess.
 
     Runs in correction form, ``x += cycle(0, r)``: each cycle starts from
-    zero on the residual the stopping test has just computed, so the
-    pre-smoother needs no residual of its own.  Stops when the relative
-    l2 residual drops to ``tol`` or after ``maxit`` cycles; raises
-    :class:`DivergenceDetected` if the relative residual exceeds ``1e6``.
+    zero on the current residual, so the pre-smoother needs no residual
+    of its own.  Block GS and Vanka post-smooth forward, and the cycle
+    hands back the residual their last sweep carries; for the other
+    smoothers this loop forms ``b - A x``.  A carried residual that meets
+    ``tol`` is checked against ``b - A x``, formed once more, and the
+    iteration goes on from that one unless it meets ``tol`` too; the
+    last cycle's residual is always the formed one.  Stops when the
+    relative l2 residual drops to ``tol`` or after ``maxit`` cycles;
+    raises :class:`DivergenceDetected` if the relative residual exceeds
+    ``1e6``.
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameter(f"tol must lie in (0, 1), got {tol}")
@@ -169,15 +178,19 @@ def solve_amg(
 
     if smoothers is None:
         smoothers = build_level_smoothers(hierarchy, config)
-    # only block GS post-smooths with a sweep of its own, the transposed one
-    forward = cfg.kind is SmootherKind.GAUSS_SEIDEL
+    # block GS post-smooths forward instead of with its transposed sweep;
+    # for Vanka the two are one sweep, and presmooth returns its residual
+    forward = cfg.kind in (SmootherKind.GAUSS_SEIDEL, SmootherKind.VANKA)
     converged = False
     iterations = 0
     r = b
     for iterations in range(1, maxit + 1):
-        x += amg_cycle(hierarchy, 0, np.zeros_like(x), r, config, smoothers, forward)
-        r = b - op @ x
-        rel = np.linalg.norm(r) / b_norm
+        e, r = amg_cycle(hierarchy, 0, np.zeros_like(x), r, config, smoothers, forward)
+        x += e
+        rel = None if r is None else np.linalg.norm(r) / b_norm
+        if rel is None or rel <= tol or iterations == maxit:
+            r = b - op @ x
+            rel = np.linalg.norm(r) / b_norm
         residuals.append(float(rel))
         if rel > DIVERGENCE_LIMIT or not np.isfinite(rel):
             raise DivergenceDetected(
@@ -214,7 +227,7 @@ class Preconditioner:
         makes the application a fixed linear operator in ``r``."""
         z = np.zeros_like(np.asarray(r, dtype=float))
         for _ in range(self.config.cycles_per_application):
-            z = amg_cycle(self.hierarchy, 0, z, r, self.config, self._smoothers)
+            z, _ = amg_cycle(self.hierarchy, 0, z, r, self.config, self._smoothers)
         return z
 
     @property

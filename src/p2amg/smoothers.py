@@ -17,22 +17,27 @@ numbering from :class:`BlockLayout`; this module keeps no copy of it.
 
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
-Each class precomputes its factorizations once per level and defines
-only ``correct(x, r, carry)``, the correction it adds to ``x`` for the
-residual ``r``.  One shared loop, ``presmooth``/``postsmooth``, runs
-the sweeps and carries the residual from one sweep to the next: block
-GS and Vanka update it as part of their sweep, and for the other
-smoothers the loop computes ``b - A x`` once per sweep.  It starts from
-``b`` itself when ``x`` is zero, and ``presmooth`` returns the residual
-of the smoothed iterate, which the cycle restricts.  Only block GS has
-a post-smoothing sweep of its own, the transposed one; the cycle's
-caller decides whether to use it (see :mod:`multigrid`).
+Each class precomputes its factorizations once per level.  Jacobi,
+Vanka, Braess-Sarazin and segregated GS define only ``correct(x, r,
+carry)``, the correction they add to ``x`` for the residual ``r``, and
+share one sweep loop, ``presmooth``/``postsmooth``: it starts from ``b -
+A x``, or from ``b`` itself when ``x`` is zero, and carries the residual
+from one sweep to the next; Vanka updates it as part of its sweep, and
+for the others the loop computes ``b - A x`` once per sweep.  Block GS
+runs its own sweeps, ``x <- T^{-1} (b - U x)``, which read the strict
+block upper triangle ``U`` instead of ``A`` from any iterate and carry
+the residual ``-U d`` after the first; it alone has a post-smoothing
+sweep of its own, the transposed one, and the cycle's caller decides
+whether to use it (see :mod:`multigrid`).  ``presmooth`` returns the
+residual of the smoothed iterate, which the cycle restricts and the
+stand-alone solve takes from the forward post-smoothing of level 0.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -206,15 +211,15 @@ def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
 
 
 class _Smoother:
-    """The one sweep loop.
+    """The sweep loop of the smoothers that correct for a residual
+    (block GS runs sweeps of its own).
 
-    ``correct(x, r, carry)`` (``correct_post`` after coarse-grid
-    correction) adds the correction for the residual ``r = b - op @ x``
-    to ``x`` in place and may use ``r`` as scratch.  When ``carry`` is
-    set, a smoother that updates the residual as part of its sweep
-    returns the new ``b - op @ x``; one that returns None has the loop
-    compute it.  Only the residuals a later sweep or the caller reads
-    are formed.
+    ``correct(x, r, carry)`` adds the correction for the residual ``r =
+    b - op @ x`` to ``x`` in place and may use ``r`` as scratch.  When
+    ``carry`` is set, a smoother that updates the residual as part of
+    its sweep returns the new ``b - op @ x``; one that returns None has
+    the loop compute it.  Only the residuals a later sweep or the caller
+    reads are formed.
     """
 
     op: sp.csr_matrix
@@ -222,26 +227,27 @@ class _Smoother:
     def correct(self, x: np.ndarray, r: np.ndarray, carry: bool):
         raise NotImplementedError
 
-    def correct_post(self, x: np.ndarray, r: np.ndarray, carry: bool):
-        return self.correct(x, r, carry)
+    def _residual(self, x, b):
+        """``b - op @ x``, which is ``b`` itself when ``x`` is zero."""
+        return b - self.op @ x if x.any() else b.copy()
 
-    def _sweeps(self, correct, x, b, sweeps, carry_last):
-        r = b - self.op @ x if x.any() else b.copy()
+    def _sweeps(self, x, b, sweeps, carry_last):
+        r = self._residual(x, b)
         for k in range(sweeps):
             carry = carry_last or k + 1 < sweeps
-            r = correct(x, r, carry)
+            r = self.correct(x, r, carry)
             if r is None and carry:
                 r = b - self.op @ x
         return r
 
     def presmooth(self, x, b, sweeps):
         """Run ``sweeps`` sweeps on ``x`` in place; return ``b - op @ x``."""
-        return self._sweeps(self.correct, x, b, sweeps, carry_last=True)
+        return self._sweeps(x, b, sweeps, carry_last=True)
 
     def postsmooth(self, x, b, sweeps):
         """Run ``sweeps`` post-smoothing sweeps on ``x`` in place."""
         if sweeps:
-            self._sweeps(self.correct_post, x, b, sweeps, carry_last=False)
+            self._sweeps(x, b, sweeps, carry_last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +273,47 @@ class GaussSeidelSmoother(_Smoother):
     """Block Gauss-Seidel via exact block-triangular substitution.
 
     ``op = T + U`` with ``T`` the block lower triangle, factored once,
-    and ``U`` the strict block upper triangle.  A forward sweep is
-    ``d = T^{-1} r, x += d``, and its new residual ``r - T d - U d =
-    -U d`` costs a strict-triangle product instead of a full matvec.
-    The post-smoothing sweep is its exact transpose, ``d = T^{-T} r``,
-    which keeps a V-cycle preconditioner self-adjoint; its carried
-    residual ``-U^T d`` assumes ``op = T^T + U^T``, i.e. a symmetric
-    ``op``, for which ``T^T`` is the block upper triangle and the sweep
-    is the backward block sweep.
+    and ``U`` the strict block upper triangle.  A forward sweep is ``x
+    <- T^{-1} (b - U x)``, which reads ``U`` instead of forming ``b - A
+    x``, and from zero is ``x = T^{-1} b``.  Its change ``d`` leaves the
+    residual ``b - T x - U x = -U d``, which the next sweep, ``d =
+    T^{-1} r, x += d``, and ``presmooth``'s caller take instead of a
+    full matvec.  The post-smoothing sweep is the exact transpose, ``x
+    <- T^{-T} (b - U^T x)``, which keeps a V-cycle preconditioner
+    self-adjoint; it and its carried residual ``-U^T d`` assume ``op =
+    T^T + U^T``, i.e. a symmetric ``op``, for which ``T^T`` is the block
+    upper triangle and the sweep is the backward block sweep.
     """
 
     def __init__(self, op, layout: BlockLayout):
         self.op = op
         self._factor, self._upper = _block_triangles(op, layout)
 
-    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool):
-        d = self._factor.solve(r)
-        x += d
-        return -(self._upper @ d) if carry else None
+    @staticmethod
+    def _gs_sweeps(solve, upper, x, b, sweeps, residual):
+        """``sweeps`` sweeps ``x <- solve(b - upper @ x)`` on ``x`` in
+        place, the later ones on the carried residual; return ``b - op
+        @ x`` if ``residual``, else None."""
+        y = solve(b - upper @ x if x.any() else b)
+        d = y - x
+        x[:] = y
+        for _ in range(sweeps - 1):
+            d = solve(-(upper @ d))
+            x += d
+        return -(upper @ d) if residual else None
 
-    def correct_post(self, x: np.ndarray, r: np.ndarray, carry: bool):
-        d = self._factor.solve(r, trans="T")
-        x += d
-        return -(self._upper.T @ d) if carry else None
+    def presmooth(self, x, b, sweeps):
+        """Run ``sweeps`` forward sweeps on ``x`` in place; return ``b -
+        op @ x``."""
+        if not sweeps:
+            return self._residual(x, b)
+        return self._gs_sweeps(self._factor.solve, self._upper, x, b, sweeps, True)
+
+    def postsmooth(self, x, b, sweeps):
+        """Run ``sweeps`` transposed sweeps on ``x`` in place."""
+        if sweeps:
+            solve = partial(self._factor.solve, trans="T")
+            self._gs_sweeps(solve, self._upper.T, x, b, sweeps, False)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +376,9 @@ def _dependency_waves(op: sp.csr_matrix, incidence: sp.csr_matrix) -> list[np.nd
 
 def _column_ranges(op_csc: sp.csc_matrix, cols: np.ndarray):
     """Interleaved ``[indptr[c], indptr[c+1]]`` of the columns ``cols``
-    in descending column order, in the dtype of ``op_csc.indices``, and
-    the permutation of ``cols`` into that order."""
-    order = np.argsort(cols)[::-1]
+    in descending column order, and the permutation of ``cols`` into
+    that order, both in the dtype of ``op_csc.indices``."""
+    order = np.argsort(cols)[::-1].astype(op_csc.indices.dtype)
     ranges = np.empty(2 * cols.size, dtype=op_csc.indices.dtype)
     ranges[0::2] = op_csc.indptr[cols[order]]
     ranges[1::2] = op_csc.indptr[cols[order] + 1]

@@ -113,6 +113,26 @@ def test_run_experiment_rows():
     assert by_n[(4, "PCG (1 V-cycle)")]["paper_ref_value"] == 17
 
 
+def test_standalone_row_reports_the_formed_residual(monkeypatch):
+    # a stand-alone GS row's final residual is ||b - A x|| / ||b|| of the
+    # returned iterate, not the residual the cycles carried
+    from p2amg import bench_cli
+
+    solves = []
+    solve = bench_cli.solve_amg
+
+    def recording_solve(hierarchy, rhs, *args):
+        x, report = solve(hierarchy, rhs, *args)
+        solves.append((hierarchy.levels[0].operator, rhs, x))
+        return x, report
+
+    monkeypatch.setattr(bench_cli, "solve_amg", recording_solve)
+    (row,) = run_experiment(tiny_config(levels=[4]))
+    (a, b, x), = solves
+    assert row["converged"]
+    assert row["final_rel_residual"] == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+
+
 def test_solver_entries_share_smoothers(monkeypatch):
     # GS-1-1 and GS-2-2 build the same smoother state (kind and omega), so
     # each level builds it once; every row equals that of its entry run alone

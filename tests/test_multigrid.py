@@ -40,7 +40,7 @@ def test_single_level_cycle_is_direct_solve():
     b = rng.standard_normal(30)
     for nu in (1, 2):
         cfg = gs_config(nu=nu)
-        x = amg_cycle(hier, 0, np.zeros(30), b, cfg, build_level_smoothers(hier, cfg))
+        x, _ = amg_cycle(hier, 0, np.zeros(30), b, cfg, build_level_smoothers(hier, cfg))
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -57,7 +57,7 @@ def test_two_level_coarse_correction_exact_on_range(laplace2):
     cfg = CycleConfig(
         smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=0, m_post=0)
     )
-    x = amg_cycle(hier, 0, x_star - err0, b, cfg, build_level_smoothers(hier, cfg))
+    x, _ = amg_cycle(hier, 0, x_star - err0, b, cfg, build_level_smoothers(hier, cfg))
     assert np.abs(x - x_star).max() <= 1e-10 * np.abs(x_star).max()
 
 
@@ -73,7 +73,7 @@ def test_cycle_error_decreases(laplace2):
         x = x_star + rng.standard_normal(a.shape[0])
         prev = (x - x_star) @ (a @ (x - x_star))
         for _ in range(5):
-            x = amg_cycle(hier, 0, x, b, cfg, smoothers)
+            x, _ = amg_cycle(hier, 0, x, b, cfg, smoothers)
             err = (x - x_star) @ (a @ (x - x_star))
             assert err < prev
             prev = err
@@ -150,10 +150,68 @@ def test_solve_matches_direct_iteration(laplace2, m, nu):
     x = np.zeros_like(b)
     history = [1.0]
     while history[-1] > 1e-11:
-        x = amg_cycle(hier, 0, x, b, cfg, smoothers, forward=True)
+        x, _ = amg_cycle(hier, 0, x, b, cfg, smoothers, forward=True)
         history.append(np.linalg.norm(b - a @ x) / np.linalg.norm(b))
     assert report.iterations == len(history) - 1
     assert np.allclose(report.residuals, history, rtol=1e-8, atol=1e-14)
+
+
+def test_solve_forms_the_full_residual_once_per_solve(laplace4, monkeypatch):
+    """With GS-2-2 each cycle hands back the residual its last forward
+    sweep carries; ``b - A x`` on the L0 operator is formed only to
+    confirm convergence."""
+    hier = build_hierarchy(laplace4, coarse_size_cap=100)
+    assert hier.n_levels >= 3
+    cfg = gs_config(2, 2)
+    smoothers = build_level_smoothers(hier, cfg)
+    a = hier.levels[0].operator
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+    monkeypatch.setattr(
+        sp.csr_matrix, "__matmul__",
+        lambda self, other: (self is a and products.append(1)) or matmul(self, other),
+    )
+    b = laplace4.rhs()
+    x, report = solve_amg(hier, b, cfg, tol=1e-11, smoothers=smoothers)
+    monkeypatch.undo()
+    assert report.converged and report.iterations >= 5
+    assert len(products) == 1
+    assert report.final_residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+
+
+class UnderstatedResidual:
+    """A level's smoother whose post-smoothing hands back a thousandth of
+    the residual it carries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def presmooth(self, x, b, sweeps):
+        post = x.any()  # the cycle pre-smooths from zero
+        r = self.inner.presmooth(x, b, sweeps)
+        return 1e-3 * r if post else r
+
+    def postsmooth(self, x, b, sweeps):
+        return self.inner.postsmooth(x, b, sweeps)
+
+
+def test_understated_carried_residual_does_not_stop_the_solve(laplace4):
+    """A carried residual that meets the tolerance is checked against
+    ``b - A x``; the solve goes on from that one until it meets the
+    tolerance itself, and reports it."""
+    hier = build_hierarchy(laplace4, coarse_size_cap=100)
+    cfg = gs_config(1, 1)
+    smoothers = build_level_smoothers(hier, cfg)
+    a = hier.levels[0].operator
+    b = laplace4.rhs()
+    tol = 1e-3
+    _, plain = solve_amg(hier, b, cfg, tol=tol, smoothers=smoothers)
+    smoothers[0] = UnderstatedResidual(smoothers[0])
+    x, report = solve_amg(hier, b, cfg, tol=tol, smoothers=smoothers)
+    true_rel = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+    assert report.converged and report.iterations == plain.iterations >= 3
+    assert all(rel > tol for rel in report.residuals[:-1])
+    assert report.final_residual == true_rel <= tol
 
 
 def dense_two_grid(hier, b, m, post_transposed):
@@ -255,7 +313,7 @@ def test_two_grid_self_adjoint_in_a_inner_product(laplace2):
 
     def propagate(e):
         # solve A u = 0 from x0 = e: the result is M e
-        return amg_cycle(hier, 0, e.copy(), np.zeros(n), cfg, smoothers)
+        return amg_cycle(hier, 0, e.copy(), np.zeros(n), cfg, smoothers)[0]
 
     rng = np.random.default_rng(8)
     for _ in range(5):

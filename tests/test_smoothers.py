@@ -244,6 +244,62 @@ def test_gs_reduces_a_norm(laplace2):
         assert x @ (a @ x) < before
 
 
+def dense_block_triangle(op, layout):
+    """The block lower triangle ``T`` of ``op`` as a dense array."""
+    node = layout.node_of_dof()
+    return np.where(node[None, :] <= node[:, None], op.toarray(), 0.0)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2])
+@pytest.mark.parametrize("stage", ["presmooth", "postsmooth"])
+def test_gs_sweep_from_nonzero_iterate_matches_full_residual_oracle(laplace2, stage, sweeps):
+    """From a non-zero iterate the sweep ``x <- T^{-1} (b - U x)`` (``T^T``
+    and ``U^T`` after the coarse correction) equals ``x += T^{-1} (b - A
+    x)`` with the residual formed in full, and presmooth returns ``b - A
+    x`` of its iterate."""
+    a = laplace2.monolithic()
+    t = dense_block_triangle(a, laplace2.layout)
+    if stage == "postsmooth":
+        t = t.T
+    rng = np.random.default_rng(44)
+    b = rng.standard_normal(a.shape[0])
+    x0 = rng.standard_normal(a.shape[0])
+    x = x0.copy()
+    r = getattr(GaussSeidelSmoother(a, laplace2.layout), stage)(x, b, sweeps)
+    ref = x0.copy()
+    for _ in range(sweeps):
+        ref += np.linalg.solve(t, b - a @ ref)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    if stage == "presmooth":
+        r_true = b - a @ x
+        assert np.linalg.norm(r - r_true) <= 1e-12 * np.linalg.norm(r_true)
+    else:
+        assert r is None
+
+
+def test_gs_sweeps_never_form_the_full_residual(laplace2, monkeypatch):
+    """Block GS reads only ``U`` and its factor of ``T``, from a zero or a
+    non-zero iterate; ``b - A x`` is formed only for ``presmooth`` with no
+    sweep."""
+    a = laplace2.monolithic()
+    sm = GaussSeidelSmoother(a, laplace2.layout)
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+    monkeypatch.setattr(
+        sp.csr_matrix, "__matmul__",
+        lambda self, other: (self is a and products.append(1)) or matmul(self, other),
+    )
+    rng = np.random.default_rng(45)
+    b = rng.standard_normal(a.shape[0])
+    for x in (np.zeros(a.shape[0]), rng.standard_normal(a.shape[0])):
+        for sweeps in (1, 2):
+            sm.presmooth(x.copy(), b, sweeps)
+            sm.postsmooth(x.copy(), b, sweeps)
+    assert products == []
+    sm.presmooth(rng.standard_normal(a.shape[0]), b, 0)
+    assert products == [1]
+
+
 class ForwardPost:
     """Block GS as the stand-alone cycle runs it: the post-smoothing
     repeats the forward sweep through ``presmooth``, its residual dropped."""
@@ -544,7 +600,7 @@ def test_subtract_columns_matches_sliced_product(index_dtype):
     cases = [[7], [3], [12, 3, 7, 25, 0, 29], list(rng.permutation(30))]
     for cols in map(np.array, cases):
         ranges, order = _column_ranges(op, cols)
-        assert ranges.dtype == index_dtype
+        assert ranges.dtype == order.dtype == index_dtype
         d = rng.standard_normal(cols.size)
         r0 = rng.standard_normal(40)
         r = r0.copy()
@@ -555,6 +611,20 @@ def test_subtract_columns_matches_sliced_product(index_dtype):
         assert np.array_equal(r[untouched], r0[untouched])
         if cols.size < 30:
             assert untouched.any()
+
+
+def test_vanka_waves_store_their_permutation_in_the_index_dtype(channel_vanka):
+    """Each wave's ``order``, like its ``ranges``, takes the dtype of the
+    CSC operator's indices, and the sweep built on them still matches
+    the sequential oracle."""
+    k, lay, sm = channel_vanka
+    dtype = sm.op_csc.indices.dtype
+    assert dtype == np.int32
+    for wave in sm._waves:
+        assert wave.ranges.dtype == wave.order.dtype == dtype
+        assert np.array_equal(np.sort(wave.order), np.arange(wave.dofs.size))
+    _, x, ref = vanka_sweep_and_oracle(k, lay, 1.0, seed=46)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_vanka_sweep_makes_no_wave_sized_slice():
