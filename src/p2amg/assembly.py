@@ -51,7 +51,7 @@ import scipy.sparse as sp
 
 from . import basis as basis_mod
 from .errors import DegenerateElement, InvalidParameter, MissingTags
-from .mesh import FACE_EDGES, BoundaryTag, Mesh
+from .mesh import BoundaryTag, Mesh
 from .sparse_core import BlockLayout, coupling_mask, divergence_mask
 
 __all__ = [
@@ -87,15 +87,15 @@ class ProblemSpec:
 
     ``mu`` is the shear modulus (viscosity for Stokes); ``lam`` is the
     Lame constant, unused for the vector Laplacian and Stokes.
-    ``g_dirichlet`` and ``g_neumann`` map a coordinate to a 3-vector
-    (prescribed value, respectively traction); ``None`` means zero.
+    ``g_dirichlet`` maps a coordinate to the prescribed 3-vector on the
+    Dirichlet boundary; ``None`` means zero.  The rest of the boundary is
+    traction-free: no surface load enters the right-hand side.
     """
 
     kind: ProblemKind
     mu: float = 1.0
     lam: float = 1.0
     g_dirichlet: VectorField | None = None
-    g_neumann: VectorField | None = None
 
     def __post_init__(self):
         if not self.mu > 0.0:
@@ -263,31 +263,6 @@ def _hierarchical_lift(mesh: Mesh, spec: ProblemSpec):
             lift[a] + lift[b]
         )
     return lift
-
-
-def _neumann_load(mesh: Mesh, spec: ProblemSpec, n_nodes: int) -> np.ndarray:
-    """Surface load int_{Gamma_N} g_N . v over non-Dirichlet boundary faces."""
-    load = np.zeros(3 * n_nodes)
-    if spec.g_neumann is None:
-        return load
-    pts, wts = basis_mod.triangle_quadrature_degree4()
-    nv = mesh.n_vertices
-    edge_keys = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
-    for face, is_dir in zip(mesh.boundary_faces, mesh.dirichlet_faces):
-        if is_dir:
-            continue
-        xa, xb, xc = mesh.vertices[face]
-        area = 0.5 * np.linalg.norm(np.cross(xb - xa, xc - xa))
-        fe = np.sort(face[np.array(FACE_EDGES)], axis=1)
-        eids = np.searchsorted(edge_keys, fe[:, 0].astype(np.int64) * nv + fe[:, 1])
-        nodes = np.concatenate([face, nv + eids])
-        for q, w in zip(pts, wts):
-            x = q[0] * xa + q[1] * xb + q[2] * xc
-            g = np.asarray(spec.g_neumann(x), dtype=float)
-            phi = basis_mod.face_shape_values(q)
-            for local, node in enumerate(nodes):
-                load[3 * node : 3 * node + 3] += (w * area * phi[local]) * g
-    return load
 
 
 class _ScatterMap:
@@ -511,8 +486,6 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     # and of B alike, and only forms the right-hand side
     lift_values = _hierarchical_lift(mesh, spec)[dir_nodes].ravel()
     rhs = -(lift.matrix(lift_data) @ lift_values)
-    free_dofs = (3 * free_nodes[:, None] + np.arange(3)).ravel()
-    rhs[: 3 * n_free] += _neumann_load(mesh, spec, n_nodes)[free_dofs]
     del lift, lift_data
 
     # A stores only the entries that couple; B, B^T and C keep their

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FACE_EDGES, TET_EDGES
+from .mesh import TET_EDGES
 
 __all__ = [
     "N_SCALAR_BASIS",
     "ReferenceBasis",
     "reference_basis",
     "tet_quadrature_degree4",
-    "triangle_quadrature_degree4",
     "shape_gradients",
-    "face_shape_values",
 ]
 
 #: Scalar basis functions per tetrahedron (4 hats + 6 edge bubbles).
@@ -79,24 +77,6 @@ def reference_basis() -> ReferenceBasis:
     return _REFERENCE
 
 
-def triangle_quadrature_degree4() -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric 6-point triangle rule, exact for degree 4.
-
-    Returns barycentric points (6, 3) and weights summing to one.
-    """
-    a1, w1 = 0.445948490915965, 0.223381589678011
-    a2, w2 = 0.091576213509771, 0.109951743655322
-    points = []
-    weights = []
-    for a, w in ((a1, w1), (a2, w2)):
-        for i in range(3):
-            p = [a] * 3
-            p[i] = 1.0 - 2.0 * a
-            points.append(tuple(p))
-            weights.append(w)
-    return np.array(points), np.array(weights)
-
-
 def shape_gradients(bary: np.ndarray, grad_lambda: np.ndarray) -> np.ndarray:
     """Gradients of the ten basis functions at one barycentric point.
 
@@ -118,19 +98,4 @@ def shape_gradients(bary: np.ndarray, grad_lambda: np.ndarray) -> np.ndarray:
         out[:, 4 + k] = 4.0 * (
             bary[i] * grad_lambda[:, j] + bary[j] * grad_lambda[:, i]
         )
-    return out
-
-
-def face_shape_values(bary: np.ndarray) -> np.ndarray:
-    """Nonzero basis functions on a boundary triangle.
-
-    ``bary`` is (..., 3) face barycentric coordinates; columns are the
-    three vertex hats followed by the three face-edge bubbles in
-    ``FACE_EDGES`` order.  All other basis functions vanish on the face.
-    """
-    bary = np.asarray(bary, dtype=float)
-    out = np.empty(bary.shape[:-1] + (6,))
-    out[..., :3] = bary
-    for m, (i, j) in enumerate(FACE_EDGES):
-        out[..., 3 + m] = 4.0 * bary[..., i] * bary[..., j]
     return out

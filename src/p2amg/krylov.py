@@ -39,24 +39,19 @@ class KrylovConfig:
             raise InvalidParameter("maxit must be at least 1")
 
 
-def _identity_precond(r: np.ndarray) -> np.ndarray:
-    return r
-
-
 def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for an SPD operator.
 
-    The preconditioner must be a fixed symmetric linear operator; a
-    preconditioner object that declares ``symmetric = False`` is
-    rejected up front, and non-positive curvature or a non-positive
-    preconditioned inner product raises
+    ``precond`` is a callable ``r -> M^{-1} r``, such as a
+    :class:`~p2amg.multigrid.Preconditioner`.  It must be a fixed
+    symmetric linear operator; a preconditioner object that declares
+    ``symmetric = False`` is rejected up front, and non-positive
+    curvature or a non-positive preconditioned inner product raises
     :class:`IndefiniteBreakdown` during the iteration.  The recurrence
     residual is refreshed from ``b - A x`` every 50 iterations and
     convergence is confirmed on the true residual.
     """
-    if precond is None:
-        precond = _identity_precond
-    elif getattr(precond, "symmetric", True) is False:
+    if getattr(precond, "symmetric", True) is False:
         raise IndefiniteBreakdown(
             "CG requires a symmetric preconditioner; use Jacobi or "
             "Gauss-Seidel smoothing with as many post- as pre-sweeps"
@@ -126,17 +121,15 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     """Right-preconditioned GMRES with Arnoldi by classical Gram-Schmidt
     run twice (CGS2), two matrix-vector products with the basis a pass.
 
-    One Arnoldi loop from ``x = 0``, unrestarted.  Because the
-    preconditioner is applied on the right, the rotated residual norm
-    is the true residual of the unpreconditioned system and decreases
-    monotonically; the last entry of the history is recomputed from
+    ``precond`` is a callable ``r -> M^{-1} r``, such as a
+    :class:`~p2amg.multigrid.Preconditioner`.  One Arnoldi loop from
+    ``x = 0``, unrestarted.  Because the preconditioner is applied on
+    the right, the rotated residual norm is the true residual of the
+    unpreconditioned system and decreases monotonically; the last entry of the history is recomputed from
     ``b - A x``.  The basis, the Hessenberg matrix and the rotations
     double their capacity as the iterations need it, so memory follows
     the iterations done, not ``maxit``.
     """
-    if precond is None:
-        precond = _identity_precond
-
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
     n = a.shape[0]

@@ -75,9 +75,6 @@ class Mesh:
         Boundary triangles, oriented so the normal points outward.
     vertex_tags, edge_tags : int8 arrays or None
         ``BoundaryTag`` values, filled in by :func:`tag_boundary`.
-    dirichlet_faces : bool array or None
-        Per boundary face, whether all its vertices satisfy the
-        Dirichlet predicate.
     """
 
     vertices: np.ndarray
@@ -87,7 +84,6 @@ class Mesh:
     boundary_faces: np.ndarray
     vertex_tags: np.ndarray | None = None
     edge_tags: np.ndarray | None = None
-    dirichlet_faces: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -270,6 +266,5 @@ def tag_boundary(mesh: Mesh, dirichlet_predicate: Callable[[np.ndarray], bool]) 
         mesh,
         vertex_tags=_read_only(vertex_tags),
         edge_tags=_read_only(edge_tags),
-        dirichlet_faces=_read_only(face_dir),
     )
 

@@ -66,7 +66,6 @@ __all__ = [
     "SmootherKind",
     "SmootherConfig",
     "parse_smoother",
-    "SchurPreconditioner",
     "build_schur_preconditioner",
     "make_smoother",
     "JacobiSmoother",
@@ -528,25 +527,19 @@ class VankaSmoother(_Smoother):
 # Braess-Sarazin
 
 
-@dataclass(eq=False)
-class SchurPreconditioner:
-    """Explicit approximate Schur complement ``C + B Ahat^{-1} B^T``.
-
-    Solved by dense LU when small, otherwise by one V-cycle of a scalar
-    multigrid hierarchy with GS-1-1 smoothing.
-    """
-
-    matrix: sp.csr_matrix
-    solve: Callable[[np.ndarray], np.ndarray]
-    kind: str
-
-
 def build_schur_preconditioner(
     op: sp.csr_matrix,
     layout: BlockLayout,
     ahat_diag: np.ndarray,
     coarse_size_cap: int = 500,
-) -> SchurPreconditioner:
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Approximate inverse of the Schur complement ``C + B Ahat^{-1} B^T``.
+
+    The Schur matrix is formed explicitly and symmetrised.  The returned
+    callable ``r -> Shat^{-1} r`` is a dense LU solve when the matrix has
+    at most ``coarse_size_cap`` rows, otherwise one V-cycle of a scalar
+    multigrid hierarchy with GS-1-1 smoothing.
+    """
     vd = layout.velocity_dof
     b_block = op[vd:, :vd].tocsr()
     c_block = (-op[vd:, vd:]).tocsr()
@@ -557,9 +550,7 @@ def build_schur_preconditioner(
 
     if schur.shape[0] <= coarse_size_cap:
         factor = coarse_factor(schur)
-        return SchurPreconditioner(
-            matrix=schur, solve=lambda r: coarse_solve(factor, r), kind="dense"
-        )
+        return lambda r: coarse_solve(factor, r)
 
     # imported here: multigrid imports this module
     from .coarsening import build_hierarchy
@@ -569,9 +560,7 @@ def build_schur_preconditioner(
     config = CycleConfig(
         smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=1, m_post=1)
     )
-    return SchurPreconditioner(
-        matrix=schur, solve=Preconditioner(hierarchy, config), kind="amg"
-    )
+    return Preconditioner(hierarchy, config)
 
 
 class BraessSarazinSmoother(_Smoother):
@@ -579,7 +568,8 @@ class BraessSarazinSmoother(_Smoother):
 
     One sweep applies the inverse of ``[[Ahat, B^T], [B, B Ahat^{-1} B^T
     - Shat]]`` to the current residual, where ``Ahat = 2 diag(A)`` and
-    ``Shat`` approximates ``C + B Ahat^{-1} B^T``.
+    ``Shat`` approximates ``C + B Ahat^{-1} B^T``.  ``schur`` is the
+    callable ``r -> Shat^{-1} r`` of :func:`build_schur_preconditioner`.
     """
 
     def __init__(self, op, layout: BlockLayout):
@@ -600,7 +590,7 @@ class BraessSarazinSmoother(_Smoother):
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
         u_star = self._ahat_inv * ru
-        q = self.schur.solve(self.b_block @ u_star - rp)
+        q = self.schur(self.b_block @ u_star - rp)
         x[:vd] += u_star - self._ahat_inv * (self.b_block.T @ q)
         x[vd:] += q
 

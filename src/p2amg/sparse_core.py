@@ -147,7 +147,10 @@ def divergence_mask(values: np.ndarray) -> np.ndarray:
 
 
 def triple_product(p, a, symmetric: bool = False) -> sp.csr_matrix:
-    """Galerkin projection ``P^T A P``.
+    """Galerkin projection ``P^T A P``, formed as ``R (A P)``.
+
+    The restriction ``R = P^T`` is converted to CSR once, so the product
+    stays CSR by CSR; ``P.T`` alone is CSC and would convert ``A P``.
 
     With ``symmetric=True`` the result is averaged with its transpose so
     roundoff cannot break the symmetry the projection preserves
@@ -155,7 +158,7 @@ def triple_product(p, a, symmetric: bool = False) -> sp.csr_matrix:
     """
     if p.shape[0] != a.shape[0] or a.shape[0] != a.shape[1]:
         raise ShapeError(f"cannot form P^T A P with A {a.shape} and P {p.shape}")
-    coarse = (p.T @ (a @ p)).tocsr()
+    coarse = (p.T.tocsr() @ (a @ p)).tocsr()
     if symmetric:
         coarse = ((coarse + coarse.T) * 0.5).tocsr()
     coarse.sort_indices()

@@ -3,8 +3,9 @@
 ``element_matrices`` assembles the local matrices of one tetrahedron
 from the library's element kernel, ``triplet_assembly`` assembles a
 whole system through global triplets, ``manufactured_solution_residual``
-checks a direct solve against an exact solution, and ``shape_values``
-evaluates the ten scalar basis functions.
+checks a direct solve against an exact solution, ``shape_values``
+evaluates the ten scalar basis functions, and
+``triangle_quadrature_degree4`` is a quadrature rule on triangles.
 """
 from dataclasses import replace
 
@@ -79,8 +80,7 @@ def triplet_assembly(mesh, spec: ProblemSpec):
     free_nodes = np.concatenate([free_v, nv + free_e])
     free = (3 * free_nodes[:, None] + np.arange(3)).ravel()
     lift = assembly._hierarchical_lift(mesh, spec).ravel()
-    load = assembly._neumann_load(mesh, spec, nv + mesh.n_edges)
-    rhs = load[free] - k_full[free] @ lift
+    rhs = -(k_full[free] @ lift)
     op = k_full[free][:, free].tocsr()
     op.data[~coupling_mask(op)] = 0.0
     op.eliminate_zeros()
@@ -117,11 +117,11 @@ def manufactured_solution_residual(mesh, spec: ProblemSpec, exact_u, exact_p=Non
     """Max-norm DOF error of a direct solve against an exact solution.
 
     The exact velocity is imposed as Dirichlet data on the tagged
-    Dirichlet boundary (``spec.g_neumann`` must supply the matching
-    traction on any Neumann part).  The discrete solution is compared
-    with the hierarchical interpolant of ``exact_u``; for saddle
-    problems with ``exact_p`` given, the pressure error at vertices is
-    included in the max.
+    Dirichlet boundary; ``exact_u`` (with ``exact_p``) must be
+    traction-free on any other part of the boundary.  The discrete
+    solution is compared with the hierarchical interpolant of
+    ``exact_u``; for saddle problems with ``exact_p`` given, the pressure
+    error at vertices is included in the max.
     """
     solve_spec = replace(spec, g_dirichlet=exact_u)
     system = assemble(mesh, solve_spec)
@@ -160,3 +160,21 @@ def shape_values(bary: np.ndarray) -> np.ndarray:
     for m, (i, j) in enumerate(TET_EDGES):
         out[..., 4 + m] = 4.0 * bary[..., i] * bary[..., j]
     return out
+
+
+def triangle_quadrature_degree4() -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric 6-point triangle rule, exact for degree 4.
+
+    Returns barycentric points (6, 3) and weights summing to one.
+    """
+    a1, w1 = 0.445948490915965, 0.223381589678011
+    a2, w2 = 0.091576213509771, 0.109951743655322
+    points = []
+    weights = []
+    for a, w in ((a1, w1), (a2, w2)):
+        for i in range(3):
+            p = [a] * 3
+            p[i] = 1.0 - 2.0 * a
+            points.append(tuple(p))
+            weights.append(w)
+    return np.array(points), np.array(weights)

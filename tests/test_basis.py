@@ -3,15 +3,9 @@ import math
 
 import numpy as np
 
-from p2amg.basis import (
-    face_shape_values,
-    reference_basis,
-    shape_gradients,
-    tet_quadrature_degree4,
-    triangle_quadrature_degree4,
-)
+from p2amg.basis import reference_basis, shape_gradients, tet_quadrature_degree4
 
-from fem_oracles import shape_values
+from fem_oracles import shape_values, triangle_quadrature_degree4
 
 
 def exact_tet_monomial(a, b, c):
@@ -98,23 +92,6 @@ def test_gradients_match_finite_differences():
         e[d] = h
         fd = (shape_values(bary(point + e)) - shape_values(bary(point - e))) / (2 * h)
         assert np.allclose(grads[:, d], fd, atol=1e-7)
-
-
-def test_face_values_are_restrictions():
-    rng = np.random.default_rng(11)
-    w = rng.random((5, 3))
-    face_bary = w / w.sum(axis=1, keepdims=True)
-    # embed the face lam4 = 0; face edges (0,1), (1,2), (0,2) map to
-    # tet edges 0, 1, 3 in the local ordering
-    tet_bary = np.concatenate([face_bary, np.zeros((5, 1))], axis=1)
-    full = shape_values(tet_bary)
-    face = face_shape_values(face_bary)
-    assert np.allclose(face[:, :3], full[:, :3])
-    assert np.allclose(face[:, 3], full[:, 4])
-    assert np.allclose(face[:, 4], full[:, 5])
-    assert np.allclose(face[:, 5], full[:, 7])
-    # bubbles on edges touching the off-face vertex vanish
-    assert np.allclose(full[:, [6, 8, 9]], 0.0)
 
 
 def test_reference_basis_is_shared():

@@ -506,7 +506,7 @@ def test_sub_threshold_entries_change_no_pattern(request, cube2, name):
             build_schur_preconditioner(
                 s.monolithic(), s.layout, 2.0 * s.monolithic().diagonal()[: s.layout.velocity_dof],
                 coarse_size_cap=10,
-            ).solve.hierarchy
+            ).hierarchy
             for s in (system, perturbed)
         ]
         assert len(schur[0].levels) == len(schur[1].levels) >= 2

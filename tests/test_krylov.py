@@ -9,6 +9,11 @@ from p2amg.multigrid import CycleConfig, Preconditioner
 from p2amg.smoothers import SmootherConfig, SmootherKind
 
 
+def identity(r):
+    """The unpreconditioned solve: ``M = I``."""
+    return r
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameter):
         KrylovConfig(method="sor")
@@ -21,7 +26,7 @@ def test_config_validation():
 def test_pcg_identity_one_iteration():
     a = sp.identity(12, format="csr")
     b = np.arange(12.0)
-    x, report = pcg(a, b, None, KrylovConfig(tol=1e-12))
+    x, report = pcg(a, b, identity, KrylovConfig(tol=1e-12))
     assert report.iterations == 1
     assert report.converged
     assert np.allclose(x, b)
@@ -30,7 +35,7 @@ def test_pcg_identity_one_iteration():
 def test_pcg_three_distinct_eigenvalues():
     a = sp.diags([1.0, 2.0, 3.0]).tocsr()
     b = np.ones(3)
-    x, report = pcg(a, b, None, KrylovConfig(tol=1e-12))
+    x, report = pcg(a, b, identity, KrylovConfig(tol=1e-12))
     assert report.iterations <= 3
     assert np.allclose(x, [1.0, 0.5, 1.0 / 3.0])
 
@@ -40,14 +45,14 @@ def test_pcg_finite_termination(k):
     a = sp.diags(np.arange(1.0, k + 1)).tocsr()
     rng = np.random.default_rng(k)
     b = rng.standard_normal(k)
-    x, report = pcg(a, b, None, KrylovConfig(tol=1e-10, maxit=4 * k))
+    x, report = pcg(a, b, identity, KrylovConfig(tol=1e-10, maxit=4 * k))
     assert report.iterations <= k
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 10
 
 
 def test_pcg_zero_rhs():
     a = sp.identity(5, format="csr")
-    x, report = pcg(a, np.zeros(5), None, KrylovConfig())
+    x, report = pcg(a, np.zeros(5), identity, KrylovConfig())
     assert report.iterations == 0
     assert np.all(x == 0.0)
 
@@ -55,13 +60,13 @@ def test_pcg_zero_rhs():
 def test_pcg_rejects_indefinite_matrix():
     a = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(IndefiniteBreakdown):
-        pcg(a, np.ones(2), None, KrylovConfig())
+        pcg(a, np.ones(2), identity, KrylovConfig())
 
 
 def test_pcg_rejects_asymmetric_matrix():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(IndefiniteBreakdown):
-        pcg(a, np.ones(2), None, KrylovConfig())
+        pcg(a, np.ones(2), identity, KrylovConfig())
 
 
 def test_pcg_rejects_declared_nonsymmetric_preconditioner(laplace2):
@@ -96,7 +101,7 @@ def test_pcg_with_multigrid_preconditioner(laplace2):
 def test_gmres_identity_one_iteration():
     k = sp.identity(9, format="csr")
     b = np.arange(9.0)
-    x, report = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-12))
+    x, report = gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-12))
     assert report.iterations == 1
     assert np.allclose(x, b)
 
@@ -105,7 +110,7 @@ def test_gmres_rotation_2x2():
     k = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     b = np.array([1.0, 0.0])
     oracle = np.linalg.solve(k.toarray(), b)
-    x, report = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-12))
+    x, report = gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-12))
     assert report.iterations <= 2
     assert report.converged
     assert np.allclose(x, oracle, atol=1e-12)
@@ -115,7 +120,7 @@ def test_gmres_monotone_residuals():
     rng = np.random.default_rng(17)
     k = sp.csr_matrix(rng.standard_normal((40, 40)) + 40 * np.eye(40))
     b = rng.standard_normal(40)
-    _, report = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-10))
+    _, report = gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-10))
     assert report.converged
     hist = report.residuals
     assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
@@ -141,7 +146,7 @@ def test_gmres_restarted():
     rng = np.random.default_rng(19)
     k = sp.csr_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
     b = rng.standard_normal(30)
-    x, report = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-10))
+    x, report = gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-10))
     assert report.converged
     assert np.linalg.norm(k @ x - b) <= 1e-9 * np.linalg.norm(b)
 
@@ -156,10 +161,10 @@ def test_gmres_memory_follows_iterations_not_maxit():
         [-1.3 * np.ones(n - 1), 2.2 * np.ones(n), -0.7 * np.ones(n - 1)], [-1, 0, 1]
     ).tocsr()
     b = np.random.default_rng(23).standard_normal(n)
-    _, bounded = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-10, maxit=500))
+    _, bounded = gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-10, maxit=500))
     tracemalloc.start()
     try:
-        _, report = gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-10, maxit=10**5))
+        _, report = gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-10, maxit=10**5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,11 +182,11 @@ def test_gmres_stagnation_detected():
     b = np.zeros(n)
     b[0] = 1.0
     with pytest.raises(StagnationDetected):
-        gmres(k, b, None, KrylovConfig(method="gmres", tol=1e-12, maxit=79))
+        gmres(k, b, identity, KrylovConfig(method="gmres", tol=1e-12, maxit=79))
 
 
 def test_gmres_zero_rhs():
     k = sp.identity(4, format="csr")
-    x, report = gmres(k, np.zeros(4), None, KrylovConfig(method="gmres"))
+    x, report = gmres(k, np.zeros(4), identity, KrylovConfig(method="gmres"))
     assert report.iterations == 0
     assert np.all(x == 0.0)

@@ -134,9 +134,12 @@ def test_tag_cube2_counts(cube2):
 
 
 def test_tag_edges_follow_faces(cube2):
-    # a Dirichlet edge must have both endpoints inside one Dirichlet face
+    # a Dirichlet edge must have both endpoints inside one Dirichlet face,
+    # a boundary face whose three vertices all satisfy the predicate
     dir_faces = [
-        set(f) for f, d in zip(cube2.boundary_faces, cube2.dirichlet_faces) if d
+        set(f)
+        for f in cube2.boundary_faces
+        if all(z_faces(cube2.vertices[v]) for v in f)
     ]
     for e, tag in enumerate(cube2.edge_tags):
         a, b = cube2.edges[e]

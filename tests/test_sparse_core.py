@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from p2amg import assemble, build_hierarchy
+from p2amg.bench_cli import build_case
 from p2amg.errors import ShapeError, SingularCoarseMatrix
 from p2amg.sparse_core import (
     BlockLayout,
@@ -56,6 +58,22 @@ def test_triple_product_against_dense_oracle():
     out = triple_product(p, a).toarray()
     scale = np.abs(oracle).max()
     assert np.abs(out - oracle).max() <= 1e-12 * max(scale, 1.0)
+
+
+def test_triple_product_matches_transpose_product_on_stokes_level():
+    """``R (A P)`` with ``R = P^T`` as CSR equals the symmetrised
+    ``P.T @ (A @ P)`` bit for bit on a real saddle level."""
+    mesh, spec = build_case("stokes", 4)
+    hier = build_hierarchy(assemble(mesh, spec))
+    level = hier.levels[0]
+    p, a = level.prolongation, level.operator
+    oracle = (p.T @ (a @ p)).tocsr()
+    oracle = ((oracle + oracle.T) * 0.5).tocsr()
+    oracle.sort_indices()
+    out = triple_product(p, a, symmetric=True)
+    assert np.array_equal(out.indptr, oracle.indptr)
+    assert np.array_equal(out.indices, oracle.indices)
+    assert np.array_equal(out.data, oracle.data)
 
 
 def test_triple_product_shape_error():
