@@ -285,31 +285,40 @@ class _ScatterMap:
         node_rows = np.repeat(np.arange(nodes.shape[0]), np.diff(ptr))
         self.keys = node_rows * self.n_cols + j
         # each node entry's first column within its dof rows
+        widths = np.ones(len(j), np.int64) if diagonal else col_sizes[j].astype(np.int64)
         ends = np.zeros(len(j) + 1, dtype=np.int64)
-        np.cumsum(np.ones(len(j), np.int8) if diagonal else col_sizes[j], out=ends[1:])
+        np.cumsum(widths, out=ends[1:])
         self.length = ends[ptr[1:]] - ends[ptr[:-1]]
         row_lengths = np.repeat(self.length, row_sizes)
         self.nnz = int(row_lengths.sum())
         self.shape = (len(row_lengths), int(col_sizes.sum()))
         idx = np.int32 if self.nnz < np.iinfo(np.int32).max else np.int64
         self.col_offset = (ends[:-1] - ends[ptr[node_rows]]).astype(idx)
-        del ends
+        del node_rows
         self.length = self.length.astype(idx)
         self.indptr = np.zeros(self.shape[0] + 1, dtype=idx)
         np.cumsum(row_lengths, out=self.indptr[1:])
-        self.start = self.indptr[np.cumsum(row_sizes) - row_sizes]
+        first_row = np.cumsum(row_sizes) - row_sizes  # dof row (i, 0) of each node i
+        self.start = self.indptr[first_row]
+        # the column indices of every node row's component-0 dof row, node
+        # row after node row, and with ``diagonal`` those of components 1
+        # and 2 after them; entry k of dof row r is table[k + source[r]]
+        first_col = (np.cumsum(col_sizes) - col_sizes).astype(idx)
+        table = np.repeat((first_col[j] - ends[:-1]).astype(idx), widths)
+        table += np.arange(ends[-1], dtype=idx)
+        del widths
+        source = np.repeat(ends[ptr[:-1]], row_sizes) - self.indptr[:-1]
+        if diagonal:
+            table = np.add.outer(np.arange(3, dtype=idx), table).ravel()
+            source += (np.arange(self.shape[0]) - np.repeat(first_row, row_sizes)) * ends[-1]
+        del ends
         self.indices = np.empty(self.nnz, dtype=idx)
-        first_col = (np.cumsum(col_sizes) - col_sizes).astype(idx)[j]
-        pos = self.start[node_rows] + self.col_offset
-        step = self.length[node_rows]
-        row_sizes, col_sizes = row_sizes[node_rows], col_sizes[j]
-        del node_rows
-        for d in range(3):
-            rows = row_sizes > d
-            for c in (d,) if diagonal else range(3):
-                has = np.flatnonzero(rows & (col_sizes > c))
-                self.indices[pos[has] + (0 if diagonal else c)] = first_col[has] + c
-            pos += step
+        step = max(1, _COMPACT_BLOCK * self.shape[0] // max(self.nnz, 1))  # rows per block
+        for lo in range(0, self.shape[0], step):
+            hi = min(lo + step, self.shape[0])
+            seg = slice(self.indptr[lo], self.indptr[hi])
+            at = np.arange(seg.start, seg.stop) + np.repeat(source[lo:hi], row_lengths[lo:hi])
+            self.indices[seg] = table[at]
 
     def offsets(self, i, entry):
         """Position of row ``(i, 0)`` at node entry ``entry``, column

@@ -35,6 +35,7 @@ import csv
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +71,7 @@ CSV_COLUMNS = [
     "final_rel_residual",
     "op_complexity",
     "wall_ms",
+    "smoother_setup_ms",
     "paper_ref_value",
 ]
 
@@ -392,7 +394,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     inner).  A cell whose smoother setup or solve raises a
     ``SolverError`` or a ``MemoryError`` gets a row with ``converged``
     false and, in ``iterations``, ``DIVERGED`` for ``DivergenceDetected``
-    or the error's class name otherwise.
+    or the error's class name otherwise.  ``smoother_setup_ms`` is the
+    build time of the row's smoother set, the same in every row that
+    shares the set, and empty when the build raised.
     """
     rows = []
     for pos, n in enumerate(config.levels):
@@ -403,14 +407,16 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         hierarchy = build_hierarchy(
             system, mode=config.coarsening, coarse_size_cap=config.coarse_size_cap
         )
-        smoother_sets = {}
+        smoother_sets, setup_ms = {}, {}
         for entry in config.solvers:
             cycle_cfg = _cycle_config(entry)
             tol = entry.tolerance or config.default_tolerance
+            key = (cycle_cfg.smoother.kind, cycle_cfg.smoother.omega)
             try:
-                key = (cycle_cfg.smoother.kind, cycle_cfg.smoother.omega)
                 if key not in smoother_sets:
+                    start = time.perf_counter()
                     smoother_sets[key] = build_level_smoothers(hierarchy, cycle_cfg)
+                    setup_ms[key] = round(1e3 * (time.perf_counter() - start), 3)
                 smoothers = smoother_sets[key]
                 if entry.method == "amg":
                     maxit = entry.maxit or 200
@@ -453,6 +459,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     "final_rel_residual": final,
                     "op_complexity": opc,
                     "wall_ms": "" if wall == "" else round(1e3 * wall, 3),
+                    "smoother_setup_ms": setup_ms.get(key, ""),
                     "paper_ref_value": _reference_value(config, entry, n),
                 }
             )

@@ -8,11 +8,11 @@ dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
 wave, the update an in-place product over the wave's columns of the
 stored CSC operator; each patch is solved through its one-pressure
-Schur complement, with a packed Cholesky factor of its SPD velocity
-block as the only stored factor), a Braess-Sarazin step with diagonal
-velocity approximation and an inner multigrid preconditioner for the
-approximate Schur complement, and a segregated Gauss-Seidel
-(Uzawa-type) step.  Node blocks and patches take the dof-to-node
+Schur complement, its SPD velocity block factored by blocked Cholesky
+in full storage and kept as a packed factor, the only stored one), a
+Braess-Sarazin step with diagonal velocity approximation and an inner
+multigrid preconditioner for the approximate Schur complement, and a
+segregated Gauss-Seidel (Uzawa-type) step.  Node blocks and patches take the dof-to-node
 numbering from :class:`BlockLayout`; this module keeps no copy of it.
 
 Every smoother exposes the exact solution as a fixed point and is
@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpptrf, dpptrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtrttp
 
 # Private kernel: csc_matvec(n_row, n_col, Ap, Ai, Ax, Xx, Yx) adds
 # Ax[Ap[j]:Ap[j+1]] * Xx[j] into Yx[Ai[...]] in place, for each j.  Given
@@ -344,24 +344,31 @@ def _patch_incidence(op: sp.csr_matrix, layout: BlockLayout) -> sp.csr_matrix:
     return incidence
 
 
-def _dependency_waves(op: sp.csr_matrix, incidence: sp.csr_matrix) -> list[np.ndarray]:
+def _dependency_waves(
+    op: sp.csr_matrix, incidence: sp.csr_matrix, layout: BlockLayout
+) -> list[np.ndarray]:
     """Group patches into dependency waves (level scheduling).
 
     ``incidence`` is the patch-to-dof incidence.  Patch ``p`` couples
     to patch ``q`` when ``op[dofs_p, dofs_q]`` or ``op[dofs_q, dofs_p]``
-    is structurally nonzero, or when the two share a dof.  A patch's
-    wave is one more than the latest wave of any earlier patch it
-    couples to, so the patches of one wave have disjoint, mutually
-    uncoupled dofs.  Returns the patch indices of each wave, in patch
-    order within a wave.
+    is structurally nonzero, or when the two share a dof.  A patch holds
+    whole nodes, so that coupling is formed on the node pattern ``D^T op
+    D`` with the patch-to-node incidence ``incidence @ D``, ``D =
+    layout.node_incidence()``.  A patch's wave is one more than the
+    latest wave of any earlier patch it couples to, so the patches of
+    one wave have disjoint, mutually uncoupled dofs.  Returns the patch
+    indices of each wave, in patch order within a wave.
     """
+    dof_node = layout.node_incidence()
     # shares op's index arrays: only the pattern is read, no value copied
     pattern = sp.csr_matrix(
         (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
     )
-    coupling = incidence @ pattern @ incidence.T
+    nodes = dof_node.T @ pattern @ dof_node
+    patch_nodes = incidence @ dof_node
+    coupling = patch_nodes @ nodes @ patch_nodes.T
     coupling = sp.tril(
-        coupling + coupling.T + incidence @ incidence.T, k=-1, format="csr"
+        coupling + coupling.T + patch_nodes @ patch_nodes.T, k=-1, format="csr"
     )
     n_patches = incidence.shape[0]
     wave = np.zeros(n_patches, dtype=np.intp)
@@ -436,12 +443,16 @@ class VankaSmoother(_Smoother):
     SPD velocity operator, so it is solved through its one-pressure
     Schur complement ``s_p = c_p + h_p . w_p``, ``w_p = A_p^{-1} g_p``:
     ``y = A_p^{-1} r_u``, ``x_p = (h_p . y - r_p) / s_p`` and ``d_u = y -
-    x_p w_p``.  Only the lower triangle of each ``A_p`` is stored,
-    scattered from the wave's block-diagonal slice of ``op`` into one
-    LAPACK-packed per-level buffer and Cholesky-factored in place.  A
-    patch whose ``A_p`` is not positive definite, or whose ``s_p`` is
-    not positive, raises :class:`SingularPatch`.  ``_dofs`` lists the
-    patches in patch order, one patch per pressure dof.
+    x_p w_p``.  Setup scatters each wave's block-diagonal slice of
+    ``op`` into one column-major scratch buffer, reused for every wave
+    of the level, which holds each patch matrix in full storage;
+    ``g_p``, ``h_p`` and ``c_p`` are read from it, ``A_p`` is factored
+    by the blocked Cholesky ``dpotrf``, ``w_p`` comes from ``dpotrs``
+    and the factor is packed (``dtrttp``) into one per-level buffer,
+    which the sweep's ``dpptrs`` reads.  A patch whose ``A_p`` is not
+    positive definite, or whose ``s_p`` is not positive, raises
+    :class:`SingularPatch`.  ``_dofs`` lists the patches in patch order,
+    one patch per pressure dof.
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
@@ -451,54 +462,63 @@ class VankaSmoother(_Smoother):
         incidence = _patch_incidence(self.op, layout)
         self._dofs = np.split(incidence.indices, incidence.indptr[1:-1])
         n_velocity = np.diff(incidence.indptr) - 1
+        waves = _dependency_waves(self.op, incidence, layout)
         self._waves = []
-        # one buffer per level: a single large allocation, which the
-        # allocator maps and unmaps whole instead of leaving heap holes
-        buffer = np.empty(int(n_velocity @ (n_velocity + 1)) // 2)
+        # one packed buffer per level: a single large allocation, which the
+        # allocator maps and unmaps whole instead of leaving heap holes;
+        # full-storage scratch for the largest wave and for one A_p
+        packed = np.empty(int(n_velocity @ (n_velocity + 1)) // 2)
+        scratch = np.empty(max(int((n_velocity[m] + 1) @ (n_velocity[m] + 1)) for m in waves))
+        work = np.empty(int(n_velocity.max()) ** 2)
         start = 0
-        for members in _dependency_waves(self.op, incidence):
+        for members in waves:
             dofs = np.concatenate([self._dofs[p] for p in members])
             m = n_velocity[members]
             bounds = np.concatenate([[0], np.cumsum(m + 1)])
-            offsets = np.concatenate([[0], np.cumsum(m * (m + 1) // 2)])
+            blocks = np.concatenate([[0], np.cumsum((m + 1) ** 2)])
+            owner = np.repeat(np.arange(len(members)), m + 1)
+            pressure = bounds[1:] - 1
+            # the patch matrices, column-major with leading dimension m + 1,
+            # one after another: entry (i, j) of the wave sits at
+            # colbase[j] + i
+            colbase = (blocks[:-1] - bounds[:-1] * (m + 2))[owner]
+            colbase += np.arange(dofs.size) * (m + 1)[owner]
             # the patches of a wave are uncoupled, so op[dofs][:, dofs] is
             # block diagonal: each entry belongs to the patch of its row
             local = self.op[dofs][:, dofs].tocoo()
-            owner = np.repeat(np.arange(len(members)), m + 1)[local.row]
-            i, j, mo = local.row - bounds[owner], local.col - bounds[owner], m[owner]
-            p_row, p_col = i == mo, j == mo  # the pressure row and column
-            lower = (j <= i) & ~p_row  # packed lower triangle of A_p, by column
-            segment = buffer[start : start + offsets[-1]]
-            segment[:] = np.bincount(
-                (offsets[owner] + i + j * (2 * mo - j - 1) // 2)[lower],
-                weights=local.data[lower],
-                minlength=offsets[-1],
-            )
-            start += offsets[-1]
-            g, hs, corner = p_col & ~p_row, p_row & ~p_col, p_row & p_col
-            w = np.bincount(local.row[g], local.data[g], minlength=dofs.size)
-            h = np.bincount(local.col[hs], local.data[hs], minlength=dofs.size)
-            c = -np.bincount(owner[corner], local.data[corner], minlength=len(members))
+            scratch[: blocks[-1]] = 0.0
+            scratch[colbase[local.col] + local.row] = local.data
+            # the pressure column, row and corner of each patch
+            w = scratch[colbase[pressure][owner] + np.arange(dofs.size)]
+            h = scratch[colbase + pressure[owner]]
+            c = -h[pressure]
+            h[pressure] = 0.0
             factors = []
-            for p, n, lo, offset in zip(members, m, bounds, offsets):
-                ap = segment[offset : offset + n * (n + 1) // 2]
-                if dpptrf(n, ap, lower=1, overwrite_ap=1)[1] != 0:
+            for p, n, lo, base in zip(members, m, bounds, blocks):
+                a = scratch[base : base + (n + 1) ** 2].reshape(n + 1, n + 1, order="F")
+                factor = work[: n * n].reshape(n, n, order="F")
+                factor[:] = a[:n, :n]  # dpotrf needs A_p contiguous
+                factor, info = dpotrf(factor, lower=1, clean=0, overwrite_a=1)
+                if info != 0:
                     raise SingularPatch(
                         f"velocity block of patch {p} is not positive definite"
                     )
                 velocity = slice(lo, lo + n)
-                dpptrs(n, ap, w[velocity], lower=1, overwrite_b=1)  # w = A_p^{-1} g_p
+                dpotrs(factor, w[velocity], lower=1, overwrite_b=1)  # w = A_p^{-1} g_p
+                ap = packed[start : start + n * (n + 1) // 2]
+                ap[:] = dtrttp(factor, uplo="L")[0]
+                start += ap.size
                 factors.append((n, ap, velocity))
             schur = c + np.add.reduceat(h * w, bounds[:-1])
             if np.any(schur <= 0.0):
                 p = members[np.argmax(schur <= 0.0)]
                 raise SingularPatch(f"Schur complement of patch {p} is not positive")
-            w[bounds[1:] - 1] = -1.0
+            w[pressure] = -1.0
             ranges, order = _column_ranges(self.op_csc, dofs)
             self._waves.append(
                 _VankaWave(members=members, dofs=dofs, ranges=ranges,
                            order=order, sizes=m + 1,
-                           starts=bounds[:-1], pressure=bounds[1:] - 1,
+                           starts=bounds[:-1], pressure=pressure,
                            factors=factors, h=h, w=w, schur=schur)
             )
 

@@ -16,6 +16,9 @@ from p2amg.bench_cli import (
 )
 from p2amg.errors import InvalidParameter
 
+#: Columns that vary from run to run.
+TIMINGS = {"wall_ms", "smoother_setup_ms"}
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -159,10 +162,15 @@ def test_solver_entries_share_smoothers(monkeypatch):
     assert len(calls) == 3 * shared_calls
 
     def cells(rows):
-        rows = [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+        rows = [{k: v for k, v in row.items() if k not in TIMINGS} for row in rows]
         return sorted(rows, key=lambda row: (row["n"], row["solver"]))
 
     assert cells(shared) == cells(alone)
+    # the two entries of a level share one set, so they show one build time
+    for a, b in zip(shared[0::2], shared[1::2]):
+        assert a["n"] == b["n"]
+        assert a["smoother_setup_ms"] == b["smoother_setup_ms"]
+        assert type(a["smoother_setup_ms"]) is float and a["smoother_setup_ms"] > 0.0
 
 
 def test_cell_out_of_memory_fails_alone(monkeypatch):
@@ -192,9 +200,11 @@ def test_cell_out_of_memory_fails_alone(monkeypatch):
     assert (failed["iterations"], failed["converged"]) == ("MemoryError", False)
 
     def cells(rows):
-        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+        return [{k: v for k, v in row.items() if k not in TIMINGS} for row in rows]
 
     assert cells(rows[:3]) == cells(clean[:3])
+    assert failed["smoother_setup_ms"] == ""
+    assert all(type(row["smoother_setup_ms"]) is float for row in rows[:3])
 
 
 def test_empty_solver_list_is_success(tmp_path):
@@ -246,13 +256,12 @@ def test_rerun_is_deterministic(tmp_path):
         "solvers": [{"method": "amg", "cycle": "V", "smoother": "GS-2-2"}],
     }))
     emit_tables(rows2, "csv", str(b))
-    csv_a = (a / "results.csv").read_text()
-    csv_b = (b / "results.csv").read_text()
+    csv_a = read_csv(a / "results.csv")
+    csv_b = read_csv(b / "results.csv")
     # identical apart from wall-clock timings
-    import re
-
-    strip = lambda text: re.sub(r",[0-9.]+,(?=[^,]*$)", ",WALL,", text)
+    strip = lambda rows: [{k: v for k, v in row.items() if k not in TIMINGS} for row in rows]
     assert strip(csv_a) == strip(csv_b)
+    assert all(row[k] for row in csv_a + csv_b for k in TIMINGS)
 
 
 def test_emit_tables_unwritable_path(tmp_path):

@@ -20,6 +20,8 @@ from p2amg.smoothers import (
     SmootherKind,
     VankaSmoother,
     _column_ranges,
+    _dependency_waves,
+    _patch_incidence,
     _subtract_columns,
     build_schur_preconditioner,
     make_smoother,
@@ -459,7 +461,8 @@ def test_vanka_singular_patch():
     b = np.array([[1.0, 1.0]])
     c = np.zeros((1, 1))
     k, lay = saddle_parts(a, b, c)
-    with pytest.raises(SingularPatch):
+    # raised from the Cholesky factorization's info, not the Schur check
+    with pytest.raises(SingularPatch, match="not positive definite"):
         VankaSmoother(sp.csr_matrix(k), lay)
 
 
@@ -557,6 +560,60 @@ def test_vanka_schur_sweep_matches_dense_oracle(vanka_operators, name, omega):
     assert max(len(wave.members) for wave in sm._waves) >= 2
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.linalg.norm(x[:vd] - ref[:vd]) <= 1e-13 * np.linalg.norm(ref[:vd])
+
+
+def dof_level_waves(op, incidence):
+    """Dependency waves from the dof-level coupling ``incidence @
+    pattern(op) @ incidence.T`` plus shared dofs, scheduled patch by
+    patch: the oracle of the node-level waves."""
+    pattern = sp.csr_matrix(
+        (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
+    )
+    coupling = incidence @ pattern @ incidence.T
+    coupling = sp.tril(coupling + coupling.T + incidence @ incidence.T, k=-1).tolil()
+    wave = [0] * incidence.shape[0]
+    for p, earlier in enumerate(coupling.rows):
+        wave[p] = max((wave[q] + 1 for q in earlier), default=0)
+    return [np.flatnonzero(np.array(wave) == w) for w in range(max(wave) + 1)]
+
+
+@pytest.mark.parametrize("name", ["channel-L0", "mixed-elasticity", "stokes-L1"])
+def test_vanka_node_level_waves_match_dof_level_coupling(channel_vanka, vanka_operators, name):
+    k, lay = channel_vanka[:2] if name == "channel-L0" else vanka_operators[name]
+    incidence = _patch_incidence(k, lay)
+    waves = _dependency_waves(k, incidence, lay)
+    oracle = dof_level_waves(k, incidence)
+    assert len(waves) == len(oracle) > 1
+    for wave, ref in zip(waves, oracle):
+        assert np.array_equal(wave, ref)
+
+
+@pytest.mark.parametrize("name", ["channel-L0", "stokes-L1"])
+def test_vanka_patch_factors_match_dense_oracle(channel_vanka, vanka_operators, name):
+    """Every stored packed factor is a Cholesky factor of its ``A_p``,
+    and ``w``, ``h`` and ``s_p`` are those of the dense patch matrix."""
+    k, lay = channel_vanka[:2] if name == "channel-L0" else vanka_operators[name]
+    sm = VankaSmoother(k, lay)
+    checked = 0
+    for wave in sm._waves:
+        for i, (p, (n, ap, velocity)) in enumerate(zip(wave.members, wave.factors)):
+            dofs = sm._dofs[p]
+            patch = k[dofs][:, dofs].toarray()
+            a_p, g, h, c = patch[:n, :n], patch[:n, n], patch[n, :n], -patch[n, n]
+            lower = np.zeros((n, n))
+            lower.T[np.triu_indices(n)] = ap  # packed by columns of the lower triangle
+            err = np.linalg.norm(lower @ lower.T - a_p) / np.linalg.norm(a_p)
+            assert err <= 1e-13
+            w = np.linalg.solve(a_p, g)
+            first = wave.starts[i]
+            assert velocity == slice(first, first + n)
+            assert np.array_equal(wave.dofs[first : first + n + 1], dofs)
+            assert np.array_equal(wave.h[velocity], h) and wave.h[first + n] == 0.0
+            assert np.linalg.norm(wave.w[velocity] - w) <= 1e-13 * np.linalg.norm(w)
+            assert wave.w[first + n] == -1.0
+            assert abs(wave.schur[i] - (c + h @ w)) <= 1e-13 * abs(c + h @ w)
+            checked += 1
+    assert checked == len(sm._dofs)
 
 
 def test_vanka_needs_spd_velocity_block_and_positive_schur():
