@@ -150,6 +150,7 @@ class Level:
     operator: sp.csr_matrix
     layout: BlockLayout
     prolongation: sp.csr_matrix | None = None
+    restriction: sp.csc_matrix | None = None  # prolongation.T, a view of its arrays
     pressure_adjacency: sp.csr_matrix | None = None
 
     @property
@@ -246,6 +247,7 @@ def build_hierarchy(
             block_size=lay.block_size,
         )
         level.prolongation = _dof_prolongation(p_nodes, lay, coarse_lay)
+        level.restriction = level.prolongation.T
         coarse_op = triple_product(level.prolongation, level.operator, symmetric=True)
         adj = None
         if lay.is_saddle:

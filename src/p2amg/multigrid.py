@@ -114,7 +114,7 @@ def amg_cycle(
     r = sm.presmooth(x, b, cfg.m_pre)
 
     p = lv.prolongation
-    b_coarse = p.T @ r
+    b_coarse = lv.restriction @ r
     if level + 1 == last:
         x_coarse = coarse_solve(hierarchy.coarse, b_coarse)
     else:

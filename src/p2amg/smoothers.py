@@ -60,7 +60,7 @@ from .errors import (
     SingularBlock,
     SingularPatch,
 )
-from .sparse_core import BlockLayout, coarse_factor, coarse_solve, divergence_mask
+from .sparse_core import BlockLayout, coarse_factor, coarse_solve, divergence_mask, row_blocks
 
 __all__ = [
     "SmootherKind",
@@ -159,17 +159,45 @@ def parse_smoother(name: str) -> SmootherConfig:
 # shared helpers
 
 
+def _split_rows(op: sp.csr_matrix, hi: np.ndarray, lo: np.ndarray | None = None):
+    """Which stored entries of the CSR ``op`` lie at ``lo[i] <= col <
+    hi[i]`` in their row ``i`` (no lower bound when ``lo`` is None), and
+    the row pointer of those entries: one pass over ``op.indices``, a
+    block of rows at a time (``sparse_core.row_blocks``)."""
+    mask = np.empty(op.nnz, dtype=bool)
+    indptr = np.zeros_like(op.indptr)
+    hi = hi.astype(op.indices.dtype)
+    lo = None if lo is None else lo.astype(op.indices.dtype)
+    for start, stop in row_blocks(op):
+        ends = op.indptr[start : stop + 1] - op.indptr[start]
+        seg = mask[op.indptr[start] : op.indptr[stop]]
+        cols = op.indices[op.indptr[start] : op.indptr[stop]]
+        np.less(cols, np.repeat(hi[start:stop], np.diff(ends)), out=seg)
+        if lo is not None:
+            seg &= cols >= np.repeat(lo[start:stop], np.diff(ends))
+        taken = np.zeros(seg.size + 1, dtype=indptr.dtype)  # taken before each entry
+        np.cumsum(seg, out=taken[1:])
+        indptr[start + 1 : stop + 1] = indptr[start] + taken[ends[1:]]
+    return mask, indptr
+
+
+def _masked_rows(op: sp.csr_matrix, mask: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
+    """The stored entries of the CSR ``op`` where ``mask`` holds, in
+    ``op``'s order, as CSR with the row pointer ``indptr`` of
+    ``_split_rows``."""
+    return sp.csr_matrix((op.data[mask], op.indices[mask], indptr), shape=op.shape)
+
+
 def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout) -> np.ndarray:
     """Inverses of the diagonal node blocks of the velocity partition."""
     bs = layout.block_size
-    vd = layout.velocity_dof
     node, first = layout.node_of_dof(), layout.first_dof()
-    coo = op[:vd, :vd].tocoo()
-    i = node[coo.row]
-    mask = i == node[coo.col]
-    i, row, col = i[mask], coo.row[mask], coo.col[mask]
+    # the entries with node(col) == node(row); the velocity rows come first
+    own, indptr = _split_rows(op, first[node + 1], first[node])
+    diag = _masked_rows(op, own, indptr)[: layout.velocity_dof].tocoo()
+    i = node[diag.row]
     blocks = np.zeros((layout.n_velocity_nodes, bs, bs))
-    np.add.at(blocks, (i, row - first[i], col - first[i]), coo.data[mask])
+    blocks[i, diag.row - first[i], diag.col - first[i]] = diag.data
     try:
         return np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
@@ -186,22 +214,22 @@ def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
     strict block upper triangle ``U = op - T`` as CSR.
 
     ``T`` includes the full diagonal node blocks, so applying the factor
-    realizes one exact block Gauss-Seidel substitution.
+    realizes one exact block Gauss-Seidel substitution.  Both are taken
+    from ``op``'s own arrays by one row split: a column is block-upper
+    exactly when it is at or past the end of its row's node.  ``T`` is
+    built as CSR, converted to CSC, factored and dropped before ``U`` is
+    built, so no copy of the whole operator is ever made.
     """
-    node = layout.node_of_dof()
-    coo = op.tocoo()
-    lower = node[coo.col] <= node[coo.row]
-    upper = ~lower
-    tri = sp.csc_matrix(
-        (coo.data[lower], (coo.row[lower], coo.col[lower])), shape=op.shape
-    )
-    strict = sp.csr_matrix(
-        (coo.data[upper], (coo.row[upper], coo.col[upper])), shape=op.shape
-    )
+    node, first = layout.node_of_dof(), layout.first_dof()
+    lower, indptr = _split_rows(op, first[node + 1])
+    tri = _masked_rows(op, lower, indptr).tocsc()  # the CSR copy is dropped here
     try:
         factor = spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SingularBlock(f"block triangular factorization failed: {exc}") from exc
+    del tri
+    strict = _masked_rows(op, np.logical_not(lower, out=lower), op.indptr - indptr)
+    strict.sort_indices()  # a no-op unless op's rows are unsorted (Schur's are)
     return factor, strict
 
 
@@ -287,6 +315,9 @@ class GaussSeidelSmoother(_Smoother):
     def __init__(self, op, layout: BlockLayout):
         self.op = op
         self._factor, self._upper = _block_triangles(op, layout)
+        # the transposed sweep's views: they share the arrays above
+        self._solve_t = partial(self._factor.solve, trans="T")
+        self._upper_t = self._upper.T
 
     @staticmethod
     def _gs_sweeps(solve, upper, x, b, sweeps, residual):
@@ -311,8 +342,7 @@ class GaussSeidelSmoother(_Smoother):
     def postsmooth(self, x, b, sweeps):
         """Run ``sweeps`` transposed sweeps on ``x`` in place."""
         if sweeps:
-            solve = partial(self._factor.solve, trans="T")
-            self._gs_sweeps(solve, self._upper.T, x, b, sweeps, False)
+            self._gs_sweeps(self._solve_t, self._upper_t, x, b, sweeps, False)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +629,7 @@ class BraessSarazinSmoother(_Smoother):
         self.layout = layout
         vd = layout.velocity_dof
         self.b_block = self.op[vd:, :vd].tocsr()
+        self._b_block_t = self.b_block.T  # a view of b_block's arrays
         diag = self.op.diagonal()[:vd]
         if np.any(diag <= 0.0):
             raise SingularBlock("velocity diagonal must be strictly positive")
@@ -611,7 +642,7 @@ class BraessSarazinSmoother(_Smoother):
         ru, rp = r[:vd], r[vd:]
         u_star = self._ahat_inv * ru
         q = self.schur(self.b_block @ u_star - rp)
-        x[:vd] += u_star - self._ahat_inv * (self.b_block.T @ q)
+        x[:vd] += u_star - self._ahat_inv * (self._b_block_t @ q)
         x[vd:] += q
 
 

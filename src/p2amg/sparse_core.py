@@ -32,6 +32,7 @@ __all__ = [
     "as_operator",
     "coupling_mask",
     "divergence_mask",
+    "row_blocks",
     "triple_product",
     "CoarseFactorization",
     "coarse_factor",
@@ -44,7 +45,7 @@ COUPLING_TOL = 1e-12
 #: The same for a divergence entry, relative to ``max|B|``, since ``B``
 #: has no diagonal to scale by (``divergence_mask``).
 DIVERGENCE_TOL = 1e-13
-_MASK_BLOCK = 1 << 18  # stored entries ``coupling_mask`` reads at a time
+_MASK_BLOCK = 1 << 18  # stored entries a pass over ``row_blocks`` reads at a time
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,21 @@ def coupling_mask(a: sp.csr_matrix) -> np.ndarray:
     """
     scale = np.sqrt(COUPLING_TOL * np.abs(a.diagonal()))
     mask = np.empty(a.nnz, dtype=bool)
-    n = a.shape[0]
-    step = max(1, _MASK_BLOCK * n // max(a.nnz, 1))  # rows per block
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in row_blocks(a):
         seg = slice(a.indptr[lo], a.indptr[hi])
         row_scale = np.repeat(scale[lo:hi], np.diff(a.indptr[lo : hi + 1]))
         np.greater(np.abs(a.data[seg]), row_scale * scale[a.indices[seg]], out=mask[seg])
     return mask
+
+
+def row_blocks(a: sp.csr_matrix):
+    """Ranges ``(lo, hi)`` of rows of a CSR matrix, in order, that hold
+    about ``_MASK_BLOCK`` stored entries each: a pass over the entries
+    one range at a time keeps its temporaries small next to the matrix."""
+    n = a.shape[0]
+    step = max(1, _MASK_BLOCK * n // max(a.nnz, 1))
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
 
 def divergence_mask(values: np.ndarray) -> np.ndarray:

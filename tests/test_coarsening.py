@@ -268,6 +268,16 @@ def test_hierarchy_prolongation_row_sums(laplace4, mixed2):
             assert np.abs(sums - 1.0).max() <= 1e-15
 
 
+def test_restriction_is_a_view_of_the_prolongation(laplace4):
+    hier = build_hierarchy(laplace4, coarse_size_cap=100)
+    for lv in hier.levels[:-1]:
+        assert lv.restriction.format == "csc"
+        assert lv.restriction.shape == lv.prolongation.shape[::-1]
+        assert np.shares_memory(lv.restriction.data, lv.prolongation.data)
+        assert np.shares_memory(lv.restriction.indices, lv.prolongation.indices)
+    assert hier.levels[-1].restriction is None
+
+
 def test_hierarchy_coarse_operators_spd(laplace4):
     hier = build_hierarchy(laplace4, coarse_size_cap=100)
     rng = np.random.default_rng(6)

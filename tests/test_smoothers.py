@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from p2amg import smoothers, sparse_core
 from p2amg.errors import (
     InvalidParameter,
     MalformedSystem,
@@ -19,15 +20,19 @@ from p2amg.smoothers import (
     SmootherConfig,
     SmootherKind,
     VankaSmoother,
+    _block_triangles,
     _column_ranges,
     _dependency_waves,
+    _masked_rows,
     _patch_incidence,
+    _split_rows,
     _subtract_columns,
+    _velocity_block_inverses,
     build_schur_preconditioner,
     make_smoother,
     parse_smoother,
 )
-from p2amg.sparse_core import BlockLayout, as_operator
+from p2amg.sparse_core import BlockLayout, as_operator, row_blocks
 
 
 def scalar_layout(n_vel, n_pressure=0):
@@ -301,6 +306,162 @@ def test_gs_sweeps_never_form_the_full_residual(laplace2, monkeypatch):
     assert products == []
     sm.presmooth(rng.standard_normal(a.shape[0]), b, 0)
     assert products == [1]
+
+
+# ---------------------------------------------------------------------------
+# the row split behind block GS and the segregated GS block inverses
+
+
+def coo_split(op, keep):
+    """The entries of ``op`` whose dof row and column satisfy ``keep(row,
+    col)``, and the others, as CSR built through a COO copy of ``op``:
+    the reference the row split must match array for array."""
+    coo = op.tocoo()
+    sel = keep(coo.row, coo.col)
+    return [sp.csr_matrix((coo.data[m], (coo.row[m], coo.col[m])), shape=op.shape)
+            for m in (sel, ~sel)]
+
+
+def assert_same_csr(a, b):
+    """Same row pointer, column order and values, to the bit."""
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+def split_case(name):
+    """Operator and layout of one split case; the hand-made ones have an
+    empty row in the middle and as the last row."""
+    rng = np.random.default_rng(47)
+    if name == "vector-laplace":
+        from p2amg.assembly import assemble
+        from p2amg.bench_cli import build_case
+
+        system = assemble(*build_case("vector_laplace", 2))
+        return system.monolithic(), system.layout
+    bs = 1 if name == "empty-rows-block1" else 3
+    n = 12 * bs
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+    dense[[5, n - 1]] = 0.0
+    return sp.csr_matrix(dense), BlockLayout(n_linear=n // bs, n_quadratic=0, block_size=bs)
+
+
+@pytest.mark.parametrize("name", ["vector-laplace", "empty-rows-block1", "empty-rows-block3"])
+@pytest.mark.parametrize("block", [7, 64, 1 << 18])
+def test_row_split_matches_coo_oracle(name, block, monkeypatch):
+    """``T`` holds exactly the entries with ``node(col) <= node(row)``
+    and ``U`` the rest, in the COO reference's order, so ``T + U ==
+    op`` entry by entry; the diagonal node blocks are the entries with
+    ``node(col) == node(row)``.  The small block sizes make row blocks
+    of one or five rows, which end inside a node, and the hand-made
+    operators have empty rows, the last one included."""
+    monkeypatch.setattr(sparse_core, "_MASK_BLOCK", block)
+    op, layout = split_case(name)
+    node, first = layout.node_of_dof(), layout.first_dof()
+    if block < 1 << 18 and layout.block_size == 3:
+        assert any(lo % 3 for lo, _ in row_blocks(op))
+    assert np.diff(op.indptr)[-1] == 0 or name == "vector-laplace"
+
+    lower, indptr = _split_rows(op, first[node + 1])
+    t = _masked_rows(op, lower, indptr)
+    u = _masked_rows(op, ~lower, op.indptr - indptr)
+    ref_t, ref_u = coo_split(op, lambda i, j: node[j] <= node[i])
+    assert_same_csr(t, ref_t)
+    assert_same_csr(u, ref_u)
+    assert t.nnz + u.nnz == op.nnz
+    assert np.array_equal((t + u).toarray(), op.toarray())
+
+    own, indptr = _split_rows(op, first[node + 1], first[node])
+    ref_d, _ = coo_split(op, lambda i, j: node[j] == node[i])
+    assert_same_csr(_masked_rows(op, own, indptr), ref_d)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_block_triangles_factor_t_and_store_u(laplace2, order, monkeypatch):
+    """SuperLU factors the block lower triangle as CSC with ``intc``
+    indices, and ``U`` comes back sorted even from rows stored in
+    reverse column order (the Schur hierarchy's operator is unsorted)."""
+    op = laplace2.monolithic()
+    if order == "reversed":
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        perm = np.lexsort((-op.indices, rows))
+        op = sp.csr_matrix((op.data[perm], op.indices[perm], op.indptr), shape=op.shape)
+        assert not op.has_sorted_indices
+    node = laplace2.layout.node_of_dof()
+    factored = []
+    splu = smoothers.spla.splu
+    monkeypatch.setattr(
+        smoothers.spla, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw)
+    )
+    _, u = _block_triangles(op, laplace2.layout)
+    (t,) = factored
+    ref_t, ref_u = coo_split(op, lambda i, j: node[j] <= node[i])
+    assert t.format == "csc"
+    assert t.indices.dtype == t.indptr.dtype == np.intc
+    assert_same_csr(t, ref_t.tocsc())
+    assert_same_csr(u, ref_u)
+
+
+def test_gs_singular_block_triangle():
+    with pytest.raises(SingularBlock):
+        gauss_seidel(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
+
+
+def test_gs_setup_peak_is_bounded_by_the_triangles():
+    """Block GS setup at vector Laplace n = 8 (265,425 stored entries)
+    allocates at most 1.5x the stored bytes of ``T`` and ``U`` through
+    numpy: the triangles, the split mask and row-block temporaries, and
+    ``T``'s CSR and CSC copies while it is converted.  A split through a
+    COO copy of the operator peaks at 2.1x."""
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+
+    system = assemble(*build_case("vector_laplace", 8))
+    op = system.monolithic()
+    tracemalloc.start()
+    try:
+        sm = GaussSeidelSmoother(op, system.layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    u = sm._upper
+    entry = op.data.itemsize + op.indices.itemsize
+    stored = (op.nnz - u.nnz) * entry + op.indptr.nbytes  # T
+    stored += u.nnz * entry + u.indptr.nbytes
+    assert peak <= 1.5 * stored
+
+
+def coo_velocity_block_inverses(op, layout):
+    """The segregated GS block inverses formed through a COO copy of the
+    velocity block and ``np.add.at``: the bitwise reference."""
+    bs, vd = layout.block_size, layout.velocity_dof
+    node, first = layout.node_of_dof(), layout.first_dof()
+    coo = op[:vd, :vd].tocoo()
+    i = node[coo.row]
+    mask = i == node[coo.col]
+    i, row, col = i[mask], coo.row[mask], coo.col[mask]
+    blocks = np.zeros((layout.n_velocity_nodes, bs, bs))
+    np.add.at(blocks, (i, row - first[i], col - first[i]), coo.data[mask])
+    return np.linalg.inv(blocks)
+
+
+def test_velocity_block_inverses_match_coo_oracle_bitwise(mixed2):
+    from p2amg.coarsening import build_hierarchy
+
+    hier = build_hierarchy(mixed2, coarse_size_cap=100)
+    assert hier.n_levels > 1
+    for lv in hier.levels:
+        got = _velocity_block_inverses(lv.operator, lv.layout)
+        ref = coo_velocity_block_inverses(lv.operator, lv.layout)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_transposed_sweep_views_share_the_stored_arrays(laplace2, stokes2):
+    sm = GaussSeidelSmoother(laplace2.monolithic(), laplace2.layout)
+    assert np.shares_memory(sm._upper_t.data, sm._upper.data)
+    assert np.shares_memory(sm._upper_t.indices, sm._upper.indices)
+    bs = BraessSarazinSmoother(stokes2.monolithic(), stokes2.layout)
+    assert np.shares_memory(bs._b_block_t.data, bs.b_block.data)
 
 
 class ForwardPost:
