@@ -52,7 +52,7 @@ import scipy.sparse as sp
 from . import basis as basis_mod
 from .errors import DegenerateElement, InvalidParameter, MissingTags
 from .mesh import BoundaryTag, Mesh
-from .sparse_core import BlockLayout, coupling_mask, divergence_mask
+from .sparse_core import BlockLayout, coupling_mask, divergence_mask, row_blocks
 
 __all__ = [
     "ProblemKind",
@@ -64,7 +64,6 @@ __all__ = [
 VectorField = Callable[[np.ndarray], np.ndarray]
 
 _CHUNK = 1024
-_COMPACT_BLOCK = 1 << 18  # stored entries ``_drop_entries`` moves at a time
 
 
 class ProblemKind(Enum):
@@ -313,9 +312,7 @@ class _ScatterMap:
             source += (np.arange(self.shape[0]) - np.repeat(first_row, row_sizes)) * ends[-1]
         del ends
         self.indices = np.empty(self.nnz, dtype=idx)
-        step = max(1, _COMPACT_BLOCK * self.shape[0] // max(self.nnz, 1))  # rows per block
-        for lo in range(0, self.shape[0], step):
-            hi = min(lo + step, self.shape[0])
+        for lo, hi in row_blocks(self.indptr):
             seg = slice(self.indptr[lo], self.indptr[hi])
             at = np.arange(seg.start, seg.stop) + np.repeat(source[lo:hi], row_lengths[lo:hi])
             self.indices[seg] = table[at]
@@ -346,11 +343,8 @@ def _drop_entries(data, indices, indptr, keep) -> None:
     time and ``data`` and ``indices`` are then shrunk, so the arrays are
     never copied.  No view of them may be alive.
     """
-    n = len(indptr) - 1
-    step = max(1, _COMPACT_BLOCK * n // max(len(data), 1))  # rows per block
     old = new = 0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in row_blocks(indptr):  # reads indptr[-1] before it is rewritten
         ends = indptr[lo + 1 : hi + 1] - old
         seg = slice(old, old + int(ends[-1]))
         kept = np.zeros(int(ends[-1]) + 1, dtype=np.int64)

@@ -177,24 +177,15 @@ class Hierarchy:
 def _level_graph(level: Level, mode: str) -> NodeGraph:
     """The node graph of one level, with no edge between partitions."""
     lay = level.layout
-    op = level.operator
-    # shares op's index arrays; the entries that do not couple are stored
-    # False, which the products below drop
-    pattern = sp.csr_matrix((coupling_mask(op), op.indices, op.indptr), shape=op.shape)
-    dof_node = lay.node_incidence()
-    coupled = (dof_node.T @ pattern @ dof_node).tocoo()
-    i, j = coupled.row, coupled.col
-    nv = lay.n_velocity_nodes
-    keep = (i < nv) & (j < nv)
+    nodes = lay.node_pattern(level.operator, coupling_mask(level.operator))
+    nl, nv = lay.n_linear, lay.n_velocity_nodes
     if mode == SEPARATED:
-        keep &= (i < lay.n_linear) == (j < lay.n_linear)
-    i, j = i[keep], j[keep]
+        parts = [nodes[:nl, :nl], nodes[nl:nv, nl:nv]]
+    else:
+        parts = [nodes[:nv, :nv]]
     if lay.is_saddle:
-        adj = level.pressure_adjacency.tocoo()
-        i = np.concatenate([i, nv + adj.row])
-        j = np.concatenate([j, nv + adj.col])
-    n = lay.n_nodes
-    return build_node_graph(sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n)))
+        parts.append(level.pressure_adjacency)
+    return build_node_graph(sp.block_diag(parts))
 
 
 def _dof_prolongation(p_nodes, fine: BlockLayout, coarse: BlockLayout) -> sp.csr_matrix:

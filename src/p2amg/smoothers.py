@@ -3,7 +3,7 @@
 For the SPD velocity systems: damped pointwise Jacobi and block
 Gauss-Seidel over the 3x3 node blocks.  For saddle systems: the
 multiplicative Vanka smoother (one patch per pressure dof, built for
-all patches at once as one patch-to-dof incidence and swept in
+all patches at once as one patch-to-node incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
 wave, the update an in-place product over the wave's columns of the
@@ -18,8 +18,8 @@ numbering from :class:`BlockLayout`; this module keeps no copy of it.
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
 Each class precomputes its factorizations once per level.  Jacobi,
-Vanka, Braess-Sarazin and segregated GS define only ``correct(x, r,
-carry)``, the correction they add to ``x`` for the residual ``r``, and
+Vanka, Braess-Sarazin and segregated GS define only ``correct(x, r)``,
+the correction they add to ``x`` for the residual ``r``, and
 share one sweep loop, ``presmooth``/``postsmooth``: it starts from ``b -
 A x``, or from ``b`` itself when ``x`` is zero, and carries the residual
 from one sweep to the next; Vanka updates it as part of its sweep, and
@@ -168,7 +168,7 @@ def _split_rows(op: sp.csr_matrix, hi: np.ndarray, lo: np.ndarray | None = None)
     indptr = np.zeros_like(op.indptr)
     hi = hi.astype(op.indices.dtype)
     lo = None if lo is None else lo.astype(op.indices.dtype)
-    for start, stop in row_blocks(op):
+    for start, stop in row_blocks(op.indptr):
         ends = op.indptr[start : stop + 1] - op.indptr[start]
         seg = mask[op.indptr[start] : op.indptr[stop]]
         cols = op.indices[op.indptr[start] : op.indptr[stop]]
@@ -241,17 +241,16 @@ class _Smoother:
     """The sweep loop of the smoothers that correct for a residual
     (block GS runs sweeps of its own).
 
-    ``correct(x, r, carry)`` adds the correction for the residual ``r =
-    b - op @ x`` to ``x`` in place and may use ``r`` as scratch.  When
-    ``carry`` is set, a smoother that updates the residual as part of
-    its sweep returns the new ``b - op @ x``; one that returns None has
-    the loop compute it.  Only the residuals a later sweep or the caller
-    reads are formed.
+    ``correct(x, r)`` adds the correction for the residual ``r = b - op
+    @ x`` to ``x`` in place and may use ``r`` as scratch.  A smoother
+    that updates the residual as part of its sweep returns the new ``b -
+    op @ x``; for one that returns None the loop computes it, but only
+    when a later sweep or the caller reads it.
     """
 
     op: sp.csr_matrix
 
-    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool):
+    def correct(self, x: np.ndarray, r: np.ndarray):
         raise NotImplementedError
 
     def _residual(self, x, b):
@@ -261,9 +260,8 @@ class _Smoother:
     def _sweeps(self, x, b, sweeps, carry_last):
         r = self._residual(x, b)
         for k in range(sweeps):
-            carry = carry_last or k + 1 < sweeps
-            r = self.correct(x, r, carry)
-            if r is None and carry:
+            r = self.correct(x, r)
+            if r is None and (carry_last or k + 1 < sweeps):
                 r = b - self.op @ x
         return r
 
@@ -292,7 +290,7 @@ class JacobiSmoother(_Smoother):
         self.omega = omega
         self._dinv = 1.0 / diag
 
-    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         x += self.omega * (self._dinv * r)
 
 
@@ -349,58 +347,49 @@ class GaussSeidelSmoother(_Smoother):
 # Vanka
 
 
-def _patch_incidence(op: sp.csr_matrix, layout: BlockLayout) -> sp.csr_matrix:
-    """Patch-to-dof incidence of the Vanka patches, as boolean CSR.
+def _patch_nodes(op: sp.csr_matrix, layout: BlockLayout) -> sp.csr_matrix:
+    """Patch-to-node incidence of the Vanka patches, as boolean CSR with
+    sorted indices, read from the pressure rows of ``op`` alone.
 
-    Patch ``i`` holds pressure dof ``i`` and every component of each
-    velocity node to which row ``i`` of ``B`` couples
-    (``sparse_core.divergence_mask``), in ascending dof order.
+    Patch ``i`` holds every velocity node to which row ``i`` of ``B``
+    couples (``sparse_core.divergence_mask`` over ``B``'s entries), then
+    its own pressure node, the last in node order.
     """
     if not layout.is_saddle:
         raise MalformedSystem("Vanka patches require a saddle system")
-    vd = layout.velocity_dof
-    b_block = op[vd:, :vd]
-    b_block.data = divergence_mask(b_block.data)
-    b_block.eliminate_zeros()
-    empty = np.flatnonzero(np.diff(b_block.indptr) == 0)
+    vd, shape = layout.velocity_dof, (layout.n_pressure, layout.n_nodes)
+    first = op.indptr[vd]
+    cols = op.indices[first:]
+    keep = cols < vd  # B's entries; C's are dropped
+    keep[keep] = divergence_mask(op.data[first:][keep])
+    velocity = sp.csr_matrix(
+        (keep, layout.node_of_dof().astype(cols.dtype)[cols], op.indptr[vd:] - first), shape
+    )
+    velocity.sum_duplicates()
+    velocity.eliminate_zeros()
+    empty = np.flatnonzero(np.diff(velocity.indptr) == 0)
     if empty.size:
         raise MalformedSystem(f"pressure dof {empty[0]} couples to no velocity dof")
-    dof_node = layout.node_incidence()
-    pattern = sp.hstack(
-        [b_block, sp.identity(layout.n_pressure, dtype=bool)], format="csr"
-    )
-    incidence = pattern @ dof_node @ dof_node.T
-    incidence.sort_indices()
-    return incidence
+    return velocity + sp.eye(*shape, k=layout.n_velocity_nodes, dtype=bool, format="csr")
 
 
 def _dependency_waves(
-    op: sp.csr_matrix, incidence: sp.csr_matrix, layout: BlockLayout
+    op: sp.csr_matrix, patches: sp.csr_matrix, layout: BlockLayout
 ) -> list[np.ndarray]:
     """Group patches into dependency waves (level scheduling).
 
-    ``incidence`` is the patch-to-dof incidence.  Patch ``p`` couples
-    to patch ``q`` when ``op[dofs_p, dofs_q]`` or ``op[dofs_q, dofs_p]``
-    is structurally nonzero, or when the two share a dof.  A patch holds
-    whole nodes, so that coupling is formed on the node pattern ``D^T op
-    D`` with the patch-to-node incidence ``incidence @ D``, ``D =
-    layout.node_incidence()``.  A patch's wave is one more than the
+    ``patches`` is the patch-to-node incidence of ``_patch_nodes``.
+    Patch ``p`` couples to patch ``q`` when ``op`` stores an entry
+    between their nodes (``layout.node_pattern``), in either direction,
+    or when the two share a node; a patch holds whole nodes, so that is
+    the coupling of their dofs.  A patch's wave is one more than the
     latest wave of any earlier patch it couples to, so the patches of
     one wave have disjoint, mutually uncoupled dofs.  Returns the patch
     indices of each wave, in patch order within a wave.
     """
-    dof_node = layout.node_incidence()
-    # shares op's index arrays: only the pattern is read, no value copied
-    pattern = sp.csr_matrix(
-        (np.ones(op.nnz, dtype=bool), op.indices, op.indptr), shape=op.shape
-    )
-    nodes = dof_node.T @ pattern @ dof_node
-    patch_nodes = incidence @ dof_node
-    coupling = patch_nodes @ nodes @ patch_nodes.T
-    coupling = sp.tril(
-        coupling + coupling.T + patch_nodes @ patch_nodes.T, k=-1, format="csr"
-    )
-    n_patches = incidence.shape[0]
+    coupling = patches @ layout.node_pattern(op) @ patches.T
+    coupling = sp.tril(coupling + coupling.T + patches @ patches.T, k=-1, format="csr")
+    n_patches = patches.shape[0]
     wave = np.zeros(n_patches, dtype=np.intp)
     for p in range(1, n_patches):
         earlier = coupling.indices[coupling.indptr[p] : coupling.indptr[p + 1]]
@@ -489,10 +478,17 @@ class VankaSmoother(_Smoother):
         self.op = op.tocsr()
         self.op_csc = op.tocsc()
         self.omega = omega
-        incidence = _patch_incidence(self.op, layout)
-        self._dofs = np.split(incidence.indices, incidence.indptr[1:-1])
-        n_velocity = np.diff(incidence.indptr) - 1
-        waves = _dependency_waves(self.op, incidence, layout)
+        patches = _patch_nodes(self.op, layout)
+        # each patch's nodes expanded to their dofs, in ascending order, so
+        # each patch's pressure dof comes last
+        first = layout.first_dof()
+        sizes = np.diff(first)[patches.indices]
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        dofs = np.repeat(first[patches.indices] - bounds[:-1], sizes) + np.arange(bounds[-1])
+        bounds = bounds[patches.indptr]
+        self._dofs = np.split(dofs.astype(self.op.indices.dtype), bounds[1:-1])
+        n_velocity = np.diff(bounds) - 1
+        waves = _dependency_waves(self.op, patches, layout)
         self._waves = []
         # one packed buffer per level: a single large allocation, which the
         # allocator maps and unmaps whole instead of leaving heap holes;
@@ -564,7 +560,7 @@ class VankaSmoother(_Smoother):
         r_wave -= np.repeat(x_p, wave.sizes) * wave.w
         return r_wave
 
-    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> np.ndarray:
+    def correct(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         for wave in self._waves:
             delta = self._solve_wave(wave, r[wave.dofs])
             delta *= self.omega
@@ -637,7 +633,7 @@ class BraessSarazinSmoother(_Smoother):
         self._ahat_inv = 1.0 / self.ahat
         self.schur = build_schur_preconditioner(self.op, layout, self.ahat)
 
-    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
         u_star = self._ahat_inv * ru
@@ -680,7 +676,7 @@ class SegregatedGSSmoother(_Smoother):
         sigma[sigma <= 0.0] = 1.0  # decoupled pressure dof: benign unit scale
         self.pressure_scaling = sigma
 
-    def correct(self, x: np.ndarray, r: np.ndarray, carry: bool) -> None:
+    def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
         du = 0.5 * _apply_block_inverses(self._vinv, ru)

@@ -3,8 +3,8 @@
 Every operator is one monolithic scipy CSR matrix; a
 :class:`BlockLayout` names its partitions (linear-node, quadratic-node
 and pressure unknowns) and is the only code that knows how dofs are
-numbered within nodes (``node_of_dof``, ``first_dof``,
-``node_incidence``).  This module
+numbered within nodes (``node_of_dof``, ``first_dof``, and
+``node_pattern``, which node pairs an operator couples).  This module
 adds the small amount of machinery scipy does not provide directly: the
 one adapter from a system or a matrix to that form, the one rule that
 says which stored entries couple, a symmetrizing Galerkin triple
@@ -95,13 +95,22 @@ class BlockLayout:
         """Node index of every dof."""
         return np.repeat(np.arange(self.n_nodes), np.diff(self.first_dof()))
 
-    def node_incidence(self) -> sp.csr_matrix:
-        """Dof-to-node incidence, boolean ``total_dof x n_nodes``."""
-        node = self.node_of_dof()
-        return sp.csr_matrix(
-            (np.ones(node.size, dtype=bool), node, np.arange(node.size + 1)),
-            shape=(self.total_dof, self.n_nodes),
+    def node_pattern(self, op: sp.csr_matrix, keep: np.ndarray | None = None) -> sp.csr_matrix:
+        """Which node pairs the CSR ``op`` couples, as boolean ``n_nodes x
+        n_nodes`` CSR with sorted indices: ``(i, j)`` is set when a dof
+        row of node ``i`` stores an entry in a dof column of node ``j``
+        where ``keep`` holds (everywhere when None; ``keep`` is not
+        modified).  A node's dof rows are consecutive, so this is ``op``'s
+        own arrays, columns mapped to nodes, row pointer read at
+        ``first_dof``."""
+        data = np.ones(op.nnz, dtype=bool) if keep is None else np.array(keep, dtype=bool)
+        cols = self.node_of_dof().astype(op.indices.dtype)[op.indices]
+        nodes = sp.csr_matrix(
+            (data, cols, op.indptr[self.first_dof()]), shape=(self.n_nodes, self.n_nodes)
         )
+        nodes.sum_duplicates()
+        nodes.eliminate_zeros()
+        return nodes
 
 
 def as_operator(system) -> tuple[sp.csr_matrix, BlockLayout, sp.csr_matrix | None]:
@@ -127,19 +136,20 @@ def coupling_mask(a: sp.csr_matrix) -> np.ndarray:
     """
     scale = np.sqrt(COUPLING_TOL * np.abs(a.diagonal()))
     mask = np.empty(a.nnz, dtype=bool)
-    for lo, hi in row_blocks(a):
+    for lo, hi in row_blocks(a.indptr):
         seg = slice(a.indptr[lo], a.indptr[hi])
         row_scale = np.repeat(scale[lo:hi], np.diff(a.indptr[lo : hi + 1]))
         np.greater(np.abs(a.data[seg]), row_scale * scale[a.indices[seg]], out=mask[seg])
     return mask
 
 
-def row_blocks(a: sp.csr_matrix):
-    """Ranges ``(lo, hi)`` of rows of a CSR matrix, in order, that hold
-    about ``_MASK_BLOCK`` stored entries each: a pass over the entries
-    one range at a time keeps its temporaries small next to the matrix."""
-    n = a.shape[0]
-    step = max(1, _MASK_BLOCK * n // max(a.nnz, 1))
+def row_blocks(indptr: np.ndarray):
+    """Ranges ``(lo, hi)`` of the rows of a CSR row pointer, in order,
+    that hold about ``_MASK_BLOCK`` stored entries each: a pass over the
+    entries one range at a time keeps its temporaries small next to the
+    matrix."""
+    n = len(indptr) - 1
+    step = max(1, _MASK_BLOCK * n // max(int(indptr[-1]), 1))
     for lo in range(0, n, step):
         yield lo, min(lo + step, n)
 

@@ -4,8 +4,10 @@
 from the library's element kernel, ``triplet_assembly`` assembles a
 whole system through global triplets, ``manufactured_solution_residual``
 checks a direct solve against an exact solution, ``shape_values``
-evaluates the ten scalar basis functions, and
-``triangle_quadrature_degree4`` is a quadrature rule on triangles.
+evaluates the ten scalar basis functions,
+``triangle_quadrature_degree4`` is a quadrature rule on triangles, and
+``node_pattern_product`` forms a layout's node pattern as the product
+``D^T S D`` with the dof-to-node incidence ``dof_node_incidence``.
 """
 from dataclasses import replace
 
@@ -178,3 +180,25 @@ def triangle_quadrature_degree4() -> tuple[np.ndarray, np.ndarray]:
             points.append(tuple(p))
             weights.append(w)
     return np.array(points), np.array(weights)
+
+
+def dof_node_incidence(layout) -> sp.csr_matrix:
+    """Dof-to-node incidence ``D`` of a ``BlockLayout``, boolean
+    ``total_dof x n_nodes``."""
+    node = layout.node_of_dof()
+    return sp.csr_matrix(
+        (np.ones(node.size, dtype=bool), node, np.arange(node.size + 1)),
+        shape=(layout.total_dof, layout.n_nodes),
+    )
+
+
+def node_pattern_product(layout, op, keep=None) -> sp.csr_matrix:
+    """``D^T S D``, ``S`` the stored entries of ``op`` where ``keep``
+    holds (all when None) and ``D = dof_node_incidence(layout)``, with
+    sorted indices: the product form of ``BlockLayout.node_pattern``."""
+    data = np.ones(op.nnz, dtype=bool) if keep is None else keep
+    pattern = sp.csr_matrix((data, op.indices, op.indptr), shape=op.shape)
+    d = dof_node_incidence(layout)
+    nodes = (d.T @ pattern @ d).tocsr()
+    nodes.sort_indices()
+    return nodes

@@ -22,7 +22,7 @@ from p2amg.coarsening import (
 )
 from p2amg.errors import CoarseningFailure, InvalidParameter
 from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
-from p2amg.smoothers import _patch_incidence, build_schur_preconditioner
+from p2amg.smoothers import _patch_nodes, build_schur_preconditioner
 from p2amg.sparse_core import BlockLayout, as_operator, coupling_mask, triple_product
 
 
@@ -507,8 +507,8 @@ def test_sub_threshold_entries_change_no_pattern(request, cube2, name):
         assert_same_csr(lv.pressure_adjacency, lo.pressure_adjacency)
         if lv.layout.is_saddle:
             assert_same_csr(
-                _patch_incidence(lv.operator, lv.layout),
-                _patch_incidence(lo.operator, lo.layout),
+                _patch_nodes(lv.operator, lv.layout),
+                _patch_nodes(lo.operator, lo.layout),
             )
     if system.layout.is_saddle:
         # and the inner Schur hierarchy of Braess-Sarazin

@@ -12,6 +12,8 @@ from p2amg.sparse_core import (
     triple_product,
 )
 
+from fem_oracles import node_pattern_product
+
 
 def test_block_layout():
     lay = BlockLayout(n_linear=4, n_quadratic=6, n_pressure=5, block_size=3)
@@ -20,6 +22,47 @@ def test_block_layout():
     assert lay.total_dof == 35
     assert lay.is_saddle
     assert not BlockLayout(n_linear=4, n_quadratic=0).is_saddle
+
+
+def node_pattern_case(name):
+    """Operator and layout of one node-pattern case.  The hand-made ones
+    are random sparse operators with an empty row in the middle and as
+    the last row, over scalar or 3-component velocity nodes, and over a
+    saddle layout whose last row is a pressure row."""
+    if name in ("vector_laplace", "elasticity_displacement", "elasticity_mixed", "stokes"):
+        system = assemble(*build_case(name, 2))
+        return system.monolithic(), system.layout
+    bs, n_pressure = {"block1": (1, 0), "block3": (3, 0), "saddle": (3, 4)}[name]
+    layout = BlockLayout(n_linear=5, n_quadratic=7, n_pressure=n_pressure, block_size=bs)
+    n = layout.total_dof
+    rng = np.random.default_rng(48)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    dense[[5, n - 1]] = 0.0
+    return sp.csr_matrix(dense), layout
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize(
+    "name",
+    ["vector_laplace", "elasticity_displacement", "elasticity_mixed", "stokes",
+     "block1", "block3", "saddle"],
+)
+def test_node_pattern_matches_product_oracle(name, masked):
+    """``node_pattern`` equals ``D^T S D`` index for index, all its
+    entries are True, and the caller's ``keep`` comes back unchanged."""
+    op, layout = node_pattern_case(name)
+    assert np.diff(op.indptr)[-1] == 0 or name not in ("block1", "block3", "saddle")
+    keep = np.random.default_rng(49).random(op.nnz) < 0.5 if masked else None
+    before = None if keep is None else keep.copy()
+    got = layout.node_pattern(op, keep)
+    ref = node_pattern_product(layout, op, keep)
+    assert got.shape == (layout.n_nodes, layout.n_nodes)
+    assert got.dtype == bool and got.data.all()
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    if keep is not None:
+        assert np.array_equal(keep, before)
 
 
 def test_triple_product_identity_bitwise():
