@@ -10,7 +10,6 @@ from .assembly import (
 from .coarsening import (
     Hierarchy,
     build_hierarchy,
-    build_node_graph,
     build_prolongation,
     select_coarse,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "amg_cycle",
     "assemble",
     "build_hierarchy",
-    "build_node_graph",
     "build_prolongation",
     "generate_channel_mesh",
     "generate_unit_cube_mesh",

@@ -220,19 +220,14 @@ class BlockSystem:
     saddle kinds (``C`` is zero for Stokes), over the free unknowns in
     ``layout`` order: linear-node components, quadratic-node
     components, then pressure.  ``right_hand_side`` holds the matching
-    loads after homogenization.  ``vertex_block``/``edge_block`` send a
-    vertex (edge) to its free node index within its partition, with -1
-    for eliminated Dirichlet entities.  ``pressure_adjacency`` is the
-    vertex connectivity used to coarsen pressure (``None`` for the
-    elliptic kinds).
+    loads after homogenization.  ``pressure_adjacency`` is the vertex
+    connectivity used to coarsen pressure (``None`` for the elliptic
+    kinds).
     """
 
-    spec: ProblemSpec
     layout: BlockLayout
     operator: sp.csr_matrix
     right_hand_side: np.ndarray
-    vertex_block: np.ndarray
-    edge_block: np.ndarray
     pressure_adjacency: sp.csr_matrix | None = None
 
     def monolithic(self) -> sp.csr_matrix:
@@ -374,11 +369,6 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     free_v = np.flatnonzero(mesh.vertex_tags != BoundaryTag.DIRICHLET)
     free_e = np.flatnonzero(mesh.edge_tags != BoundaryTag.DIRICHLET)
     n_l, n_q = len(free_v), len(free_e)
-
-    vertex_block = np.full(nv, -1, dtype=np.int64)
-    vertex_block[free_v] = np.arange(n_l)
-    edge_block = np.full(ne, -1, dtype=np.int64)
-    edge_block[free_e] = np.arange(n_q)
 
     # one node numbering for the stored operator and its lift block: the
     # free velocity nodes in layout order, the pressure nodes (vertices) of
@@ -532,7 +522,6 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         adj.data[:] = 1.0
 
     return BlockSystem(
-        spec=spec,
         layout=BlockLayout(
             n_linear=n_l,
             n_quadratic=n_q,
@@ -541,7 +530,5 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         ),
         operator=operator,
         right_hand_side=rhs,
-        vertex_block=vertex_block,
-        edge_block=edge_block,
         pressure_adjacency=adj,
     )

@@ -189,10 +189,9 @@ def _parse_precond(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         cycles = value
     elif isinstance(value, str):
-        head = value.strip().split()[0]
         try:
-            cycles = int(head)
-        except ValueError as exc:
+            cycles = int(value.split()[0])
+        except (IndexError, ValueError) as exc:
             raise InvalidParameter(
                 f"cannot parse preconditioner cycle count from {value!r}"
             ) from exc

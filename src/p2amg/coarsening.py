@@ -10,11 +10,13 @@ pressure unknowns separated on every coarse level.  A "monolithic" mode
 that lets all velocity nodes couple, across the linear/quadratic split,
 is kept for comparison runs.
 
-Coarse/fine selection is a deterministic greedy independent set in
-ascending node order; interpolation weights are uniform over the
-coarse neighbours of each fine node.  The node prolongation is expanded
-to the dofs (each node row applies to every component of the node), and
-coarse operators are formed by the Galerkin triple product with it.
+The graph is a boolean scipy CSR matrix and the coarse/fine split a
+plain ``int8`` label array.  Coarse/fine selection is a deterministic
+greedy independent set in ascending node order; interpolation weights
+are uniform over the coarse neighbours of each fine node.  The node
+prolongation is expanded to the dofs (each node row applies to every
+component of the node), and coarse operators are formed by the
+Galerkin triple product with it.
 """
 from __future__ import annotations
 
@@ -36,9 +38,6 @@ from .sparse_core import (
 __all__ = [
     "COARSE",
     "FINE",
-    "NodeGraph",
-    "CFSplit",
-    "build_node_graph",
     "select_coarse",
     "build_prolongation",
     "Level",
@@ -55,90 +54,52 @@ MONOLITHIC = "monolithic"
 MAX_LEVELS = 10
 
 
-@dataclass(frozen=True)
-class NodeGraph:
-    """Symmetric adjacency (CSR arrays) over the nodes of one level."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    n_nodes: int
-
-
-def build_node_graph(matrix) -> NodeGraph:
-    """Adjacency of the nodes of a node-level matrix.
-
-    Two nodes are adjacent iff ``matrix`` stores an off-diagonal entry
-    between them.  The graph is symmetrized and self-loops are dropped.
-    """
-    if matrix.shape[0] != matrix.shape[1]:
-        raise InvalidParameter(f"partition matrix must be square, got {matrix.shape}")
-    n = matrix.shape[0]
-    coo = matrix.tocoo()
-    off = coo.row != coo.col
-    i, j = coo.row[off], coo.col[off]
-    pattern = sp.coo_matrix(
-        (np.ones(2 * len(i)), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    ).tocsr()
-    pattern.sum_duplicates()
-    pattern.sort_indices()
-    return NodeGraph(
-        indptr=pattern.indptr.copy(), indices=pattern.indices.copy(), n_nodes=n
-    )
-
-
-@dataclass(frozen=True)
-class CFSplit:
-    """Coarse/fine labels plus the compressed coarse numbering."""
-
-    labels: np.ndarray
-    coarse_index: np.ndarray
-    n_coarse: int
-
-
-def select_coarse(graph: NodeGraph) -> CFSplit:
+def select_coarse(graph: sp.csr_matrix) -> np.ndarray:
     """Greedy independent-set splitting in ascending node order.
 
+    ``graph`` is a symmetric adjacency in CSR form without self-loops.
     A node still unlabeled when visited becomes coarse and its
     unlabeled neighbours become fine; isolated nodes become coarse.
     Every fine node therefore has at least one coarse neighbour, and no
-    two coarse nodes are adjacent.
+    two coarse nodes are adjacent.  Returns the ``int8`` label
+    (``COARSE`` or ``FINE``) of every node.
     """
-    labels = np.full(graph.n_nodes, -1, dtype=np.int8)
+    n = graph.shape[0]
+    labels = np.full(n, -1, dtype=np.int8)
     indptr, indices = graph.indptr, graph.indices
-    for i in range(graph.n_nodes):
+    for i in range(n):
         if labels[i] != -1:
             continue
         labels[i] = COARSE
         nbrs = indices[indptr[i] : indptr[i + 1]]
         labels[nbrs[labels[nbrs] == -1]] = FINE
-    coarse_index = np.full(graph.n_nodes, -1, dtype=np.int64)
-    coarse = np.flatnonzero(labels == COARSE)
-    coarse_index[coarse] = np.arange(len(coarse))
-    return CFSplit(labels=labels, coarse_index=coarse_index, n_coarse=len(coarse))
+    return labels
 
 
-def build_prolongation(split: CFSplit, graph: NodeGraph) -> sp.csr_matrix:
-    """Node-level interpolation of one graph.
+def build_prolongation(graph: sp.csr_matrix, labels: np.ndarray) -> sp.csr_matrix:
+    """Node-level interpolation on ``graph`` for the coarse/fine ``labels``.
 
-    Coarse nodes inject; each fine node averages its ``k`` coarse
-    neighbours with weight ``1/k``.  The last weight of every fine row
-    is ``1 - (k-1)*(1/k)``, which makes the row sum to one exactly in
-    floating point.
+    The coarse nodes are numbered in ascending order.  Coarse nodes
+    inject; each fine node averages its ``k`` coarse neighbours with
+    weight ``1/k``.  The last weight of every fine row is ``1 -
+    (k-1)*(1/k)``, which makes the row sum to one exactly in floating
+    point.
     """
-    n = graph.n_nodes
+    n = graph.shape[0]
+    is_coarse = labels == COARSE
+    coarse_index = np.cumsum(is_coarse) - 1
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-    keep = (split.labels[rows] != COARSE) & (split.labels[graph.indices] == COARSE)
-    coarse = np.flatnonzero(split.labels == COARSE)
+    keep = ~is_coarse[rows] & is_coarse[graph.indices]
+    coarse = np.flatnonzero(is_coarse)
     rows = np.concatenate([rows[keep], coarse])
-    cols = split.coarse_index[np.concatenate([graph.indices[keep], coarse])]
+    cols = coarse_index[np.concatenate([graph.indices[keep], coarse])]
     k = np.bincount(rows, minlength=n)
     if np.any(k == 0):
         i = int(np.flatnonzero(k == 0)[0])
         raise CoarseningFailure(
             f"fine node {i} has no coarse neighbour; the graph is inconsistent"
         )
-    p = sp.csr_matrix(((1.0 / k)[rows], (rows, cols)), shape=(n, split.n_coarse))
+    p = sp.csr_matrix(((1.0 / k)[rows], (rows, cols)), shape=(n, len(coarse)))
     p.data[p.indptr[1:] - 1] = 1.0 - (k - 1) * (1.0 / k)
     return p
 
@@ -174,8 +135,9 @@ class Hierarchy:
         return sum(lv.operator.nnz for lv in self.levels) / self.levels[0].operator.nnz
 
 
-def _level_graph(level: Level, mode: str) -> NodeGraph:
-    """The node graph of one level, with no edge between partitions."""
+def _level_graph(level: Level, mode: str) -> sp.csr_matrix:
+    """The node adjacency of one level as boolean CSR: symmetric, with
+    sorted indices, no self-loops and no edge between partitions."""
     lay = level.layout
     nodes = lay.node_pattern(level.operator, coupling_mask(level.operator))
     nl, nv = lay.n_linear, lay.n_velocity_nodes
@@ -185,7 +147,14 @@ def _level_graph(level: Level, mode: str) -> NodeGraph:
         parts = [nodes[:nv, :nv]]
     if lay.is_saddle:
         parts.append(level.pressure_adjacency)
-    return build_node_graph(sp.block_diag(parts))
+    graph = sp.block_diag(parts, format="csr", dtype=bool)
+    graph = graph + graph.T
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    # cleared in place and then dropped: setdiag would insert the missing ones
+    graph.data[rows == graph.indices] = False
+    graph.eliminate_zeros()
+    graph.sort_indices()
+    return graph
 
 
 def _dof_prolongation(p_nodes, fine: BlockLayout, coarse: BlockLayout) -> sp.csr_matrix:
@@ -220,13 +189,14 @@ def build_hierarchy(
     while level.n_dof > coarse_size_cap and len(levels) < MAX_LEVELS:
         lay = level.layout
         graph = _level_graph(level, mode)
-        split = select_coarse(graph)
-        if split.n_coarse > 0.9 * graph.n_nodes:
+        labels = select_coarse(graph)
+        is_coarse = labels == COARSE
+        n_coarse = int(np.count_nonzero(is_coarse))
+        if n_coarse > 0.9 * len(labels):
             break
-        p_nodes = build_prolongation(split, graph)
+        p_nodes = build_prolongation(graph, labels)
         # coarse nodes keep the ascending order, so each partition's
         # coarse nodes stay contiguous
-        is_coarse = split.labels == COARSE
         n_v = int(np.count_nonzero(is_coarse[: lay.n_velocity_nodes]))
         n_q = int(np.count_nonzero(is_coarse[lay.n_linear : lay.n_velocity_nodes]))
         if mode == MONOLITHIC:
@@ -234,7 +204,7 @@ def build_hierarchy(
         coarse_lay = BlockLayout(
             n_linear=n_v - n_q,
             n_quadratic=n_q,
-            n_pressure=split.n_coarse - n_v,
+            n_pressure=n_coarse - n_v,
             block_size=lay.block_size,
         )
         level.prolongation = _dof_prolongation(p_nodes, lay, coarse_lay)

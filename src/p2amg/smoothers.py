@@ -60,7 +60,7 @@ from .errors import (
     SingularBlock,
     SingularPatch,
 )
-from .sparse_core import BlockLayout, coarse_factor, coarse_solve, divergence_mask, row_blocks
+from .sparse_core import BlockLayout, divergence_mask, row_blocks
 
 __all__ = [
     "SmootherKind",
@@ -582,10 +582,15 @@ def build_schur_preconditioner(
     """Approximate inverse of the Schur complement ``C + B Ahat^{-1} B^T``.
 
     The Schur matrix is formed explicitly and symmetrised.  The returned
-    callable ``r -> Shat^{-1} r`` is a dense LU solve when the matrix has
-    at most ``coarse_size_cap`` rows, otherwise one V-cycle of a scalar
-    multigrid hierarchy with GS-1-1 smoothing.
+    callable ``r -> Shat^{-1} r`` is one V-cycle of a scalar multigrid
+    hierarchy with GS-1-1 smoothing; a matrix of at most
+    ``coarse_size_cap`` rows makes a one-level hierarchy, whose cycle is
+    the dense LU solve of its coarsest level.
     """
+    # imported here: multigrid imports this module
+    from .coarsening import build_hierarchy
+    from .multigrid import CycleConfig, Preconditioner
+
     vd = layout.velocity_dof
     b_block = op[vd:, :vd].tocsr()
     c_block = (-op[vd:, vd:]).tocsr()
@@ -593,15 +598,6 @@ def build_schur_preconditioner(
         c_block + b_block @ sp.diags(1.0 / ahat_diag) @ b_block.T
     ).tocsr()
     schur = ((schur + schur.T) * 0.5).tocsr()
-
-    if schur.shape[0] <= coarse_size_cap:
-        factor = coarse_factor(schur)
-        return lambda r: coarse_solve(factor, r)
-
-    # imported here: multigrid imports this module
-    from .coarsening import build_hierarchy
-    from .multigrid import CycleConfig, Preconditioner
-
     hierarchy = build_hierarchy(schur, coarse_size_cap=coarse_size_cap)
     config = CycleConfig(
         smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=1, m_post=1)

@@ -8,10 +8,11 @@ numbered within nodes (``node_of_dof``, ``first_dof``, and
 adds the small amount of machinery scipy does not provide directly: the
 one adapter from a system or a matrix to that form, the one rule that
 says which stored entries couple, a symmetrizing Galerkin triple
-product, and a dense LU with partial pivoting for the
-coarsest level of a hierarchy and for a small Braess-Sarazin Schur
-complement.  The Vanka patches do not use it: ``smoothers`` solves
-them through packed Cholesky factors of their velocity blocks.
+product, and a dense LU with partial pivoting for the coarsest level
+of a hierarchy (a Braess-Sarazin Schur complement small enough is a
+one-level hierarchy of its own).  The Vanka patches do not use it:
+``smoothers`` solves them through packed Cholesky factors of their
+velocity blocks.
 """
 from __future__ import annotations
 

@@ -5,9 +5,12 @@ from the library's element kernel, ``triplet_assembly`` assembles a
 whole system through global triplets, ``manufactured_solution_residual``
 checks a direct solve against an exact solution, ``shape_values``
 evaluates the ten scalar basis functions,
-``triangle_quadrature_degree4`` is a quadrature rule on triangles, and
-``node_pattern_product`` forms a layout's node pattern as the product
-``D^T S D`` with the dof-to-node incidence ``dof_node_incidence``.
+``triangle_quadrature_degree4`` is a quadrature rule on triangles,
+``free_node_index`` numbers the free nodes of a tagged mesh in layout
+order, ``node_pattern_product`` forms a layout's node pattern as the
+product ``D^T S D`` with the dof-to-node incidence
+``dof_node_incidence``, and ``reference_node_graph`` builds a node
+graph through COO triplets.
 """
 from dataclasses import replace
 
@@ -115,6 +118,16 @@ def triplet_assembly(mesh, spec: ProblemSpec):
     return op, np.concatenate([rhs, -(b_full @ lift)])
 
 
+def free_node_index(mesh) -> np.ndarray:
+    """Free velocity node of every vertex, then of every edge, of a
+    tagged mesh, numbered in ``assemble``'s layout order (free vertices,
+    then free edges); -1 for a Dirichlet vertex or edge."""
+    free = np.concatenate([mesh.vertex_tags, mesh.edge_tags]) != BoundaryTag.DIRICHLET
+    index = np.full(free.size, -1, dtype=np.int64)
+    index[free] = np.arange(np.count_nonzero(free))
+    return index
+
+
 def manufactured_solution_residual(mesh, spec: ProblemSpec, exact_u, exact_p=None) -> float:
     """Max-norm DOF error of a direct solve against an exact solution.
 
@@ -130,12 +143,13 @@ def manufactured_solution_residual(mesh, spec: ProblemSpec, exact_u, exact_p=Non
     x = spla.spsolve(system.monolithic().tocsc(), system.rhs())
 
     err = 0.0
-    n_l = system.layout.n_linear
-    for v in np.flatnonzero(system.vertex_block >= 0):
-        blk = system.vertex_block[v]
+    node = free_node_index(mesh)
+    nv = mesh.n_vertices
+    for v in np.flatnonzero(node[:nv] >= 0):
+        blk = node[v]
         err = max(err, np.abs(x[3 * blk : 3 * blk + 3] - exact_u(mesh.vertices[v])).max())
-    for e in np.flatnonzero(system.edge_block >= 0):
-        blk = n_l + system.edge_block[e]
+    for e in np.flatnonzero(node[nv:] >= 0):
+        blk = node[nv + e]
         a, b = mesh.edges[e]
         mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         coeff = np.asarray(exact_u(mid), dtype=float) - 0.5 * (
@@ -202,3 +216,19 @@ def node_pattern_product(layout, op, keep=None) -> sp.csr_matrix:
     nodes = (d.T @ pattern @ d).tocsr()
     nodes.sort_indices()
     return nodes
+
+
+def reference_node_graph(matrix) -> sp.csr_matrix:
+    """Node adjacency of a square node-level matrix through COO triplets:
+    ``(i, j)`` for every stored off-diagonal entry and its mirror, summed
+    and converted to boolean CSR with sorted indices."""
+    n = matrix.shape[0]
+    coo = matrix.tocoo()
+    off = coo.row != coo.col
+    i, j = coo.row[off], coo.col[off]
+    graph = sp.coo_matrix(
+        (np.ones(2 * len(i), dtype=bool), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    ).tocsr()
+    graph.sort_indices()
+    return graph

@@ -21,6 +21,7 @@ from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
 from conftest import lid_displacement, z_faces
 from fem_oracles import (
     element_matrices,
+    free_node_index,
     manufactured_solution_residual,
     triangle_quadrature_degree4,
     triplet_assembly,
@@ -364,10 +365,8 @@ def test_stored_pattern_rule(name, request, cube2):
     k = system.monolithic()
     vd = system.layout.velocity_dof
     assert np.all(k[:vd, :vd].data != 0.0)
-    nv, n_l = cube2.n_vertices, system.layout.n_linear
-    node_block = np.concatenate(
-        [system.vertex_block, np.where(system.edge_block >= 0, n_l + system.edge_block, -1)]
-    )
+    nv = cube2.n_vertices
+    node_block = free_node_index(cube2)
     expected = set()
     for tet, edges in zip(cube2.tets, cube2.tet_edges):
         for node in node_block[np.concatenate([tet, nv + edges])]:

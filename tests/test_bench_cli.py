@@ -214,7 +214,8 @@ def test_empty_solver_list_is_success(tmp_path):
     paths = emit_tables(rows, "both", str(tmp_path))
     assert len(paths) == 2
     assert read_csv(paths[0]) == []
-    assert "(no results)" in open(paths[1]).read()
+    with open(paths[1]) as fh:
+        assert "(no results)" in fh.read()
 
 
 def test_csv_roundtrip(tmp_path):
@@ -382,10 +383,12 @@ def _with_solver(**fields):
         dict(GOOD_CONFIG, mu=-1),
         dict(GOOD_CONFIG, problem="elasticity_displacement", **{"lambda": 0}),
         dict(GOOD_CONFIG, mu=None),
+        _with_solver(precond=""),
+        _with_solver(precond="   "),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
          "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
-         "lambda-zero", "mu-null"],
+         "lambda-zero", "mu-null", "precond-empty", "precond-blank"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli

@@ -12,10 +12,8 @@ from p2amg.coarsening import (
     MAX_LEVELS,
     MONOLITHIC,
     SEPARATED,
-    CFSplit,
-    NodeGraph,
+    _level_graph,
     build_hierarchy,
-    build_node_graph,
     build_prolongation,
     hierarchy_summary,
     select_coarse,
@@ -24,6 +22,9 @@ from p2amg.errors import CoarseningFailure, InvalidParameter
 from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
 from p2amg.smoothers import _patch_nodes, build_schur_preconditioner
 from p2amg.sparse_core import BlockLayout, as_operator, coupling_mask, triple_product
+
+from conftest import lid_displacement, z_faces
+from fem_oracles import free_node_index, node_pattern_product, reference_node_graph
 
 
 def graph_from_edges(n, edges):
@@ -35,7 +36,7 @@ def graph_from_edges(n, edges):
         )
     else:
         m = sp.coo_matrix((n, n))
-    return build_node_graph(m.tocsr() + sp.identity(n, format="csr"))
+    return reference_node_graph(m.tocsr() + sp.identity(n, format="csr"))
 
 
 def node_matrix(matrix, block_size, keep=None):
@@ -65,15 +66,15 @@ def path_graph(n):
 
 def test_node_graph_tridiagonal_is_path():
     m = sp.diags([np.ones(4), 2 * np.ones(5), np.ones(4)], [-1, 0, 1]).tocsr()
-    g = build_node_graph(m)
-    assert g.n_nodes == 5
+    g = reference_node_graph(m)
+    assert g.shape == (5, 5)
     assert n_edges(g) == 4
     assert list(neighbors(g, 0)) == [1]
     assert list(neighbors(g, 2)) == [1, 3]
 
 
 def test_node_graph_diagonal_is_edgeless():
-    g = build_node_graph(sp.identity(6, format="csr"))
+    g = reference_node_graph(sp.identity(6, format="csr"))
     assert n_edges(g) == 0
 
 
@@ -83,42 +84,34 @@ def test_node_graph_blockwise():
     dense[np.diag_indices(6)] = 1.0
     dense[0, 3] = 5.0
     m = sp.csr_matrix(dense)
-    g = build_node_graph(node_matrix(m, 3))
-    assert g.n_nodes == 2
+    g = reference_node_graph(node_matrix(m, 3))
+    assert g.shape == (2, 2)
     assert n_edges(g) == 1
 
 
-def test_node_graph_validation():
-    with pytest.raises(InvalidParameter):
-        build_node_graph(sp.csr_matrix((3, 4)))
-
-
 def test_monolithic_graph_denser_than_separated(laplace2):
-    op = laplace2.monolithic()
-    lay = laplace2.layout
-    split = 3 * lay.n_linear
-    g_lin = build_node_graph(node_matrix(op[:split, :split], 3))
-    g_quad = build_node_graph(node_matrix(op[split:, split:], 3))
-    g_mono = build_node_graph(node_matrix(op, 3))
-    assert n_edges(g_mono) > n_edges(g_lin) + n_edges(g_quad)
+    level = build_hierarchy(laplace2, coarse_size_cap=10_000).levels[0]
+    g_sep = _level_graph(level, SEPARATED)
+    g_mono = _level_graph(level, MONOLITHIC)
+    assert n_edges(g_mono) > n_edges(g_sep)
 
 
 def test_select_coarse_path():
-    split = select_coarse(path_graph(5))
-    assert list(np.flatnonzero(split.labels == COARSE)) == [0, 2, 4]
-    assert list(np.flatnonzero(split.labels == FINE)) == [1, 3]
+    labels = select_coarse(path_graph(5))
+    assert labels.dtype == np.int8
+    assert list(np.flatnonzero(labels == COARSE)) == [0, 2, 4]
+    assert list(np.flatnonzero(labels == FINE)) == [1, 3]
 
 
 def test_select_coarse_edgeless_all_coarse():
-    split = select_coarse(graph_from_edges(3, []))
-    assert split.n_coarse == 3
+    labels = select_coarse(graph_from_edges(3, []))
+    assert np.count_nonzero(labels == COARSE) == 3
 
 
 def test_select_coarse_complete_graph():
     k4 = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    split = select_coarse(k4)
-    assert list(np.flatnonzero(split.labels == COARSE)) == [0]
-    assert split.n_coarse == 1
+    labels = select_coarse(k4)
+    assert list(np.flatnonzero(labels == COARSE)) == [0]
 
 
 def test_select_coarse_invariants_random():
@@ -128,24 +121,24 @@ def test_select_coarse_invariants_random():
         mask = np.triu(rng.random((n, n)) < 0.08, k=1)
         edges = list(zip(*np.nonzero(mask)))
         g = graph_from_edges(n, edges)
-        split = select_coarse(g)
+        labels = select_coarse(g)
         for i in range(n):
             nbrs = neighbors(g, i)
-            if split.labels[i] == FINE:
-                assert np.any(split.labels[nbrs] == COARSE)
+            if labels[i] == FINE:
+                assert np.any(labels[nbrs] == COARSE)
             else:
-                assert not np.any(split.labels[nbrs] == COARSE)
+                assert not np.any(labels[nbrs] == COARSE)
 
 
 def test_prolongation_all_coarse_identity():
     g = graph_from_edges(4, [])
-    p = build_prolongation(select_coarse(g), g)
+    p = build_prolongation(g, select_coarse(g))
     assert np.allclose(p.toarray(), np.eye(4))
 
 
 def test_prolongation_path_average():
     g = path_graph(3)
-    p = build_prolongation(select_coarse(g), g).toarray()
+    p = build_prolongation(g, select_coarse(g)).toarray()
     assert np.allclose(p[1], [0.5, 0.5])
     assert np.allclose(p[0], [1.0, 0.0])
     assert np.allclose(p[2], [0.0, 1.0])
@@ -153,7 +146,7 @@ def test_prolongation_path_average():
 
 def test_prolongation_single_coarse_neighbour():
     k4 = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    p = build_prolongation(select_coarse(k4), k4).toarray()
+    p = build_prolongation(k4, select_coarse(k4)).toarray()
     assert np.allclose(p, np.ones((4, 1)))
 
 
@@ -161,26 +154,28 @@ def test_prolongation_row_sums_exact():
     # complete bipartite graph: every fine node averages 10 coarse ones
     edges = [(i, 10 + j) for i in range(10) for j in range(10)]
     g = graph_from_edges(20, edges)
-    split = select_coarse(g)
-    assert split.n_coarse == 10
-    p = build_prolongation(split, g)
+    labels = select_coarse(g)
+    assert np.count_nonzero(labels == COARSE) == 10
+    p = build_prolongation(g, labels)
     sums = np.asarray(p.sum(axis=1)).ravel()
     assert np.abs(sums - 1.0).max() <= 1e-15
 
 
-def loop_prolongation(split, graph):
-    """Per-node reference: coarse nodes inject, fine nodes average their
-    sorted coarse neighbours, the last weight closing the row sum."""
-    n = graph.n_nodes
+def loop_prolongation(graph, labels):
+    """Per-node reference: coarse nodes, numbered in ascending order,
+    inject; fine nodes average their sorted coarse neighbours, the last
+    weight closing the row sum."""
+    n = graph.shape[0]
+    coarse_index = {c: k for k, c in enumerate(np.flatnonzero(labels == COARSE))}
     indptr = np.zeros(n + 1, dtype=np.int64)
     cols, data = [], []
     for i in range(n):
-        if split.labels[i] == COARSE:
-            cols.append(np.array([split.coarse_index[i]]))
+        if labels[i] == COARSE:
+            cols.append(np.array([coarse_index[i]]))
             data.append(np.array([1.0]))
         else:
             nbrs = neighbors(graph, i)
-            coarse_nbrs = split.coarse_index[nbrs[split.labels[nbrs] == COARSE]]
+            coarse_nbrs = np.array([coarse_index[j] for j in nbrs if labels[j] == COARSE])
             k = len(coarse_nbrs)
             w = np.full(k, 1.0 / k)
             if k > 1:
@@ -191,10 +186,10 @@ def loop_prolongation(split, graph):
     return np.concatenate(data), np.concatenate(cols), indptr
 
 
-def assert_matches_loop_oracle(split, graph):
-    p = build_prolongation(split, graph)
-    data, indices, indptr = loop_prolongation(split, graph)
-    assert p.shape == (graph.n_nodes, split.n_coarse)
+def assert_matches_loop_oracle(graph, labels):
+    p = build_prolongation(graph, labels)
+    data, indices, indptr = loop_prolongation(graph, labels)
+    assert p.shape == (graph.shape[0], np.count_nonzero(labels == COARSE))
     assert np.array_equal(p.indptr, indptr)
     assert np.array_equal(p.indices, indices)
     assert np.array_equal(p.data.view(np.int64), data.view(np.int64))
@@ -213,28 +208,22 @@ def test_prolongation_matches_loop_oracle_random():
         edges += [(i, j) for j in rng.choice(coarse, size=k, replace=False)]
         edges += [(i, j) for j in rng.choice(fine, size=2) if j != i]
     g = graph_from_edges(n, edges)
-    coarse_index = np.full(n, -1, dtype=np.int64)
-    coarse_index[coarse] = np.arange(len(coarse))
-    split = CFSplit(labels=labels, coarse_index=coarse_index, n_coarse=len(coarse))
-    assert set(np.diff(build_prolongation(split, g).indptr)[fine]) == set(range(1, 13))
-    assert_matches_loop_oracle(split, g)
+    assert set(np.diff(build_prolongation(g, labels).indptr)[fine]) == set(range(1, 13))
+    assert_matches_loop_oracle(g, labels)
 
 
 def test_prolongation_matches_loop_oracle_laplace4(laplace4):
-    op = laplace4.monolithic()
-    split_at = 3 * laplace4.layout.n_linear
-    for block in (op[:split_at, :split_at], op[split_at:, split_at:]):
-        g = build_node_graph(node_matrix(block, 3))
-        assert_matches_loop_oracle(select_coarse(g), g)
+    level = build_hierarchy(laplace4, coarse_size_cap=10_000).levels[0]
+    for mode in (SEPARATED, MONOLITHIC):
+        g = _level_graph(level, mode)
+        assert_matches_loop_oracle(g, select_coarse(g))
 
 
 def test_prolongation_failure_on_broken_split():
     g = path_graph(3)
     labels = np.array([FINE, FINE, COARSE], dtype=np.int8)
-    coarse_index = np.array([-1, -1, 0])
-    broken = CFSplit(labels=labels, coarse_index=coarse_index, n_coarse=1)
     with pytest.raises(CoarseningFailure):
-        build_prolongation(broken, g)  # node 0 has no coarse neighbour
+        build_prolongation(g, labels)  # node 0 has no coarse neighbour
 
 
 def test_hierarchy_single_level_below_cap(laplace2):
@@ -321,8 +310,8 @@ def test_pure_neumann_constant_identity():
     lay = system.layout
     split = 3 * lay.n_linear
     a_ll = op[:split, :split]
-    g = build_node_graph(node_matrix(a_ll, 3))
-    p_nodes = build_prolongation(select_coarse(g), g)
+    g = reference_node_graph(node_matrix(a_ll, 3))
+    p_nodes = build_prolongation(g, select_coarse(g))
     p = sp.kron(p_nodes, sp.identity(3, format="csr"), format="csr")
     lhs = (p.T @ a_ll @ p) @ np.ones(p.shape[1])
     rhs = p.T @ (a_ll @ np.ones(a_ll.shape[0]))
@@ -348,15 +337,15 @@ def per_partition_hierarchy(system, mode, coarse_size_cap):
             parts += [(op[split:vd, split:vd], bs)] if lay.n_quadratic else []
         else:
             parts = [(op[:vd, :vd], bs)]
-        graphs = [build_node_graph(node_matrix(m, c, coupling_mask(m))) for m, c in parts]
+        graphs = [reference_node_graph(node_matrix(m, c, coupling_mask(m))) for m, c in parts]
         if lay.is_saddle:
             parts.append((adj, 1))
-            graphs.append(build_node_graph(adj))
+            graphs.append(reference_node_graph(adj))
         splits = [select_coarse(g) for g in graphs]
-        counts = [s.n_coarse for s in splits]
-        if sum(counts) > 0.9 * sum(g.n_nodes for g in graphs):
+        counts = [int(np.count_nonzero(s == COARSE)) for s in splits]
+        if sum(counts) > 0.9 * sum(g.shape[0] for g in graphs):
             break
-        blocks = [build_prolongation(s, g) for s, g in zip(splits, graphs)]
+        blocks = [build_prolongation(g, s) for s, g in zip(splits, graphs)]
         expanded = [
             sp.kron(b, sp.identity(c, format="csr"), format="csr") if c > 1 else b
             for b, (_, c) in zip(blocks, parts)
@@ -408,6 +397,58 @@ def test_one_node_graph_matches_per_partition_oracle(request, name, mode):
         assert_same_csr(lv.prolongation, p)
 
 
+KINDS = {
+    ProblemKind.VECTOR_LAPLACE: {},
+    ProblemKind.ELASTICITY_DISPLACEMENT: {"mu": 1.15e6, "lam": 1.73e6},
+    ProblemKind.ELASTICITY_MIXED: {"mu": 1.15e6, "lam": 1.73e6},
+    ProblemKind.STOKES: {"mu": 0.5},
+}
+
+
+def reference_level_graph(level, mode):
+    """``_level_graph`` through the product node pattern and COO
+    triplets, one partition block at a time."""
+    lay, op = level.layout, level.operator
+    nodes = node_pattern_product(lay, op, coupling_mask(op))
+    nl, nv = lay.n_linear, lay.n_velocity_nodes
+    bounds = [0, nl, nv] if mode == SEPARATED else [0, nv]
+    parts = [nodes[lo:hi, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if lay.is_saddle:
+        parts.append(level.pressure_adjacency)
+    return reference_node_graph(sp.block_diag(parts))
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("n", [2, 4])
+def test_level_graph_matches_coo_reference(kind, n):
+    mesh = tag_boundary(generate_unit_cube_mesh(n), z_faces)
+    spec = ProblemSpec(kind=kind, g_dirichlet=lid_displacement, **KINDS[kind])
+    system = assemble(mesh, spec)
+    for mode in (SEPARATED, MONOLITHIC):
+        # a cap of 20 leaves a singular coarsest Stokes operator
+        hier = build_hierarchy(system, mode=mode, coarse_size_cap=50)
+        assert hier.n_levels >= 2
+        for level in hier.levels:
+            graph = _level_graph(level, mode)
+            oracle = reference_level_graph(level, mode)
+            assert graph.dtype == bool and graph.shape == oracle.shape
+            assert np.array_equal(graph.indptr, oracle.indptr)
+            assert np.array_equal(graph.indices, oracle.indices)
+            assert graph.data.all()
+            # symmetric, sorted, no self-loop, no edge between partitions
+            assert (graph != graph.T).nnz == 0
+            rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(graph.indices)[same_row] > 0)
+            assert not np.any(rows == graph.indices)
+            lay = level.layout
+            cuts = [lay.n_linear, lay.n_velocity_nodes]
+            if mode == MONOLITHIC:
+                cuts = cuts[1:]
+            part = np.searchsorted(cuts, np.arange(graph.shape[0]), side="right")
+            assert np.array_equal(part[rows], part[graph.indices])
+
+
 def test_hierarchy_modes_and_errors(laplace4):
     with pytest.raises(InvalidParameter):
         build_hierarchy(laplace4, mode="classical")
@@ -442,22 +483,17 @@ def test_hierarchy_summary(laplace4):
     assert rows[-1]["operator_complexity"] == pytest.approx(hier.operator_complexity)
 
 
-def with_sub_threshold_entries(system, mesh, seed):
-    """``system`` with entries of at most 1e-14 relative size added at
-    every structural position A does not store (relative to
-    ``sqrt(a_ii a_jj)``) and at every stored zero of B (relative to
-    ``max|B|``), symmetrically."""
+def with_sub_threshold_entries(system, mesh, seed, kind):
+    """``system`` (of problem ``kind``) with entries of at most 1e-14
+    relative size added at every structural position A does not store
+    (relative to ``sqrt(a_ii a_jj)``) and at every stored zero of B
+    (relative to ``max|B|``), symmetrically."""
     k = system.monolithic()
     lay = system.layout
     vd = lay.velocity_dof
-    node = np.concatenate(
-        [
-            system.vertex_block,
-            np.where(system.edge_block >= 0, lay.n_linear + system.edge_block, -1),
-        ]
-    )
+    node = free_node_index(mesh)
     comps = [(0, 0), (1, 1), (2, 2)]
-    if system.spec.kind is not ProblemKind.VECTOR_LAPLACE:
+    if kind is not ProblemKind.VECTOR_LAPLACE:
         comps = [(c, d) for c in range(3) for d in range(3)]
     rows, cols = [], []
     for tet, edges in zip(mesh.tets, mesh.tet_edges):
@@ -492,12 +528,16 @@ def with_sub_threshold_entries(system, mesh, seed):
     return replace(system, operator=perturbed)
 
 
-@pytest.mark.parametrize("name", ["laplace2", "stokes2"])
-def test_sub_threshold_entries_change_no_pattern(request, cube2, name):
+@pytest.mark.parametrize(
+    "name, kind",
+    [("laplace2", ProblemKind.VECTOR_LAPLACE), ("stokes2", ProblemKind.STOKES)],
+    ids=["laplace2", "stokes2"],
+)
+def test_sub_threshold_entries_change_no_pattern(request, cube2, name, kind):
     # entries at or below the coupling thresholds are rounding residue:
     # they move no coarse node, no prolongation bit and no Vanka patch
     system = request.getfixturevalue(name)
-    perturbed = with_sub_threshold_entries(system, cube2, seed=5)
+    perturbed = with_sub_threshold_entries(system, cube2, seed=5, kind=kind)
     hier = build_hierarchy(system, coarse_size_cap=20)
     other = build_hierarchy(perturbed, coarse_size_cap=20)
     assert len(hier.levels) == len(other.levels) >= 3
