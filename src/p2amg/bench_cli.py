@@ -15,7 +15,7 @@ Config schema (all keys except ``problem`` and ``solvers`` optional)::
       "levels": [4, 8, 16],          # subdivisions per axis
       "mu": 1.0, "lambda": 1.0,      # material parameters
       "coarsening": "separated" | "monolithic",
-      "coarse_size_cap": 500,
+      "coarse_size_cap": 500,        # at most sparse_core.MAX_DENSE_COARSE
       "tolerance": 1e-11,            # default 1e-11 elliptic, 1e-9 saddle
       "solvers": [
         {"method": "amg",   "cycle": "V", "smoother": "GS-2-2"},
@@ -47,6 +47,7 @@ from .krylov import KrylovConfig, gmres, pcg
 from .mesh import generate_channel_mesh, generate_unit_cube_mesh, tag_boundary
 from .multigrid import CycleConfig, Preconditioner, build_level_smoothers, solve_amg
 from .smoothers import parse_smoother
+from .sparse_core import MAX_DENSE_COARSE
 
 __all__ = [
     "SolverEntry",
@@ -291,9 +292,9 @@ def load_config(source) -> ExperimentConfig:
     lam = float(_number(raw, "lambda" if "lambda" in raw else "lam", 1.0))
     ProblemSpec(kind=ProblemKind(problem), mu=mu, lam=lam)  # its parameter checks
     coarse_size_cap = _number(raw, "coarse_size_cap", 500, integer=True)
-    if coarse_size_cap < 1:
+    if not 1 <= coarse_size_cap <= MAX_DENSE_COARSE:
         raise InvalidParameter(
-            f"coarse_size_cap must be at least 1, got {coarse_size_cap}"
+            f"coarse_size_cap must lie in [1, {MAX_DENSE_COARSE}], got {coarse_size_cap}"
         )
 
     return ExperimentConfig(

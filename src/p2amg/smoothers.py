@@ -1,7 +1,9 @@
 """Smoothing procedures for the SPD and saddle-point systems.
 
 For the SPD velocity systems: damped pointwise Jacobi and block
-Gauss-Seidel over the 3x3 node blocks.  For saddle systems: the
+Gauss-Seidel over the 3x3 node blocks, by substitution through the unit
+lower triangle ``I + D^{-1} L`` (the CSR ``D^{-1}`` of the inverse node
+blocks serves segregated GS too).  For saddle systems: the
 multiplicative Vanka smoother (one patch per pressure dof, built for
 all patches at once as one patch-to-node incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
@@ -17,7 +19,7 @@ numbering from :class:`BlockLayout`; this module keeps no copy of it.
 
 Every smoother exposes the exact solution as a fixed point and is
 linear in ``(x, b)``, which the multigrid preconditioner relies on.
-Each class precomputes its factorizations once per level.  Jacobi,
+Each class precomputes its inverses and factors once per level.  Jacobi,
 Vanka, Braess-Sarazin and segregated GS define only ``correct(x, r)``,
 the correction they add to ``x`` for the residual ``r``, and
 share one sweep loop, ``presmooth``/``postsmooth``: it starts from ``b -
@@ -37,12 +39,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtrttp
 
 # Private kernel: csc_matvec(n_row, n_col, Ap, Ai, Ax, Xx, Yx) adds
@@ -53,6 +53,16 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtrttp
 # tests/test_smoothers.py::test_subtract_columns_matches_sliced_product
 # guards this contract.
 from scipy.sparse._sparsetools import csc_matvec
+
+# Private kernel: gstrs(trans, n, L..., n, U..., b) solves (L U) x = b, or
+# (L U)^T x = b for trans "T", for L and U as CSC arrays (nnz, data, row
+# indices, column pointer) with np.intc indices; it returns (x, info), x a
+# new vector and b not modified.  Block GS passes the identity as L and the
+# CSR arrays of a strictly lower S as U (the CSC arrays of the strictly upper
+# S^T); both diagonals are implied unit, so "T" solves with I + S and "N"
+# with (I + S)^T.  spsolve_triangular makes this call after a per-call copy.
+# tests/test_smoothers.py::test_gstrs_unit_triangle_contract guards it.
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .errors import (
     InvalidParameter,
@@ -159,22 +169,18 @@ def parse_smoother(name: str) -> SmootherConfig:
 # shared helpers
 
 
-def _split_rows(op: sp.csr_matrix, hi: np.ndarray, lo: np.ndarray | None = None):
-    """Which stored entries of the CSR ``op`` lie at ``lo[i] <= col <
-    hi[i]`` in their row ``i`` (no lower bound when ``lo`` is None), and
-    the row pointer of those entries: one pass over ``op.indices``, a
-    block of rows at a time (``sparse_core.row_blocks``)."""
+def _split_rows(op: sp.csr_matrix, hi: np.ndarray):
+    """Which stored entries of the CSR ``op`` lie at ``col < hi[i]`` in
+    their row ``i``, and the row pointer of those entries: one pass over
+    ``op.indices``, a block of rows at a time (``sparse_core.row_blocks``)."""
     mask = np.empty(op.nnz, dtype=bool)
     indptr = np.zeros_like(op.indptr)
     hi = hi.astype(op.indices.dtype)
-    lo = None if lo is None else lo.astype(op.indices.dtype)
     for start, stop in row_blocks(op.indptr):
         ends = op.indptr[start : stop + 1] - op.indptr[start]
         seg = mask[op.indptr[start] : op.indptr[stop]]
         cols = op.indices[op.indptr[start] : op.indptr[stop]]
         np.less(cols, np.repeat(hi[start:stop], np.diff(ends)), out=seg)
-        if lo is not None:
-            seg &= cols >= np.repeat(lo[start:stop], np.diff(ends))
         taken = np.zeros(seg.size + 1, dtype=indptr.dtype)  # taken before each entry
         np.cumsum(seg, out=taken[1:])
         indptr[start + 1 : stop + 1] = indptr[start] + taken[ends[1:]]
@@ -188,49 +194,45 @@ def _masked_rows(op: sp.csr_matrix, mask: np.ndarray, indptr: np.ndarray) -> sp.
     return sp.csr_matrix((op.data[mask], op.indices[mask], indptr), shape=op.shape)
 
 
-def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout) -> np.ndarray:
-    """Inverses of the diagonal node blocks of the velocity partition."""
-    bs = layout.block_size
+def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout):
+    """Inverses of the diagonal node blocks ``D`` of the velocity
+    partition, as block-diagonal CSR over the velocity dofs with exact
+    zeros dropped, and the row splits of ``op`` (``_split_rows``) at the
+    start of each row's node (the strict block lower triangle ``L``) and
+    at its end (``D + L``).  ``D`` holds the entries of the second split
+    and not of the first, with the difference of their row pointers."""
+    bs, n, vd = layout.block_size, layout.n_velocity_nodes, layout.velocity_dof
     node, first = layout.node_of_dof(), layout.first_dof()
-    # the entries with node(col) == node(row); the velocity rows come first
-    own, indptr = _split_rows(op, first[node + 1], first[node])
-    diag = _masked_rows(op, own, indptr)[: layout.velocity_dof].tocoo()
+    below, lo = _split_rows(op, first[node])
+    lower, hi = _split_rows(op, first[node + 1])
+    diag = _masked_rows(op, lower & ~below, hi - lo)[:vd].tocoo()  # velocity rows first
     i = node[diag.row]
-    blocks = np.zeros((layout.n_velocity_nodes, bs, bs))
+    blocks = np.zeros((n, bs, bs))
     blocks[i, diag.row - first[i], diag.col - first[i]] = diag.data
     try:
-        return np.linalg.inv(blocks)
+        blocks = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularBlock("a diagonal velocity node block is singular") from exc
-
-
-def _apply_block_inverses(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Multiply each node's slice of ``r`` by its block of ``inverses``."""
-    return np.einsum("nij,nj->ni", inverses, r.reshape(len(inverses), -1)).ravel()
+    inverses = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(vd, vd)).tocsr()
+    inverses.eliminate_zeros()
+    return inverses, (below, lo), (lower, hi)
 
 
 def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
-    """SuperLU factor of the block lower triangle ``T`` of ``op`` and the
-    strict block upper triangle ``U = op - T`` as CSR.
+    """The inverse node blocks ``D^{-1}``, the strictly lower ``S =
+    D^{-1} L`` and the strict block upper triangle ``U`` of ``op = D + L
+    + U``, as CSR.
 
-    ``T`` includes the full diagonal node blocks, so applying the factor
-    realizes one exact block Gauss-Seidel substitution.  Both are taken
-    from ``op``'s own arrays by one row split: a column is block-upper
-    exactly when it is at or past the end of its row's node.  ``T`` is
-    built as CSR, converted to CSC, factored and dropped before ``U`` is
-    built, so no copy of the whole operator is ever made.
+    ``I + S`` is unit lower triangular, since its diagonal blocks are
+    exact identities, so the block lower triangle ``T = D (I + S)`` needs
+    no factorization.  ``D``, ``L`` and ``U`` are read from ``op``'s own
+    arrays by two row splits, so no copy of the whole operator is made.
     """
-    node, first = layout.node_of_dof(), layout.first_dof()
-    lower, indptr = _split_rows(op, first[node + 1])
-    tri = _masked_rows(op, lower, indptr).tocsc()  # the CSR copy is dropped here
-    try:
-        factor = spla.splu(tri, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-    except RuntimeError as exc:
-        raise SingularBlock(f"block triangular factorization failed: {exc}") from exc
-    del tri
-    strict = _masked_rows(op, np.logical_not(lower, out=lower), op.indptr - indptr)
+    inverses, (below, lo), (lower, hi) = _velocity_block_inverses(op, layout)
+    unit = inverses @ _masked_rows(op, below, lo)
+    strict = _masked_rows(op, np.logical_not(lower, out=lower), op.indptr - hi)
     strict.sort_indices()  # a no-op unless op's rows are unsorted (Schur's are)
-    return factor, strict
+    return inverses, unit, strict
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +299,40 @@ class JacobiSmoother(_Smoother):
 class GaussSeidelSmoother(_Smoother):
     """Block Gauss-Seidel via exact block-triangular substitution.
 
-    ``op = T + U`` with ``T`` the block lower triangle, factored once,
-    and ``U`` the strict block upper triangle.  A forward sweep is ``x
-    <- T^{-1} (b - U x)``, which reads ``U`` instead of forming ``b - A
-    x``, and from zero is ``x = T^{-1} b``.  Its change ``d`` leaves the
-    residual ``b - T x - U x = -U d``, which the next sweep, ``d =
+    ``op = T + U`` with ``T = D + L = D (I + S)`` the block lower triangle,
+    ``S = D^{-1} L`` formed once, and ``U`` the strict block upper
+    triangle; ``T^{-1} r = (I + S)^{-1} D^{-1} r`` and ``T^{-T} r = D^{-T}
+    (I + S)^{-T} r`` are unit substitutions (``gstrs``).  A forward sweep
+    is ``x <- T^{-1} (b - U x)``, which reads ``U`` instead of forming ``b
+    - A x``, and from zero is ``x = T^{-1} b``.  Its change ``d`` leaves
+    the residual ``b - T x - U x = -U d``, which the next sweep, ``d =
     T^{-1} r, x += d``, and ``presmooth``'s caller take instead of a
     full matvec.  The post-smoothing sweep is the exact transpose, ``x
     <- T^{-T} (b - U^T x)``, which keeps a V-cycle preconditioner
     self-adjoint; it and its carried residual ``-U^T d`` assume ``op =
     T^T + U^T``, i.e. a symmetric ``op``, for which ``T^T`` is the block
-    upper triangle and the sweep is the backward block sweep.
+    upper triangle and the sweep is the backward block sweep.  The node
+    blocks are the velocity blocks, so ``op`` has no pressure partition.
     """
 
     def __init__(self, op, layout: BlockLayout):
+        if layout.is_saddle:
+            raise MalformedSystem("block Gauss-Seidel requires a system without pressure")
         self.op = op
-        self._factor, self._upper = _block_triangles(op, layout)
+        self._inverses, unit, self._upper = _block_triangles(op, layout)
+        n, eye = op.shape[0], sp.identity(op.shape[0], format="csc")
+        # gstrs's arguments between ``trans`` and ``b``: L = I and U = S^T
+        self._unit = (n, eye.nnz, eye.data, eye.indices, eye.indptr,
+                      n, unit.nnz, unit.data, unit.indices, unit.indptr)
         # the transposed sweep's views: they share the arrays above
-        self._solve_t = partial(self._factor.solve, trans="T")
+        self._inverses_t = self._inverses.T
         self._upper_t = self._upper.T
+
+    def _solve(self, r):  # T^{-1} r
+        return gstrs("T", *self._unit, self._inverses @ r)[0]
+
+    def _solve_t(self, r):  # T^{-T} r
+        return self._inverses_t @ gstrs("N", *self._unit, r)[0]
 
     @staticmethod
     def _gs_sweeps(solve, upper, x, b, sweeps, residual):
@@ -335,7 +352,7 @@ class GaussSeidelSmoother(_Smoother):
         op @ x``."""
         if not sweeps:
             return self._residual(x, b)
-        return self._gs_sweeps(self._factor.solve, self._upper, x, b, sweeps, True)
+        return self._gs_sweeps(self._solve, self._upper, x, b, sweeps, True)
 
     def postsmooth(self, x, b, sweeps):
         """Run ``sweeps`` transposed sweeps on ``x`` in place."""
@@ -663,7 +680,7 @@ class SegregatedGSSmoother(_Smoother):
         self.omega = omega
         vd = layout.velocity_dof
         self.b_block = self.op[vd:, :vd].tocsr()
-        self._vinv = _velocity_block_inverses(self.op, layout)
+        self._vinv = _velocity_block_inverses(self.op, layout)[0]
         diag = self.op.diagonal()[:vd]
         if np.any(diag <= 0.0):
             raise SingularBlock("velocity diagonal must be strictly positive")
@@ -675,7 +692,7 @@ class SegregatedGSSmoother(_Smoother):
     def correct(self, x: np.ndarray, r: np.ndarray) -> None:
         vd = self.layout.velocity_dof
         ru, rp = r[:vd], r[vd:]
-        du = 0.5 * _apply_block_inverses(self._vinv, ru)
+        du = 0.5 * (self._vinv @ ru)
         dp = -self.omega * (rp - self.b_block @ du) / self.pressure_scaling
         x[:vd] += du
         x[vd:] += dp

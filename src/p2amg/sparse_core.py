@@ -36,6 +36,7 @@ __all__ = [
     "row_blocks",
     "triple_product",
     "CoarseFactorization",
+    "MAX_DENSE_COARSE",
     "coarse_factor",
     "coarse_solve",
 ]
@@ -46,6 +47,9 @@ COUPLING_TOL = 1e-12
 #: The same for a divergence entry, relative to ``max|B|``, since ``B``
 #: has no diagonal to scale by (``divergence_mask``).
 DIVERGENCE_TOL = 1e-13
+#: Rows above which ``coarse_factor`` refuses a sparse operator instead
+#: of densifying it: a dense copy of that size takes 128 MiB.
+MAX_DENSE_COARSE = 4096
 _MASK_BLOCK = 1 << 18  # stored entries a pass over ``row_blocks`` reads at a time
 
 
@@ -205,9 +209,14 @@ def coarse_factor(a) -> CoarseFactorization:
 
     Works for SPD and indefinite saddle matrices alike.  Raises
     ``SingularCoarseMatrix`` if a pivot of the equilibrated matrix
-    falls below ``1e-14`` times its largest entry.
+    falls below ``1e-14`` times its largest entry, and
+    ``InvalidParameter``, before densifying it, for a sparse operator of
+    more than ``MAX_DENSE_COARSE`` rows.
     """
     if sp.issparse(a):
+        if a.shape[0] > MAX_DENSE_COARSE:
+            raise InvalidParameter(f"{a.shape[0]} coarse rows exceed the dense LU limit "
+                                   f"of {MAX_DENSE_COARSE}")
         dense = a.toarray()
     else:
         dense = np.array(a, dtype=float)

@@ -385,10 +385,11 @@ def _with_solver(**fields):
         dict(GOOD_CONFIG, mu=None),
         _with_solver(precond=""),
         _with_solver(precond="   "),
+        dict(GOOD_CONFIG, coarse_size_cap=30_000),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
          "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
-         "lambda-zero", "mu-null", "precond-empty", "precond-blank"],
+         "lambda-zero", "mu-null", "precond-empty", "precond-blank", "cap-dense"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -353,10 +354,12 @@ def split_case(name):
 def test_row_split_matches_coo_oracle(name, block, monkeypatch):
     """``T`` holds exactly the entries with ``node(col) <= node(row)``
     and ``U`` the rest, in the COO reference's order, so ``T + U ==
-    op`` entry by entry; the diagonal node blocks are the entries with
-    ``node(col) == node(row)``.  The small block sizes make row blocks
-    of one or five rows, which end inside a node, and the hand-made
-    operators have empty rows, the last one included."""
+    op`` entry by entry.  The strict block lower triangle ``L`` is the
+    split at each row's node start, and the diagonal node blocks, the
+    entries with ``node(col) == node(row)``, are those of ``T`` and not
+    of ``L``, with the difference of the row pointers.  The small block
+    sizes make row blocks of one or five rows, which end inside a node,
+    and the hand-made operators have empty rows, the last one included."""
     monkeypatch.setattr(sparse_core, "_MASK_BLOCK", block)
     op, layout = split_case(name)
     node, first = layout.node_of_dof(), layout.first_dof()
@@ -373,16 +376,20 @@ def test_row_split_matches_coo_oracle(name, block, monkeypatch):
     assert t.nnz + u.nnz == op.nnz
     assert np.array_equal((t + u).toarray(), op.toarray())
 
-    own, indptr = _split_rows(op, first[node + 1], first[node])
+    below, lo = _split_rows(op, first[node])
     ref_d, _ = coo_split(op, lambda i, j: node[j] == node[i])
-    assert_same_csr(_masked_rows(op, own, indptr), ref_d)
+    ref_l, _ = coo_split(op, lambda i, j: node[j] < node[i])
+    assert_same_csr(_masked_rows(op, lower & ~below, indptr - lo), ref_d)
+    assert_same_csr(_masked_rows(op, below, lo), ref_l)
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
-def test_block_triangles_factor_t_and_store_u(laplace2, order, monkeypatch):
-    """SuperLU factors the block lower triangle as CSC with ``intc``
-    indices, and ``U`` comes back sorted even from rows stored in
-    reverse column order (the Schur hierarchy's operator is unsorted)."""
+def test_block_triangles_factor_t_and_store_u(laplace2, order):
+    """``_block_triangles`` returns the inverse node blocks ``D^{-1}``,
+    diagonal for the vector Laplacian once exact zeros are dropped, the
+    strictly lower ``S = D^{-1} L`` with ``intc`` indices, and ``U``,
+    which comes back sorted even from rows stored in reverse column order
+    (the Schur hierarchy's operator is unsorted)."""
     op = laplace2.monolithic()
     if order == "reversed":
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
@@ -390,18 +397,47 @@ def test_block_triangles_factor_t_and_store_u(laplace2, order, monkeypatch):
         op = sp.csr_matrix((op.data[perm], op.indices[perm], op.indptr), shape=op.shape)
         assert not op.has_sorted_indices
     node = laplace2.layout.node_of_dof()
-    factored = []
-    splu = smoothers.spla.splu
-    monkeypatch.setattr(
-        smoothers.spla, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw)
-    )
-    _, u = _block_triangles(op, laplace2.layout)
-    (t,) = factored
-    ref_t, ref_u = coo_split(op, lambda i, j: node[j] <= node[i])
-    assert t.format == "csc"
-    assert t.indices.dtype == t.indptr.dtype == np.intc
-    assert_same_csr(t, ref_t.tocsc())
+    inverses, unit, u = _block_triangles(op, laplace2.layout)
+    ref_d, _ = coo_split(op, lambda i, j: node[j] == node[i])
+    ref_l, _ = coo_split(op, lambda i, j: node[j] < node[i])
+    _, ref_u = coo_split(op, lambda i, j: node[j] <= node[i])
     assert_same_csr(u, ref_u)
+    ref_inv = np.linalg.inv(ref_d.toarray())
+    assert inverses.nnz == op.shape[0]
+    assert np.abs(inverses.toarray() - ref_inv).max() <= 1e-14 * np.abs(ref_inv).max()
+    ref_unit = ref_inv @ ref_l.toarray()
+    assert unit.indices.dtype == unit.indptr.dtype == np.intc
+    assert np.abs(unit.toarray() - ref_unit).max() <= 1e-14 * np.abs(ref_unit).max()
+    assert sp.triu(unit).nnz == 0
+
+
+def test_gstrs_unit_triangle_contract():
+    """The private ``gstrs`` that block GS calls, given the identity as
+    ``L`` and the CSR arrays of a strictly lower ``S`` as ``U`` (with
+    ``int32`` indices, an empty row and unsorted columns), solves with
+    ``I + S`` for ``"T"`` and with ``(I + S)^T`` for ``"N"``, and returns
+    a new vector with ``b`` unmodified."""
+    rng = np.random.default_rng(48)
+    n = 12
+    dense = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6), -1)
+    dense[5] = 0.0
+    s = sp.csr_matrix(dense)
+    rows = np.repeat(np.arange(n), np.diff(s.indptr))
+    perm = np.lexsort((-s.indices, rows))
+    s = sp.csr_matrix((s.data[perm], s.indices[perm], s.indptr), shape=s.shape)
+    assert not s.has_sorted_indices and np.diff(s.indptr)[5] == 0
+    assert s.indices.dtype == s.indptr.dtype == np.int32
+    eye = sp.identity(n, format="csc")
+    b = rng.standard_normal(n)
+    b_in = b.copy()
+    for trans, tri in (("T", np.eye(n) + dense), ("N", (np.eye(n) + dense).T)):
+        x, info = smoothers.gstrs(trans, n, eye.nnz, eye.data, eye.indices, eye.indptr,
+                                  n, s.nnz, s.data, s.indices, s.indptr, b)
+        assert info == 0
+        ref = np.linalg.solve(tri, b_in)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert not np.shares_memory(x, b)
+        assert np.array_equal(b, b_in)
 
 
 def test_gs_singular_block_triangle():
@@ -409,12 +445,18 @@ def test_gs_singular_block_triangle():
         gauss_seidel(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
 
 
+def test_gs_rejects_a_saddle_layout(stokes2):
+    """The node-block inverses cover the velocity nodes only."""
+    with pytest.raises(MalformedSystem):
+        GaussSeidelSmoother(stokes2.monolithic(), stokes2.layout)
+
+
 def test_gs_setup_peak_is_bounded_by_the_triangles():
     """Block GS setup at vector Laplace n = 8 (265,425 stored entries)
     allocates at most 1.5x the stored bytes of ``T`` and ``U`` through
-    numpy: the triangles, the split mask and row-block temporaries, and
-    ``T``'s CSR and CSC copies while it is converted.  A split through a
-    COO copy of the operator peaks at 2.1x."""
+    numpy: ``D``, ``L``, ``S = D^{-1} L`` and ``U``, the two split masks
+    and row-block temporaries.  A split through a COO copy of the
+    operator peaks at 2.1x."""
     from p2amg.assembly import assemble
     from p2amg.bench_cli import build_case
 
@@ -431,6 +473,34 @@ def test_gs_setup_peak_is_bounded_by_the_triangles():
     stored = (op.nnz - u.nnz) * entry + op.indptr.nbytes  # T
     stored += u.nnz * entry + u.indptr.nbytes
     assert peak <= 1.5 * stored
+
+
+def vm_size_bytes():
+    """The process's ``VmSize``: the address space it holds, mapped or not."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmSize:"):
+                return 1024 * int(line.split()[1])
+    raise AssertionError("no VmSize line")
+
+
+def test_gs_setup_reserves_no_address_space_beyond_its_arrays():
+    """Block GS setup at vector Laplace n = 8 grows ``VmSize`` by at most
+    4x the operator's stored bytes (3.1 MB): it keeps arrays and reserves
+    no solver workspace.  A SuperLU factor of the block triangle held
+    about 30x."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmSize is read from /proc/self/status")
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+
+    system = assemble(*build_case("vector_laplace", 8))
+    op = system.monolithic()
+    before = vm_size_bytes()
+    sm = GaussSeidelSmoother(op, system.layout)
+    grown = vm_size_bytes() - before
+    assert sm._upper.nnz > 0
+    assert grown <= 4 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
 def coo_velocity_block_inverses(op, layout):
@@ -453,15 +523,23 @@ def test_velocity_block_inverses_match_coo_oracle_bitwise(mixed2):
     hier = build_hierarchy(mixed2, coarse_size_cap=100)
     assert hier.n_levels > 1
     for lv in hier.levels:
-        got = _velocity_block_inverses(lv.operator, lv.layout)
+        got = _velocity_block_inverses(lv.operator, lv.layout)[0]
         ref = coo_velocity_block_inverses(lv.operator, lv.layout)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # the stored entries are the blocks' non-zeros, to the bit
+        node, first = lv.layout.node_of_dof(), lv.layout.first_dof()
+        coo = got.tocoo()
+        i = node[coo.row]
+        assert np.array_equal(i, node[coo.col])
+        assert coo.nnz == np.count_nonzero(ref)
+        blocks = ref[i, coo.row - first[i], coo.col - first[i]]
+        assert np.array_equal(coo.data.view(np.uint64), blocks.view(np.uint64))
 
 
 def test_transposed_sweep_views_share_the_stored_arrays(laplace2, stokes2):
     sm = GaussSeidelSmoother(laplace2.monolithic(), laplace2.layout)
     assert np.shares_memory(sm._upper_t.data, sm._upper.data)
     assert np.shares_memory(sm._upper_t.indices, sm._upper.indices)
+    assert np.shares_memory(sm._inverses_t.data, sm._inverses.data)
     bs = BraessSarazinSmoother(stokes2.monolithic(), stokes2.layout)
     assert np.shares_memory(bs._b_block_t.data, bs.b_block.data)
 

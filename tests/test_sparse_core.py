@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from p2amg import assemble, build_hierarchy
 from p2amg.bench_cli import build_case
-from p2amg.errors import ShapeError, SingularCoarseMatrix
+from p2amg.errors import InvalidParameter, ShapeError, SingularCoarseMatrix
 from p2amg.sparse_core import (
+    MAX_DENSE_COARSE,
     BlockLayout,
     coarse_factor,
     coarse_solve,
@@ -181,6 +184,20 @@ def test_coarse_pivot_test_uses_matrix_not_factor_scale():
     near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
     f = coarse_factor(sp.block_diag([wilkinson, near]).tocsr())
     assert np.abs(f.lu).max() >= 2.0**29
+
+
+def test_coarse_factor_refuses_a_large_sparse_operator_before_densifying():
+    """A sparse operator of more than ``MAX_DENSE_COARSE`` rows raises a
+    typed error without the dense copy (134 MB at that size)."""
+    a = sp.identity(MAX_DENSE_COARSE + 1, format="csr")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match="dense LU limit"):
+            coarse_factor(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_coarse_singular():
