@@ -401,12 +401,17 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     velocity = incidence(tet_nodes)
     velocity_rows = velocity[:, :n_stored].T.tocsr()
     pattern = velocity_rows @ velocity
+    adj = None
     if spec.is_saddle:
         pressure = incidence(tet_pressure)
         pressure_rows = pressure[:, :n_stored].T.tocsr()
         pattern = pattern + pressure_rows @ velocity + velocity_rows @ pressure
         if spec.has_pressure_mass:
             pattern = pattern + pressure_rows @ pressure
+        # the linear-FE vertex connectivity, used to coarsen pressure: two
+        # vertices are adjacent when they share a tet
+        adj = (pressure_rows[n_free:] @ pressure[:, n_free:n_stored]).astype(float)
+        adj.sort_indices()
         del pressure, pressure_rows
     del velocity, velocity_rows
     sizes = np.repeat(np.int8([3, 1]), [n_free, n_stored - n_free])
@@ -504,22 +509,6 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     _drop_entries(stored_data, indices, indptr, keep)
     del keep
     operator = sp.csr_matrix((stored_data, indices, indptr), shape=shape)
-
-    adj = None
-    if spec.is_saddle:
-        # conventional linear-FE vertex connectivity, used to coarsen pressure
-        ones = np.ones(len(mesh.edges))
-        adj = sp.coo_matrix(
-            (
-                np.concatenate([ones, ones, np.ones(nv)]),
-                (
-                    np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1], np.arange(nv)]),
-                    np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0], np.arange(nv)]),
-                ),
-            ),
-            shape=(nv, nv),
-        ).tocsr()
-        adj.data[:] = 1.0
 
     return BlockSystem(
         layout=BlockLayout(

@@ -27,6 +27,8 @@ Config schema (all keys except ``problem`` and ``solvers`` optional)::
 
 Per-solver keys ``tolerance`` and ``maxit`` override the experiment
 defaults (200 cycles for stand-alone runs, 500 Krylov iterations).
+``lam`` is accepted for ``lambda``.  A key outside this schema is
+rejected, at the top level and in a solver entry alike.
 """
 from __future__ import annotations
 
@@ -75,6 +77,10 @@ CSV_COLUMNS = [
     "smoother_setup_ms",
     "paper_ref_value",
 ]
+
+_CONFIG_KEYS = frozenset({"problem", "levels", "mu", "lambda", "lam", "coarsening",
+                         "coarse_size_cap", "tolerance", "solvers"})
+_SOLVER_KEYS = frozenset({"method", "smoother", "cycle", "precond", "tolerance", "maxit"})
 
 DEFAULT_LEVELS = [4, 8, 16]
 LARGE_LEVEL = 32
@@ -223,6 +229,12 @@ def _tolerance(raw: dict) -> float | None:
     return tol
 
 
+def _known_keys(raw: dict, known: frozenset) -> None:
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise InvalidParameter(f"unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a path, file object or dict."""
     if isinstance(source, dict):
@@ -240,6 +252,7 @@ def load_config(source) -> ExperimentConfig:
 
     if not isinstance(raw, dict):
         raise InvalidParameter("config must be a JSON object")
+    _known_keys(raw, _CONFIG_KEYS)
     try:
         problem = raw["problem"]
     except KeyError:
@@ -256,6 +269,7 @@ def load_config(source) -> ExperimentConfig:
     for i, item in enumerate(solvers):
         try:
             method = item["method"]
+            _known_keys(item, _SOLVER_KEYS)
             if method not in ("amg", "pcg", "gmres"):
                 raise InvalidParameter(f"unknown method {method!r}")
             smoother = parse_smoother(item["smoother"]).name
@@ -396,7 +410,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     false and, in ``iterations``, ``DIVERGED`` for ``DivergenceDetected``
     or the error's class name otherwise.  ``smoother_setup_ms`` is the
     build time of the row's smoother set, the same in every row that
-    shares the set, and empty when the build raised.
+    shares the set, and empty when the build raised.  ``wall_ms`` times
+    the solve call alone and ``op_complexity`` is the level's
+    ``Hierarchy.operator_complexity``; a failed cell leaves both empty.
     """
     rows = []
     for pos, n in enumerate(config.levels):
@@ -420,6 +436,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 smoothers = smoother_sets[key]
                 if entry.method == "amg":
                     maxit = entry.maxit or 200
+                    start = time.perf_counter()
                     _, report = solve_amg(hierarchy, rhs, cycle_cfg, tol, maxit, smoothers)
                 else:
                     maxit = entry.maxit or 500
@@ -429,22 +446,21 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         tol=tol,
                         maxit=maxit,
                     )
-                    if entry.method == "pcg":
-                        _, report = pcg(operator, rhs, precond, kcfg)
-                    else:
-                        _, report = gmres(operator, rhs, precond, kcfg)
+                    solve = pcg if entry.method == "pcg" else gmres
+                    start = time.perf_counter()
+                    _, report = solve(operator, rhs, precond, kcfg)
+                wall_ms = round(1e3 * (time.perf_counter() - start), 3)
                 iterations = report.iterations if report.converged else f">{maxit}"
                 converged = report.converged
                 final = report.final_residual
-                opc = report.operator_complexity
-                wall = report.wall_time
+                opc = hierarchy.operator_complexity
             except (SolverError, MemoryError) as exc:
                 # one failed cell leaves the other cells' rows intact
                 failure = (
                     "DIVERGED" if isinstance(exc, DivergenceDetected)
                     else type(exc).__name__
                 )
-                iterations, converged, final, opc, wall = failure, False, "", "", ""
+                iterations, converged, final, opc, wall_ms = failure, False, "", "", ""
             rows.append(
                 {
                     "problem": config.problem,
@@ -458,7 +474,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     "converged": converged,
                     "final_rel_residual": final,
                     "op_complexity": opc,
-                    "wall_ms": "" if wall == "" else round(1e3 * wall, 3),
+                    "wall_ms": wall_ms,
                     "smoother_setup_ms": setup_ms.get(key, ""),
                     "paper_ref_value": _reference_value(config, entry, n),
                 }

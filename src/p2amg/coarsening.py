@@ -209,7 +209,7 @@ def build_hierarchy(
         )
         level.prolongation = _dof_prolongation(p_nodes, lay, coarse_lay)
         level.restriction = level.prolongation.T
-        coarse_op = triple_product(level.prolongation, level.operator, symmetric=True)
+        coarse_op = triple_product(level.prolongation, level.operator)
         adj = None
         if lay.is_saddle:
             h = p_nodes[lay.n_velocity_nodes :, n_v:]

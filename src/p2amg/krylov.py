@@ -2,11 +2,12 @@
 
 Both solvers start from a zero initial guess and stop on the true
 relative l2 residual of the unpreconditioned system, matching the
-reporting convention of the stand-alone multigrid loop.
+reporting convention of the stand-alone multigrid loop.  Each returns
+the iterate and a :class:`~p2amg.multigrid.SolveReport` of what the
+iteration computed; the caller times the call.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,12 @@ def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
         if asym.nnz and asym.max() > 1e-10 * abs(a).max():
             raise IndefiniteBreakdown("matrix is not symmetric")
 
-    start = time.perf_counter()
     b = np.asarray(b, dtype=float)
     x = np.zeros(n)
     b_norm = np.linalg.norm(b)
     residuals = [1.0]
     if b_norm == 0.0:
-        return x, SolveReport(0, residuals, True, time.perf_counter() - start)
+        return x, SolveReport(0, residuals, True)
 
     r = b.copy()
     z = precond(r)
@@ -108,13 +108,7 @@ def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
             raise IndefiniteBreakdown("preconditioned inner product is not positive")
         p = z + (rho_next / rho) * p
         rho = rho_next
-    return x, SolveReport(
-        iterations=iterations,
-        residuals=residuals,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-        operator_complexity=getattr(precond, "operator_complexity", 1.0),
-    )
+    return x, SolveReport(iterations=iterations, residuals=residuals, converged=converged)
 
 
 def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
@@ -130,14 +124,13 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     double their capacity as the iterations need it, so memory follows
     the iterations done, not ``maxit``.
     """
-    start = time.perf_counter()
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     x = np.zeros(n)
     b_norm = np.linalg.norm(b)
     residuals = [1.0]
     if b_norm == 0.0:
-        return x, SolveReport(0, residuals, True, time.perf_counter() - start)
+        return x, SolveReport(0, residuals, True)
 
     r0 = b - a @ x
     beta = np.linalg.norm(r0)
@@ -202,9 +195,5 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     true_rel = np.linalg.norm(b - a @ x) / b_norm
     residuals[-1] = float(true_rel)
     return x, SolveReport(
-        iterations=k_used,
-        residuals=residuals,
-        converged=bool(true_rel <= config.tol),
-        wall_time=time.perf_counter() - start,
-        operator_complexity=getattr(precond, "operator_complexity", 1.0),
+        iterations=k_used, residuals=residuals, converged=bool(true_rel <= config.tol)
     )

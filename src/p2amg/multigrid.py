@@ -16,7 +16,6 @@ confirm convergence.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +61,16 @@ class CycleConfig:
 
 @dataclass
 class SolveReport:
-    """Iteration count, relative-residual history, and level statistics."""
+    """What an iteration computed: its count, its relative-residual
+    history (``residuals[0] == 1.0``) and whether it met the tolerance.
+
+    Timing and hierarchy statistics belong to the caller, which holds
+    the hierarchy (``Hierarchy.operator_complexity``) and makes the call.
+    """
 
     iterations: int
     residuals: list[float]
     converged: bool
-    wall_time: float
-    operator_complexity: float = 1.0
 
     @property
     def final_residual(self) -> float:
@@ -98,7 +100,7 @@ def amg_cycle(
     ``forward`` post-smooths with ``presmooth`` instead of ``postsmooth``.
     Returns ``(x, r)``: ``x`` is mutated in place, except on the
     coarsest level, which is solved exactly regardless of the passed
-    iterate; ``r`` is ``b - K_level x`` as the forward post-smoothing
+    iterate (so a W-cycle's second visit repeats the same solve); ``r`` is ``b - K_level x`` as the forward post-smoothing
     returns it, and None otherwise.
     """
     last = hierarchy.n_levels - 1
@@ -115,14 +117,11 @@ def amg_cycle(
 
     p = lv.prolongation
     b_coarse = lv.restriction @ r
-    if level + 1 == last:
-        x_coarse = coarse_solve(hierarchy.coarse, b_coarse)
-    else:
-        x_coarse = np.zeros(p.shape[1])
-        for _ in range(config.nu):
-            x_coarse, _ = amg_cycle(
-                hierarchy, level + 1, x_coarse, b_coarse, config, smoothers, forward
-            )
+    x_coarse = np.zeros(p.shape[1])
+    for _ in range(config.nu):
+        x_coarse, _ = amg_cycle(
+            hierarchy, level + 1, x_coarse, b_coarse, config, smoothers, forward
+        )
     x += p @ x_coarse
 
     if forward and cfg.m_post:  # presmooth forms b - A x even for no sweep
@@ -161,20 +160,13 @@ def solve_amg(
     if hierarchy.n_levels > 1 and cfg.m_pre + cfg.m_post < 1:
         raise InvalidParameter("a multi-level solve needs at least one sweep")
 
-    start = time.perf_counter()
     op = hierarchy.levels[0].operator
     b = np.asarray(b, dtype=float)
     x = np.zeros(op.shape[0])
     b_norm = np.linalg.norm(b)
     residuals = [1.0]
     if b_norm == 0.0:
-        return x, SolveReport(
-            iterations=0,
-            residuals=residuals,
-            converged=True,
-            wall_time=time.perf_counter() - start,
-            operator_complexity=hierarchy.operator_complexity,
-        )
+        return x, SolveReport(iterations=0, residuals=residuals, converged=True)
 
     if smoothers is None:
         smoothers = build_level_smoothers(hierarchy, config)
@@ -199,13 +191,7 @@ def solve_amg(
         if rel <= tol:
             converged = True
             break
-    return x, SolveReport(
-        iterations=iterations,
-        residuals=residuals,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-        operator_complexity=hierarchy.operator_complexity,
-    )
+    return x, SolveReport(iterations=iterations, residuals=residuals, converged=converged)
 
 
 class Preconditioner:

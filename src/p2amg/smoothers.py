@@ -9,7 +9,7 @@ all patches at once as one patch-to-node incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
 wave, the update an in-place product over the wave's columns of the
-stored CSC operator; each patch is solved through its one-pressure
+stored symmetric CSR operator, read as CSC; each patch is solved through its one-pressure
 Schur complement, its SPD velocity block factored by blocked Cholesky
 in full storage and kept as a packed factor, the only stored one), a
 Braess-Sarazin step with diagonal velocity approximation and an inner
@@ -94,16 +94,27 @@ class SmootherKind(Enum):
     SEGREGATED_GS = "segregated_gs"
 
 
+#: Default damping of segregated GS; every other kind defaults to 1.
+_SGS_OMEGA = 0.125
+
+
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Smoother kind, damping, and pre/post sweep counts."""
+    """Smoother kind, damping, and pre/post sweep counts.
+
+    ``omega`` left as None takes the kind's default: ``0.125`` for
+    segregated GS, ``1`` otherwise.
+    """
 
     kind: SmootherKind
     m_pre: int = 1
     m_post: int = 1
-    omega: float = 1.0
+    omega: float | None = None
 
     def __post_init__(self):
+        if self.omega is None:
+            omega = _SGS_OMEGA if self.kind is SmootherKind.SEGREGATED_GS else 1.0
+            object.__setattr__(self, "omega", omega)
         if not self.omega > 0.0:
             raise InvalidParameter(f"damping must be positive, got {self.omega}")
         if self.m_pre < 0 or self.m_post < 0:
@@ -151,14 +162,7 @@ def parse_smoother(name: str) -> SmootherConfig:
         m_pre = int(groups[0]) if groups[0] else 1
         m_post = int(groups[1]) if len(groups) > 1 and groups[1] else 1
         try:
-            if kind is SmootherKind.JACOBI:
-                omega = float(groups[2])
-            elif kind is SmootherKind.VANKA and len(groups) > 2 and groups[2]:
-                omega = float(groups[2])
-            elif kind is SmootherKind.SEGREGATED_GS:
-                omega = 0.125
-            else:
-                omega = 1.0
+            omega = float(groups[2]) if len(groups) > 2 and groups[2] else None
         except ValueError:
             raise InvalidParameter(f"bad damping in smoother string {name!r}") from None
         return SmootherConfig(kind=kind, m_pre=m_pre, m_post=m_post, omega=omega)
@@ -416,25 +420,27 @@ def _dependency_waves(
     return np.split(order, np.cumsum(np.bincount(wave))[:-1])
 
 
-def _column_ranges(op_csc: sp.csc_matrix, cols: np.ndarray):
+def _column_ranges(op: sp.csr_matrix, cols: np.ndarray):
     """Interleaved ``[indptr[c], indptr[c+1]]`` of the columns ``cols``
     in descending column order, and the permutation of ``cols`` into
-    that order, both in the dtype of ``op_csc.indices``."""
-    order = np.argsort(cols)[::-1].astype(op_csc.indices.dtype)
-    ranges = np.empty(2 * cols.size, dtype=op_csc.indices.dtype)
-    ranges[0::2] = op_csc.indptr[cols[order]]
-    ranges[1::2] = op_csc.indptr[cols[order] + 1]
+    that order, both in the dtype of ``op.indices``.  ``op`` is
+    symmetric CSR (the assembled operator to rounding), so its CSR
+    arrays are its CSC arrays."""
+    order = np.argsort(cols)[::-1].astype(op.indices.dtype)
+    ranges = np.empty(2 * cols.size, dtype=op.indices.dtype)
+    ranges[0::2] = op.indptr[cols[order]]
+    ranges[1::2] = op.indptr[cols[order] + 1]
     return ranges, order
 
 
-def _subtract_columns(op_csc, ranges, order, d, r) -> None:
-    """``r -= op_csc[:, cols] @ d`` in place, for the ``ranges`` and
-    ``order`` of ``_column_ranges(op_csc, cols)``: one product over
-    ``op_csc``'s own arrays, which touches only the rows of those
-    columns' entries."""
+def _subtract_columns(op, ranges, order, d, r) -> None:
+    """``r -= op[:, cols] @ d`` in place, for the ``ranges`` and
+    ``order`` of ``_column_ranges(op, cols)``: one product over
+    ``op``'s own arrays, which touches only the rows of those columns'
+    entries."""
     xx = np.zeros(2 * d.size - 1)  # the odd slots belong to empty ranges
     np.negative(d[order], out=xx[0::2])
-    csc_matvec(op_csc.shape[0], xx.size, ranges, op_csc.indices, op_csc.data, xx, r)
+    csc_matvec(op.shape[0], xx.size, ranges, op.indices, op.data, xx, r)
 
 
 @dataclass(frozen=True)
@@ -444,7 +450,7 @@ class _VankaWave:
     Arrays over ``dofs`` hold, for each patch, its pressure row ``h``
     (0 at the pressure dof) and ``w = A_p^{-1} g`` (-1 at the pressure
     dof, so that one product forms the whole correction).  ``ranges``
-    and ``order`` are ``_column_ranges(op_csc, dofs)``.
+    and ``order`` are ``_column_ranges(op, dofs)``.
     """
 
     members: np.ndarray  # patch indices, in patch order
@@ -471,8 +477,9 @@ class VankaSmoother(_Smoother):
     residual once; that is exactly the local solves of the patch-by-
     patch order, and only the rounding order of the residual sums
     differs.  The residual update ``r -= op[:, dofs] @ delta`` is one
-    product over ``op_csc``'s own arrays, restricted to the wave's
-    column ranges (``_subtract_columns``), so no column block is sliced.
+    product over the symmetric ``op``'s own arrays, restricted to the
+    wave's column ranges (``_subtract_columns``), so no column block is
+    sliced and no CSC copy is kept.
 
     In ascending dof order a patch is ``[[A_p, g_p], [h_p^T, -c_p]]``
     with its one pressure dof last and ``A_p`` a principal block of the
@@ -493,7 +500,6 @@ class VankaSmoother(_Smoother):
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
         self.op = op.tocsr()
-        self.op_csc = op.tocsc()
         self.omega = omega
         patches = _patch_nodes(self.op, layout)
         # each patch's nodes expanded to their dofs, in ascending order, so
@@ -557,7 +563,7 @@ class VankaSmoother(_Smoother):
                 p = members[np.argmax(schur <= 0.0)]
                 raise SingularPatch(f"Schur complement of patch {p} is not positive")
             w[pressure] = -1.0
-            ranges, order = _column_ranges(self.op_csc, dofs)
+            ranges, order = _column_ranges(self.op, dofs)
             self._waves.append(
                 _VankaWave(members=members, dofs=dofs, ranges=ranges,
                            order=order, sizes=m + 1,
@@ -582,7 +588,7 @@ class VankaSmoother(_Smoother):
             delta = self._solve_wave(wave, r[wave.dofs])
             delta *= self.omega
             x[wave.dofs] += delta
-            _subtract_columns(self.op_csc, wave.ranges, wave.order, delta, r)
+            _subtract_columns(self.op, wave.ranges, wave.order, delta, r)
         return r
 
 
@@ -670,7 +676,7 @@ class SegregatedGSSmoother(_Smoother):
     ``omega`` dimensionless.
     """
 
-    def __init__(self, op, layout: BlockLayout, omega: float = 0.125):
+    def __init__(self, op, layout: BlockLayout, omega: float = _SGS_OMEGA):
         if not layout.is_saddle:
             raise MalformedSystem("segregated GS requires a saddle system")
         if not omega > 0.0:

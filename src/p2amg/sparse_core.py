@@ -169,21 +169,21 @@ def divergence_mask(values: np.ndarray) -> np.ndarray:
     return size > DIVERGENCE_TOL * size.max(initial=0.0)
 
 
-def triple_product(p, a, symmetric: bool = False) -> sp.csr_matrix:
-    """Galerkin projection ``P^T A P``, formed as ``R (A P)``.
+def triple_product(p, a) -> sp.csr_matrix:
+    """Galerkin projection ``P^T A P`` of a symmetric ``A``, formed as
+    ``R (A P)``.
 
     The restriction ``R = P^T`` is converted to CSR once, so the product
     stays CSR by CSR; ``P.T`` alone is CSC and would convert ``A P``.
-
-    With ``symmetric=True`` the result is averaged with its transpose so
-    roundoff cannot break the symmetry the projection preserves
-    mathematically; the sparsity pattern is unchanged by that averaging.
+    The result is averaged with its transpose, so roundoff cannot break
+    the symmetry the projection preserves mathematically and the coarse
+    operator is symmetric to the bit; the sparsity pattern is unchanged
+    by that averaging.
     """
     if p.shape[0] != a.shape[0] or a.shape[0] != a.shape[1]:
         raise ShapeError(f"cannot form P^T A P with A {a.shape} and P {p.shape}")
     coarse = (p.T.tocsr() @ (a @ p)).tocsr()
-    if symmetric:
-        coarse = ((coarse + coarse.T) * 0.5).tocsr()
+    coarse = ((coarse + coarse.T) * 0.5).tocsr()
     coarse.sort_indices()
     return coarse
 

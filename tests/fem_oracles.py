@@ -9,8 +9,9 @@ evaluates the ten scalar basis functions,
 ``free_node_index`` numbers the free nodes of a tagged mesh in layout
 order, ``node_pattern_product`` forms a layout's node pattern as the
 product ``D^T S D`` with the dof-to-node incidence
-``dof_node_incidence``, and ``reference_node_graph`` builds a node
-graph through COO triplets.
+``dof_node_incidence``, ``reference_node_graph`` builds a node
+graph through COO triplets, and ``edge_pressure_adjacency`` builds the
+pressure graph of a saddle system from the mesh's edge list.
 """
 from dataclasses import replace
 
@@ -232,3 +233,23 @@ def reference_node_graph(matrix) -> sp.csr_matrix:
     ).tocsr()
     graph.sort_indices()
     return graph
+
+
+def edge_pressure_adjacency(mesh) -> sp.csr_matrix:
+    """Vertex connectivity of a mesh from its edge list: ``(i, j)`` for
+    every edge, both ways, and ``(i, i)`` for every vertex, summed
+    through COO triplets with every stored value then set to 1."""
+    nv = mesh.n_vertices
+    ones = np.ones(len(mesh.edges))
+    adj = sp.coo_matrix(
+        (
+            np.concatenate([ones, ones, np.ones(nv)]),
+            (
+                np.concatenate([mesh.edges[:, 0], mesh.edges[:, 1], np.arange(nv)]),
+                np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0], np.arange(nv)]),
+            ),
+        ),
+        shape=(nv, nv),
+    ).tocsr()
+    adj.data[:] = 1.0
+    return adj

@@ -325,7 +325,7 @@ def test_criterion_09_smoother_unit_suite():
     for wave in sm._waves:
         delta = sm._solve_wave(wave, r[wave.dofs])
         x[wave.dofs] += delta
-        r -= sm.op_csc[:, wave.dofs] @ delta
+        r -= sm.op[:, wave.dofs] @ delta
         for p in wave.members:
             vanka_worst = max(vanka_worst, np.abs(r[sm._dofs[p]]).max())
     details.append(f"vanka annihilation {vanka_worst:.2e}")

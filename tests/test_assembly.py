@@ -20,6 +20,7 @@ from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
 
 from conftest import lid_displacement, z_faces
 from fem_oracles import (
+    edge_pressure_adjacency,
     element_matrices,
     free_node_index,
     manufactured_solution_residual,
@@ -451,6 +452,21 @@ def test_saddle_assembly_matches_triplet_path(kind, cube2):
     assert np.array_equal(op.indices, oracle.indices)
     assert np.abs(op.data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
     assert np.abs(system.rhs() - oracle_rhs).max() <= 1e-14 * np.abs(oracle_rhs).max()
+
+
+@pytest.mark.parametrize("problem", ["elasticity_mixed", "stokes"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_pressure_adjacency_matches_edge_list(problem, n):
+    # the vertex graph from the tet incidence equals the one summed from
+    # the mesh's edge list, arrays and dtypes to the bit
+    mesh, spec = build_case(problem, n)
+    got = assemble(mesh, spec).pressure_adjacency
+    ref = edge_pressure_adjacency(mesh)
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
 
 
 def test_assembly_memory_is_bounded():

@@ -207,6 +207,38 @@ def test_cell_out_of_memory_fails_alone(monkeypatch):
     assert all(type(row["smoother_setup_ms"]) is float for row in rows[:3])
 
 
+def test_op_complexity_is_the_level_hierarchy(monkeypatch):
+    # each row's op_complexity is its level's Hierarchy.operator_complexity;
+    # a failed cell (PCG rejects the unsymmetric multilevel GS-2-1
+    # preconditioner) leaves it and wall_ms empty
+    from p2amg import bench_cli
+
+    hierarchies = []
+    build = bench_cli.build_hierarchy
+
+    def recording_build(*args, **kwargs):
+        hierarchies.append(build(*args, **kwargs))
+        return hierarchies[-1]
+
+    monkeypatch.setattr(bench_cli, "build_hierarchy", recording_build)
+    solvers = [
+        {"method": "amg", "cycle": "V", "smoother": "GS-2-2"},
+        {"method": "pcg", "cycle": "V", "smoother": "GS-2-1"},
+    ]
+    rows = run_experiment(tiny_config(levels=[2, 4], solvers=solvers))
+    assert len(hierarchies) == 2 and hierarchies[-1].n_levels > 1
+    failed = 0
+    for row, hier in zip(rows, [h for h in hierarchies for _ in solvers]):
+        if row["converged"]:
+            assert row["op_complexity"] == hier.operator_complexity
+            assert type(row["wall_ms"]) is float and row["wall_ms"] > 0.0
+        else:
+            failed += 1
+            assert row["iterations"] == "IndefiniteBreakdown"
+            assert row["op_complexity"] == row["wall_ms"] == ""
+    assert failed == 1
+
+
 def test_empty_solver_list_is_success(tmp_path):
     cfg = tiny_config(solvers=[])
     rows = run_experiment(cfg)
@@ -386,10 +418,14 @@ def _with_solver(**fields):
         _with_solver(precond=""),
         _with_solver(precond="   "),
         dict(GOOD_CONFIG, coarse_size_cap=30_000),
+        {"problem": "vector_laplace", "solver": GOOD_CONFIG["solvers"]},
+        dict(GOOD_CONFIG, level=[4]),
+        _with_solver(cylce="W"),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
          "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
-         "lambda-zero", "mu-null", "precond-empty", "precond-blank", "cap-dense"],
+         "lambda-zero", "mu-null", "precond-empty", "precond-blank", "cap-dense",
+         "unknown-key", "unknown-key-level", "unknown-solver-key"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli

@@ -362,7 +362,7 @@ def per_partition_hierarchy(system, mode, coarse_size_cap):
         if lay.is_saddle:
             adj = (blocks[-1].T @ adj @ blocks[-1]).tocsr()
             adj.data[:] = 1.0
-        op = triple_product(p, op, symmetric=True)
+        op = triple_product(p, op)
         lay = BlockLayout(n_linear=n_l, n_quadratic=n_q, n_pressure=n_p, block_size=bs)
     return levels + [(op, lay, adj, None)]
 

@@ -95,7 +95,7 @@ def test_pcg_with_multigrid_preconditioner(laplace2):
     x, report = pcg(a, b, pre, KrylovConfig(tol=1e-11))
     assert report.converged
     assert np.linalg.norm(b - a @ x) <= 1e-11 * np.linalg.norm(b)
-    assert report.operator_complexity == pre.operator_complexity
+    assert set(vars(report)) == {"iterations", "residuals", "converged"}
 
 
 def test_gmres_identity_one_iteration():

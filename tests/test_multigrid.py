@@ -131,7 +131,7 @@ def test_report_history_shape(laplace2):
     assert len(report.residuals) == report.iterations + 1
     a = hier.levels[0].operator
     assert np.linalg.norm(b - a @ x) <= 1e-11 * np.linalg.norm(b)
-    assert report.operator_complexity >= 1.0
+    assert set(vars(report)) == {"iterations", "residuals", "converged"}
 
 
 @pytest.mark.parametrize("m,nu", [(2, 1), (1, 2)])

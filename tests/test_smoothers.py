@@ -79,6 +79,15 @@ def test_parse_smoother(name, kind, pre, post, omega):
     assert cfg.omega == omega
 
 
+@pytest.mark.parametrize("kind", list(SmootherKind))
+def test_config_and_its_name_agree_on_damping(kind):
+    # a config built with the kind's default damping and the config parsed
+    # from its name are equal: 0.125 for segregated GS, 1 otherwise
+    cfg = SmootherConfig(kind=kind)
+    assert parse_smoother(cfg.name) == cfg
+    assert cfg.omega == (0.125 if kind is SmootherKind.SEGREGATED_GS else 1.0)
+
+
 def test_parse_smoother_roundtrip():
     for name in ("JA-1-1-0.5", "GS-2-2", "sGS-2-2", "Braess-Sarazin-1-1"):
         assert parse_smoother(name).name == name
@@ -668,7 +677,7 @@ def test_vanka_per_patch_residual_annihilation(stokes2):
     for wave in sm._waves:
         delta = sm._solve_wave(wave, r[wave.dofs])
         x[wave.dofs] += delta
-        r -= sm.op_csc[:, wave.dofs] @ delta
+        r -= sm.op[:, wave.dofs] @ delta
         for p in wave.members:
             assert np.abs(r[sm._dofs[p]]).max() <= 1e-12 * b_norm
 
@@ -918,21 +927,23 @@ def test_coarse_solve_matches_lu_solve_bitwise(channel_vanka):
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 def test_subtract_columns_matches_sliced_product(index_dtype):
     # guards the private scipy kernel behind the Vanka residual update: a
-    # scipy whose csc_matvec changes its contract fails here, not in a run
+    # scipy whose csc_matvec changes its contract fails here, not in a run;
+    # the operator is symmetric CSR, whose arrays are its CSC arrays
     rng = np.random.default_rng(31)
-    dense = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.15)
-    dense[:, 7] = 0.0  # an empty column
-    op = sp.csc_matrix(dense)
+    dense = rng.standard_normal((30, 30)) * (rng.random((30, 30)) < 0.08)
+    dense += dense.T
+    dense[:, 7] = dense[7, :] = 0.0  # an empty row and column
+    op = sp.csr_matrix(dense)
     op.indices, op.indptr = op.indices.astype(index_dtype), op.indptr.astype(index_dtype)
     cases = [[7], [3], [12, 3, 7, 25, 0, 29], list(rng.permutation(30))]
     for cols in map(np.array, cases):
         ranges, order = _column_ranges(op, cols)
         assert ranges.dtype == order.dtype == index_dtype
         d = rng.standard_normal(cols.size)
-        r0 = rng.standard_normal(40)
+        r0 = rng.standard_normal(30)
         r = r0.copy()
         _subtract_columns(op, ranges, order, d, r)
-        ref = r0 - op[:, cols] @ d
+        ref = r0 - dense[:, cols] @ d
         assert np.linalg.norm(r - ref) <= 1e-14 * np.linalg.norm(ref)
         untouched = ~dense[:, cols].any(axis=1)
         assert np.array_equal(r[untouched], r0[untouched])
@@ -942,10 +953,10 @@ def test_subtract_columns_matches_sliced_product(index_dtype):
 
 def test_vanka_waves_store_their_permutation_in_the_index_dtype(channel_vanka):
     """Each wave's ``order``, like its ``ranges``, takes the dtype of the
-    CSC operator's indices, and the sweep built on them still matches
+    stored operator's indices, and the sweep built on them still matches
     the sequential oracle."""
     k, lay, sm = channel_vanka
-    dtype = sm.op_csc.indices.dtype
+    dtype = sm.op.indices.dtype
     assert dtype == np.int32
     for wave in sm._waves:
         assert wave.ranges.dtype == wave.order.dtype == dtype
@@ -956,7 +967,7 @@ def test_vanka_waves_store_their_permutation_in_the_index_dtype(channel_vanka):
 
 def test_vanka_sweep_makes_no_wave_sized_slice():
     # on the Stokes channel's n = 4 L0 operator, slicing a wave's column
-    # block op_csc[:, dofs] would take up to 0.45 MiB
+    # block op[:, dofs] would take up to 0.45 MiB
     from p2amg.assembly import assemble
     from p2amg.bench_cli import build_case
 

@@ -70,6 +70,7 @@ def test_node_pattern_matches_product_oracle(name, masked):
 
 def test_triple_product_identity_bitwise():
     a = sp.random(20, 20, density=0.3, random_state=1, format="csr")
+    a = (a + a.T).tocsr()
     a.sort_indices()
     p = sp.identity(20, format="csr")
     out = triple_product(p, a)
@@ -90,7 +91,7 @@ def test_triple_product_preserves_definiteness():
     q = rng.standard_normal((30, 30))
     a = sp.csr_matrix(q @ q.T + 30 * np.eye(30))
     p = sp.csr_matrix(rng.standard_normal((30, 12)))
-    coarse = triple_product(p, a, symmetric=True)
+    coarse = triple_product(p, a)
     for _ in range(10):
         x = rng.standard_normal(12)
         assert x @ (coarse @ x) > 0.0
@@ -99,11 +100,13 @@ def test_triple_product_preserves_definiteness():
 def test_triple_product_against_dense_oracle():
     rng = np.random.default_rng(21)
     a = sp.random(60, 60, density=0.2, random_state=4, format="csr")
+    a = (a + a.T).tocsr()
     p = sp.random(60, 18, density=0.3, random_state=5, format="csr")
     oracle = p.toarray().T @ a.toarray() @ p.toarray()
     out = triple_product(p, a).toarray()
     scale = np.abs(oracle).max()
     assert np.abs(out - oracle).max() <= 1e-12 * max(scale, 1.0)
+    assert np.array_equal(out, out.T)
 
 
 def test_triple_product_matches_transpose_product_on_stokes_level():
@@ -116,7 +119,7 @@ def test_triple_product_matches_transpose_product_on_stokes_level():
     oracle = (p.T @ (a @ p)).tocsr()
     oracle = ((oracle + oracle.T) * 0.5).tocsr()
     oracle.sort_indices()
-    out = triple_product(p, a, symmetric=True)
+    out = triple_product(p, a)
     assert np.array_equal(out.indptr, oracle.indptr)
     assert np.array_equal(out.indices, oracle.indices)
     assert np.array_equal(out.data, oracle.data)
