@@ -27,7 +27,8 @@ Config schema (all keys except ``problem`` and ``solvers`` optional)::
 
 Per-solver keys ``tolerance`` and ``maxit`` override the experiment
 defaults (200 cycles for stand-alone runs, 500 Krylov iterations).
-``lam`` is accepted for ``lambda``.  A key outside this schema is
+``lam`` is accepted for ``lambda``; a config that gives both is
+rejected.  A key outside this schema is
 rejected, at the top level and in a solver entry alike.
 """
 from __future__ import annotations
@@ -303,6 +304,8 @@ def load_config(source) -> ExperimentConfig:
         raise InvalidParameter(f"unknown coarsening mode {coarsening!r}")
 
     mu = float(_number(raw, "mu", 1.0))
+    if "lambda" in raw and "lam" in raw:
+        raise InvalidParameter("give 'lambda' or its alias 'lam', not both")
     lam = float(_number(raw, "lambda" if "lambda" in raw else "lam", 1.0))
     ProblemSpec(kind=ProblemKind(problem), mu=mu, lam=lam)  # its parameter checks
     coarse_size_cap = _number(raw, "coarse_size_cap", 500, integer=True)

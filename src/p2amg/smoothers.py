@@ -11,7 +11,8 @@ patch-by-patch result with one gather and one residual update per
 wave, the update an in-place product over the wave's columns of the
 stored symmetric CSR operator, read as CSC; each patch is solved through its one-pressure
 Schur complement, its SPD velocity block factored by blocked Cholesky
-in full storage and kept as a packed factor, the only stored one), a
+in full storage and kept as a packed factor, the only stored one, which
+patches with byte-equal matrices share), a
 Braess-Sarazin step with diagonal velocity approximation and an inner
 multigrid preconditioner for the approximate Schur complement, and a
 segregated Gauss-Seidel (Uzawa-type) step.  Node blocks and patches take the dof-to-node
@@ -36,7 +37,9 @@ stand-alone solve takes from the forward post-smoothing of level 0.
 """
 from __future__ import annotations
 
+import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -496,6 +499,17 @@ class VankaSmoother(_Smoother):
     positive definite, or whose ``s_p`` is not positive, raises
     :class:`SingularPatch`.  ``_dofs`` lists the patches in patch order,
     one patch per pressure dof.
+
+    On a structured mesh most patches are translates of one another, so
+    each distinct patch matrix is factored once.  The factor, ``w_p``,
+    ``h_p`` and ``c_p`` are computed from ``n``, the lower triangle of the
+    patch's scratch block and its column ``g_p`` alone; a patch whose
+    SHA-256 digest of those bytes equals an earlier patch's takes that
+    patch's packed factor and a copy of its ``w_p`` instead.  Equal bytes
+    give bitwise equal results, so the sweep is bitwise that of one factor
+    per patch, up to a digest collision.  Equal blocks have equal
+    diagonals, so a patch whose diagonal no other patch has is not
+    digested.  The level's packed buffer holds the distinct factors only.
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
@@ -514,12 +528,20 @@ class VankaSmoother(_Smoother):
         waves = _dependency_waves(self.op, patches, layout)
         self._waves = []
         # one packed buffer per level: a single large allocation, which the
-        # allocator maps and unmaps whole instead of leaving heap holes;
+        # allocator maps and unmaps whole instead of leaving heap holes,
+        # written only as far as the distinct factors reach;
         # full-storage scratch for the largest wave and for one A_p
         packed = np.empty(int(n_velocity @ (n_velocity + 1)) // 2)
         scratch = np.empty(max(int((n_velocity[m] + 1) @ (n_velocity[m] + 1)) for m in waves))
         work = np.empty(int(n_velocity.max()) ** 2)
         start = 0
+        # (n, digest of a patch's bytes) -> the first such patch's factor
+        # offset, w and w_p slice
+        diagonal = self.op.diagonal()
+        diagonals = [hash(diagonal[d].tobytes()) for d in self._dofs]
+        diagonal_count = Counter(diagonals)
+        upper = np.triu(np.ones((int(n_velocity.max()) + 1,) * 2, dtype=bool))
+        distinct = {}
         for members in waves:
             dofs = np.concatenate([self._dofs[p] for p in members])
             m = n_velocity[members]
@@ -544,7 +566,21 @@ class VankaSmoother(_Smoother):
             h[pressure] = 0.0
             factors = []
             for p, n, lo, base in zip(members, m, bounds, blocks):
-                a = scratch[base : base + (n + 1) ** 2].reshape(n + 1, n + 1, order="F")
+                block = scratch[base : base + (n + 1) ** 2]
+                velocity = slice(lo, lo + n)
+                key = None
+                if diagonal_count[diagonals[p]] > 1:
+                    # the lower triangle, read as the upper one of the
+                    # block's row-major view, and g_p
+                    digest = hashlib.sha256(block.reshape(n + 1, n + 1)[upper[: n + 1, : n + 1]])
+                    digest.update(block[n * (n + 1) : n * (n + 2)])
+                    key = (n, digest.digest())
+                    if key in distinct:
+                        offset, first_w, first = distinct[key]
+                        w[velocity] = first_w[first]
+                        factors.append((n, offset, velocity))
+                        continue
+                a = block.reshape(n + 1, n + 1, order="F")
                 factor = work[: n * n].reshape(n, n, order="F")
                 factor[:] = a[:n, :n]  # dpotrf needs A_p contiguous
                 factor, info = dpotrf(factor, lower=1, clean=0, overwrite_a=1)
@@ -552,12 +588,13 @@ class VankaSmoother(_Smoother):
                     raise SingularPatch(
                         f"velocity block of patch {p} is not positive definite"
                     )
-                velocity = slice(lo, lo + n)
                 dpotrs(factor, w[velocity], lower=1, overwrite_b=1)  # w = A_p^{-1} g_p
-                ap = packed[start : start + n * (n + 1) // 2]
-                ap[:] = dtrttp(factor, uplo="L")[0]
-                start += ap.size
-                factors.append((n, ap, velocity))
+                size = n * (n + 1) // 2
+                packed[start : start + size] = dtrttp(factor, uplo="L")[0]
+                if key is not None:
+                    distinct[key] = (start, w, velocity)
+                factors.append((n, start, velocity))
+                start += size
             schur = c + np.add.reduceat(h * w, bounds[:-1])
             if np.any(schur <= 0.0):
                 p = members[np.argmax(schur <= 0.0)]
@@ -570,6 +607,13 @@ class VankaSmoother(_Smoother):
                            starts=bounds[:-1], pressure=pressure,
                            factors=factors, h=h, w=w, schur=schur)
             )
+        # cut the buffer to the distinct factors, so that no unwritten
+        # address space stays reserved, then take the views; no view of
+        # it exists before this point
+        packed.resize(start, refcheck=False)
+        for wave in self._waves:
+            wave.factors[:] = [(n, packed[offset : offset + n * (n + 1) // 2], velocity)
+                               for n, offset, velocity in wave.factors]
 
     @staticmethod
     def _solve_wave(wave: _VankaWave, r_wave: np.ndarray) -> np.ndarray:

@@ -421,11 +421,12 @@ def _with_solver(**fields):
         {"problem": "vector_laplace", "solver": GOOD_CONFIG["solvers"]},
         dict(GOOD_CONFIG, level=[4]),
         _with_solver(cylce="W"),
+        dict(GOOD_CONFIG, problem="elasticity_displacement", lam=5.0, **{"lambda": 2.0}),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
          "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
          "lambda-zero", "mu-null", "precond-empty", "precond-blank", "cap-dense",
-         "unknown-key", "unknown-key-level", "unknown-solver-key"],
+         "unknown-key", "unknown-key-level", "unknown-solver-key", "lambda-and-lam"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli
@@ -438,6 +439,14 @@ def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monke
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lambda_is_given_once():
+    base = {"problem": "elasticity_displacement", "solvers": []}
+    assert load_config(dict(base, lam=5.0)).lam == 5.0
+    assert load_config(dict(base, **{"lambda": 2.0})).lam == 2.0
+    with pytest.raises(InvalidParameter, match="not both"):
+        load_config(dict(base, lam=5.0, **{"lambda": 2.0}))
 
 
 def test_ablation_run_counts_increase():

@@ -866,15 +866,15 @@ def test_vanka_patch_and_wave_setup_peak_is_bounded():
     assert peak <= 0.65 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
-@pytest.mark.parametrize("name", ["channel-L0", "stokes-L1"])
-def test_vanka_patch_factors_match_dense_oracle(channel_vanka, vanka_operators, name):
-    """Every stored packed factor is a Cholesky factor of its ``A_p``,
-    and ``w``, ``h`` and ``s_p`` are those of the dense patch matrix."""
-    k, lay = channel_vanka[:2] if name == "channel-L0" else vanka_operators[name]
-    sm = VankaSmoother(k, lay)
+def assert_patches_match_dense_oracle(k, sm, patches=None):
+    """Each stored packed factor is a Cholesky factor of its ``A_p``, and
+    ``w``, ``h`` and ``s_p`` are those of the dense patch matrix, for
+    ``patches`` (all if None)."""
     checked = 0
     for wave in sm._waves:
         for i, (p, (n, ap, velocity)) in enumerate(zip(wave.members, wave.factors)):
+            if patches is not None and p not in patches:
+                continue
             dofs = sm._dofs[p]
             patch = k[dofs][:, dofs].toarray()
             a_p, g, h, c = patch[:n, :n], patch[:n, n], patch[n, :n], -patch[n, n]
@@ -891,7 +891,78 @@ def test_vanka_patch_factors_match_dense_oracle(channel_vanka, vanka_operators, 
             assert wave.w[first + n] == -1.0
             assert abs(wave.schur[i] - (c + h @ w)) <= 1e-13 * abs(c + h @ w)
             checked += 1
-    assert checked == len(sm._dofs)
+    assert checked == (len(sm._dofs) if patches is None else len(patches))
+
+
+@pytest.mark.parametrize("name", ["channel-L0", "stokes-L1"])
+def test_vanka_patch_factors_match_dense_oracle(channel_vanka, vanka_operators, name):
+    """Every stored packed factor is a Cholesky factor of its ``A_p``,
+    and ``w``, ``h`` and ``s_p`` are those of the dense patch matrix."""
+    k, lay = channel_vanka[:2] if name == "channel-L0" else vanka_operators[name]
+    assert_patches_match_dense_oracle(k, VankaSmoother(k, lay))
+
+
+def factor_addresses(sm):
+    """The address of each patch's packed factor, by patch."""
+    return {
+        p: ap.__array_interface__["data"][0]
+        for wave in sm._waves
+        for p, (_, ap, _) in zip(wave.members, wave.factors)
+    }
+
+
+@pytest.fixture(scope="module")
+def channel4():
+    """The Stokes channel at n = 4, L0: 225 patches, 84 distinct blocks."""
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+
+    system = assemble(*build_case("stokes", 4))
+    return system.monolithic(), system.layout
+
+
+def test_vanka_repeated_patches_share_one_exact_factor(channel4):
+    k, lay = channel4
+    sm = VankaSmoother(k, lay)
+    address = factor_addresses(sm)
+    assert len(address) == 225 and len(set(address.values())) == 84
+    # sharing is invisible in every patch's own factor, w, h and s_p
+    assert_patches_match_dense_oracle(k, sm)
+    # a patch that shares an earlier patch's factor, and a nonzero entry
+    # of the strict lower triangle of its A_p
+    seen = set()
+    for p in range(len(sm._dofs)):
+        if address[p] in seen:
+            break
+        seen.add(address[p])
+    dofs = sm._dofs[p][:-1]
+    block = k[dofs][:, dofs].toarray()
+    i, j = np.argwhere(np.tril(block, k=-1) != 0.0)[0]
+    a, b = dofs[i], dofs[j]
+    # one ulp, mirrored so that the block stays symmetric: a table keyed
+    # on rounded values or a float fingerprint would still share
+    nudged = k.copy()
+    nudged[a, b] = nudged[b, a] = np.nextafter(k[a, b], np.inf)
+    assert np.array_equal(k.indices, nudged.indices)
+    sm = VankaSmoother(nudged, lay)
+    address = factor_addresses(sm)
+    assert list(address.values()).count(address[p]) == 1
+    assert_patches_match_dense_oracle(nudged, sm, patches={p})
+
+
+@pytest.mark.parametrize("name", ["channel-L0", "stokes-L1"])
+def test_vanka_level_buffer_holds_only_distinct_factors(channel4, vanka_operators, name):
+    """The packed factors of a level are views of one buffer whose bytes
+    are exactly those of its distinct factors."""
+    k, lay = channel4 if name == "channel-L0" else vanka_operators[name]
+    sm = VankaSmoother(k, lay)
+    views = {ap.__array_interface__["data"][0]: ap
+             for wave in sm._waves for _, ap, _ in wave.factors}
+    buffers = {id(ap.base): ap.base for ap in views.values()}
+    assert len(buffers) == 1
+    (buffer,) = buffers.values()
+    assert buffer.flags.owndata
+    assert buffer.nbytes == sum(ap.nbytes for ap in views.values())
 
 
 def test_vanka_needs_spd_velocity_block_and_positive_schur():
