@@ -9,10 +9,10 @@ all patches at once as one patch-to-node incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
 patch-by-patch result with one gather and one residual update per
 wave, the update an in-place product over the wave's columns of the
-stored symmetric CSR operator, read as CSC; each patch is solved through its one-pressure
-Schur complement, its SPD velocity block factored by blocked Cholesky
-in full storage and kept as a packed factor, the only stored one, which
-patches with byte-equal matrices share), a
+stored symmetric CSR operator, read as CSC; each patch matrix is kept
+as one packed factor ``L`` of ``L J L^T``, ``J`` negating the pressure
+entry, which patches with byte-equal matrices share, and solved by two
+packed triangular solves), a
 Braess-Sarazin step with diagonal velocity approximation and an inner
 multigrid preconditioner for the approximate Schur complement, and a
 segregated Gauss-Seidel (Uzawa-type) step.  Node blocks and patches take the dof-to-node
@@ -46,7 +46,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtrttp
+from scipy.linalg.blas import dtpsv, dtrsv
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 # Private kernel: csc_matvec(n_row, n_col, Ap, Ai, Ax, Xx, Yx) adds
 # Ax[Ap[j]:Ap[j+1]] * Xx[j] into Yx[Ai[...]] in place, for each j.  Given
@@ -404,15 +405,17 @@ def _dependency_waves(
 
     ``patches`` is the patch-to-node incidence of ``_patch_nodes``.
     Patch ``p`` couples to patch ``q`` when ``op`` stores an entry
-    between their nodes (``layout.node_pattern``), in either direction,
-    or when the two share a node; a patch holds whole nodes, so that is
-    the coupling of their dofs.  A patch's wave is one more than the
-    latest wave of any earlier patch it couples to, so the patches of
-    one wave have disjoint, mutually uncoupled dofs.  Returns the patch
-    indices of each wave, in patch order within a wave.
+    between their nodes (``layout.node_pattern``), in either direction;
+    a patch holds whole nodes, so that is the coupling of their dofs.
+    Two patches that share a node couple too: every velocity node row
+    stores its diagonal, so the node pattern already holds the pair, and
+    each pressure node belongs to one patch.  A patch's wave is one more
+    than the latest wave of any earlier patch it couples to, so the
+    patches of one wave have disjoint, mutually uncoupled dofs.  Returns
+    the patch indices of each wave, in patch order within a wave.
     """
     coupling = patches @ layout.node_pattern(op) @ patches.T
-    coupling = sp.tril(coupling + coupling.T + patches @ patches.T, k=-1, format="csr")
+    coupling = sp.tril(coupling + coupling.T, k=-1, format="csr")
     n_patches = patches.shape[0]
     wave = np.zeros(n_patches, dtype=np.intp)
     for p in range(1, n_patches):
@@ -450,23 +453,15 @@ def _subtract_columns(op, ranges, order, d, r) -> None:
 class _VankaWave:
     """Patches with disjoint, uncoupled dofs, solved as one batch.
 
-    Arrays over ``dofs`` hold, for each patch, its pressure row ``h``
-    (0 at the pressure dof) and ``w = A_p^{-1} g`` (-1 at the pressure
-    dof, so that one product forms the whole correction).  ``ranges``
-    and ``order`` are ``_column_ranges(op, dofs)``.
+    ``ranges`` and ``order`` are ``_column_ranges(op, dofs)``.
     """
 
     members: np.ndarray  # patch indices, in patch order
     dofs: np.ndarray  # concatenated patch dofs, each patch's pressure dof last
     ranges: np.ndarray  # interleaved column ranges of ``dofs``, descending
     order: np.ndarray  # permutation of ``dofs`` into descending order
-    sizes: np.ndarray  # dofs per patch
-    starts: np.ndarray  # position of each patch's first dof in ``dofs``
     pressure: np.ndarray  # position of each patch's pressure dof in ``dofs``
-    factors: list  # (velocity dofs, packed Cholesky factor, their slice) per patch
-    h: np.ndarray
-    w: np.ndarray
-    schur: np.ndarray  # s_p = c_p + h_p . w_p per patch
+    factors: list  # (patch size, packed factor, first position in ``dofs``) per patch
 
 
 class VankaSmoother(_Smoother):
@@ -484,32 +479,35 @@ class VankaSmoother(_Smoother):
     wave's column ranges (``_subtract_columns``), so no column block is
     sliced and no CSC copy is kept.
 
-    In ascending dof order a patch is ``[[A_p, g_p], [h_p^T, -c_p]]``
-    with its one pressure dof last and ``A_p`` a principal block of the
-    SPD velocity operator, so it is solved through its one-pressure
-    Schur complement ``s_p = c_p + h_p . w_p``, ``w_p = A_p^{-1} g_p``:
-    ``y = A_p^{-1} r_u``, ``x_p = (h_p . y - r_p) / s_p`` and ``d_u = y -
-    x_p w_p``.  Setup scatters each wave's block-diagonal slice of
-    ``op`` into one column-major scratch buffer, reused for every wave
-    of the level, which holds each patch matrix in full storage;
-    ``g_p``, ``h_p`` and ``c_p`` are read from it, ``A_p`` is factored
-    by the blocked Cholesky ``dpotrf``, ``w_p`` comes from ``dpotrs``
-    and the factor is packed (``dtrttp``) into one per-level buffer,
-    which the sweep's ``dpptrs`` reads.  A patch whose ``A_p`` is not
-    positive definite, or whose ``s_p`` is not positive, raises
-    :class:`SingularPatch`.  ``_dofs`` lists the patches in patch order,
-    one patch per pressure dof.
+    In ascending dof order a patch is ``K_p = [[A_p, g_p], [h_p^T,
+    -c_p]]`` with its one pressure dof last and ``A_p`` a principal block
+    of the SPD velocity operator.  ``op`` is symmetric, ``g_p = h_p``, so
+    ``K_p`` is quasi-definite and factors without pivoting as ``L J L^T``
+    with ``L = [[L_A, 0], [l^T, sigma]]``, ``A_p = L_A L_A^T``, ``l =
+    L_A^{-1} h_p``, ``sigma^2 = c_p + l . l`` (the one-pressure Schur
+    complement) and ``J`` the identity with its pressure entry negated.
+    The sweep solves each patch in place as ``L^{-T} J L^{-1} r``: one
+    packed triangular solve (``dtpsv``) per patch, one sign flip of the
+    wave's pressure entries, and one transposed solve per patch.  Setup
+    scatters each wave's block-diagonal slice of ``op`` into one
+    column-major scratch buffer, reused for every wave of the level,
+    which holds each patch matrix in full storage; ``L_A`` comes from the
+    blocked Cholesky ``dpotrf``, ``l`` from ``dtrsv``, and ``L`` is
+    written over the block and packed (``dtrttp``) into one per-level
+    buffer.  Only the block's lower triangle is read.  A patch whose
+    ``A_p`` is not positive definite, or whose ``sigma^2`` is not
+    positive, raises :class:`SingularPatch`.  ``_dofs`` lists the
+    patches in patch order, one patch per pressure dof.
 
     On a structured mesh most patches are translates of one another, so
-    each distinct patch matrix is factored once.  The factor, ``w_p``,
-    ``h_p`` and ``c_p`` are computed from ``n``, the lower triangle of the
-    patch's scratch block and its column ``g_p`` alone; a patch whose
-    SHA-256 digest of those bytes equals an earlier patch's takes that
-    patch's packed factor and a copy of its ``w_p`` instead.  Equal bytes
-    give bitwise equal results, so the sweep is bitwise that of one factor
-    per patch, up to a digest collision.  Equal blocks have equal
-    diagonals, so a patch whose diagonal no other patch has is not
-    digested.  The level's packed buffer holds the distinct factors only.
+    each distinct patch matrix is factored once: a patch whose size and
+    SHA-256 digest of its block's lower triangle, the bytes its factor
+    is computed from, equal an earlier patch's takes that patch's packed
+    factor.  Equal bytes give bitwise equal factors, so the sweep is
+    bitwise that of one factor per patch, up to a digest collision.
+    Equal blocks have equal diagonals, so a patch whose diagonal no other
+    patch has is not digested.  The level's packed buffer holds the
+    distinct factors only.
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
@@ -519,112 +517,98 @@ class VankaSmoother(_Smoother):
         # each patch's nodes expanded to their dofs, in ascending order, so
         # each patch's pressure dof comes last
         first = layout.first_dof()
-        sizes = np.diff(first)[patches.indices]
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        dofs = np.repeat(first[patches.indices] - bounds[:-1], sizes) + np.arange(bounds[-1])
+        node_sizes = np.diff(first)[patches.indices]
+        bounds = np.concatenate([[0], np.cumsum(node_sizes)])
+        dofs = np.repeat(first[patches.indices] - bounds[:-1], node_sizes) + np.arange(bounds[-1])
         bounds = bounds[patches.indptr]
         self._dofs = np.split(dofs.astype(self.op.indices.dtype), bounds[1:-1])
-        n_velocity = np.diff(bounds) - 1
+        sizes = np.diff(bounds)
         waves = _dependency_waves(self.op, patches, layout)
         self._waves = []
         # one packed buffer per level: a single large allocation, which the
         # allocator maps and unmaps whole instead of leaving heap holes,
-        # written only as far as the distinct factors reach;
-        # full-storage scratch for the largest wave and for one A_p
-        packed = np.empty(int(n_velocity @ (n_velocity + 1)) // 2)
-        scratch = np.empty(max(int((n_velocity[m] + 1) @ (n_velocity[m] + 1)) for m in waves))
-        work = np.empty(int(n_velocity.max()) ** 2)
+        # written only as far as the distinct factors reach; full-storage
+        # scratch for the largest wave
+        packed = np.empty(int(sizes @ (sizes + 1)) // 2)
+        scratch = np.empty(max(int(sizes[m] @ sizes[m]) for m in waves))
         start = 0
-        # (n, digest of a patch's bytes) -> the first such patch's factor
-        # offset, w and w_p slice
+        # (k, digest of a patch's lower triangle) -> the first such patch's
+        # factor offset
         diagonal = self.op.diagonal()
         diagonals = [hash(diagonal[d].tobytes()) for d in self._dofs]
         diagonal_count = Counter(diagonals)
-        upper = np.triu(np.ones((int(n_velocity.max()) + 1,) * 2, dtype=bool))
+        upper = np.triu(np.ones((int(sizes.max()),) * 2, dtype=bool))
         distinct = {}
         for members in waves:
             dofs = np.concatenate([self._dofs[p] for p in members])
-            m = n_velocity[members]
-            bounds = np.concatenate([[0], np.cumsum(m + 1)])
-            blocks = np.concatenate([[0], np.cumsum((m + 1) ** 2)])
-            owner = np.repeat(np.arange(len(members)), m + 1)
-            pressure = bounds[1:] - 1
-            # the patch matrices, column-major with leading dimension m + 1,
+            m = sizes[members]
+            bounds = np.concatenate([[0], np.cumsum(m)])
+            blocks = np.concatenate([[0], np.cumsum(m * m)])
+            owner = np.repeat(np.arange(len(members)), m)
+            # the patch matrices, column-major with leading dimension m,
             # one after another: entry (i, j) of the wave sits at
             # colbase[j] + i
-            colbase = (blocks[:-1] - bounds[:-1] * (m + 2))[owner]
-            colbase += np.arange(dofs.size) * (m + 1)[owner]
+            colbase = (blocks[:-1] - bounds[:-1] * (m + 1))[owner]
+            colbase += np.arange(dofs.size) * m[owner]
             # the patches of a wave are uncoupled, so op[dofs][:, dofs] is
             # block diagonal: each entry belongs to the patch of its row
             local = self.op[dofs][:, dofs].tocoo()
             scratch[: blocks[-1]] = 0.0
             scratch[colbase[local.col] + local.row] = local.data
-            # the pressure column, row and corner of each patch
-            w = scratch[colbase[pressure][owner] + np.arange(dofs.size)]
-            h = scratch[colbase + pressure[owner]]
-            c = -h[pressure]
-            h[pressure] = 0.0
             factors = []
-            for p, n, lo, base in zip(members, m, bounds, blocks):
-                block = scratch[base : base + (n + 1) ** 2]
-                velocity = slice(lo, lo + n)
+            for p, k, lo, base in zip(members, m, bounds, blocks):
+                block = scratch[base : base + k * k]
                 key = None
                 if diagonal_count[diagonals[p]] > 1:
                     # the lower triangle, read as the upper one of the
-                    # block's row-major view, and g_p
-                    digest = hashlib.sha256(block.reshape(n + 1, n + 1)[upper[: n + 1, : n + 1]])
-                    digest.update(block[n * (n + 1) : n * (n + 2)])
-                    key = (n, digest.digest())
+                    # block's row-major view
+                    key = (k, hashlib.sha256(block.reshape(k, k)[upper[:k, :k]]).digest())
                     if key in distinct:
-                        offset, first_w, first = distinct[key]
-                        w[velocity] = first_w[first]
-                        factors.append((n, offset, velocity))
+                        factors.append((k, distinct[key], lo))
                         continue
-                a = block.reshape(n + 1, n + 1, order="F")
-                factor = work[: n * n].reshape(n, n, order="F")
-                factor[:] = a[:n, :n]  # dpotrf needs A_p contiguous
-                factor, info = dpotrf(factor, lower=1, clean=0, overwrite_a=1)
+                n = k - 1
+                a = block.reshape(k, k, order="F")
+                factor, info = dpotrf(a[:n, :n], lower=1, clean=0)  # on a copy of A_p
                 if info != 0:
                     raise SingularPatch(
                         f"velocity block of patch {p} is not positive definite"
                     )
-                dpotrs(factor, w[velocity], lower=1, overwrite_b=1)  # w = A_p^{-1} g_p
-                size = n * (n + 1) // 2
-                packed[start : start + size] = dtrttp(factor, uplo="L")[0]
+                a[:n, :n] = factor
+                a[n, :n] = dtrsv(factor, a[n, :n], lower=1)  # l = L_A^{-1} h_p
+                sigma2 = a[n, :n] @ a[n, :n] - a[n, n]  # c_p + l . l
+                if sigma2 <= 0.0:
+                    raise SingularPatch(f"Schur complement of patch {p} is not positive")
+                a[n, n] = np.sqrt(sigma2)
+                size = k * (k + 1) // 2
+                packed[start : start + size] = dtrttp(a, uplo="L")[0]
                 if key is not None:
-                    distinct[key] = (start, w, velocity)
-                factors.append((n, start, velocity))
+                    distinct[key] = start
+                factors.append((k, start, lo))
                 start += size
-            schur = c + np.add.reduceat(h * w, bounds[:-1])
-            if np.any(schur <= 0.0):
-                p = members[np.argmax(schur <= 0.0)]
-                raise SingularPatch(f"Schur complement of patch {p} is not positive")
-            w[pressure] = -1.0
             ranges, order = _column_ranges(self.op, dofs)
             self._waves.append(
-                _VankaWave(members=members, dofs=dofs, ranges=ranges,
-                           order=order, sizes=m + 1,
-                           starts=bounds[:-1], pressure=pressure,
-                           factors=factors, h=h, w=w, schur=schur)
+                _VankaWave(members=members, dofs=dofs, ranges=ranges, order=order,
+                           pressure=bounds[1:] - 1, factors=factors)
             )
         # cut the buffer to the distinct factors, so that no unwritten
         # address space stays reserved, then take the views; no view of
         # it exists before this point
         packed.resize(start, refcheck=False)
         for wave in self._waves:
-            wave.factors[:] = [(n, packed[offset : offset + n * (n + 1) // 2], velocity)
-                               for n, offset, velocity in wave.factors]
+            wave.factors[:] = [(k, packed[offset : offset + k * (k + 1) // 2], lo)
+                               for k, offset, lo in wave.factors]
 
     @staticmethod
     def _solve_wave(wave: _VankaWave, r_wave: np.ndarray) -> np.ndarray:
-        """Exact patch solves of one wave for its gathered residual,
-        computed in place in ``r_wave``."""
-        for n, ap, velocity in wave.factors:
-            dpptrs(n, ap, r_wave[velocity], lower=1, overwrite_b=1)
-        r_p = r_wave[wave.pressure]
-        r_wave[wave.pressure] = 0.0
-        x_p = (np.add.reduceat(wave.h * r_wave, wave.starts) - r_p) / wave.schur
-        r_wave -= np.repeat(x_p, wave.sizes) * wave.w
+        """Exact patch solves ``L^{-T} J L^{-1} r`` of one wave for its
+        gathered residual, computed in place in ``r_wave``.  ``dtpsv``
+        takes ``(n, ap, x, incx, offx, lower, trans, diag, overwrite_x)``
+        positionally, which f2py parses faster than keywords."""
+        for k, ap, lo in wave.factors:
+            dtpsv(k, ap, r_wave, 1, lo, 1, 0, 0, 1)
+        r_wave[wave.pressure] *= -1.0
+        for k, ap, lo in wave.factors:
+            dtpsv(k, ap, r_wave, 1, lo, 1, 1, 0, 1)
         return r_wave
 
     def correct(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:

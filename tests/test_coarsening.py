@@ -18,10 +18,17 @@ from p2amg.coarsening import (
     hierarchy_summary,
     select_coarse,
 )
-from p2amg.errors import CoarseningFailure, InvalidParameter
+from p2amg.bench_cli import build_case
+from p2amg.errors import CoarseningFailure, InvalidParameter, SolverError
 from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
 from p2amg.smoothers import _patch_nodes, build_schur_preconditioner
-from p2amg.sparse_core import BlockLayout, as_operator, coupling_mask, triple_product
+from p2amg.sparse_core import (
+    BlockLayout,
+    as_operator,
+    coarse_solve,
+    coupling_mask,
+    triple_product,
+)
 
 from conftest import lid_displacement, z_faces
 from fem_oracles import free_node_index, node_pattern_product, reference_node_graph
@@ -459,6 +466,22 @@ def test_hierarchy_modes_and_errors(laplace4):
     assert mono.levels[1].n_dof < sep.levels[1].n_dof
     assert mono.levels[1].layout.n_quadratic == 0
     assert sep.levels[1].layout.n_quadratic > 0
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("n", [2, 4])
+def test_hierarchy_either_solves_its_coarsest_level_or_fails_typed(kind, n):
+    # where coarsening stops is open (a small cap can leave a singular
+    # coarsest saddle operator); a build that cannot finish must say so
+    # with a SolverError, and one that finishes must solve
+    system = assemble(*build_case(kind.value, n, **KINDS[kind]))
+    for cap in (10, 20, 50, 100, 500):
+        for mode in (SEPARATED, MONOLITHIC):
+            try:
+                hier = build_hierarchy(system, mode=mode, coarse_size_cap=cap)
+            except SolverError:
+                continue
+            assert np.isfinite(coarse_solve(hier.coarse, np.ones(hier.coarse.n))).all()
 
 
 def test_scalar_hierarchy_from_plain_matrix():

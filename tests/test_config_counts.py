@@ -11,6 +11,8 @@ import pytest
 
 from p2amg.bench_cli import (
     REFERENCE_ITERATIONS,
+    ExperimentConfig,
+    SolverEntry,
     _reference_key,
     load_config,
     run_experiment,
@@ -74,6 +76,27 @@ def test_config_counts_at_n4_are_pinned(path):
         for row in run_experiment(config)
     }
     assert counts == {k: v for k, v in PINNED_N4.items() if k[0] == path.name}
+
+
+# (problem, mu, lambda) -> Vanka-1-1 iterations at n = 4 of GMRES with 1
+# and 2 V-cycles and of AMG-V; no config has a Vanka row
+PINNED_VANKA_N4 = {
+    ("stokes", 0.5, 1.0): (11, 7, 19),
+    ("elasticity_mixed", 1.15e6, 1.73e6): (9, 5, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VANKA_N4), ids=lambda case: case[0])
+def test_vanka_counts_at_n4_are_pinned(case):
+    problem, mu, lam = case
+    solvers = (
+        SolverEntry("gmres", "Vanka-1-1", precond_cycles=1),
+        SolverEntry("gmres", "Vanka-1-1", precond_cycles=2),
+        SolverEntry("amg", "Vanka-1-1"),
+    )
+    config = ExperimentConfig(problem, solvers, levels=(4,), mu=mu, lam=lam, tolerance=1e-9)
+    counts = tuple(row["iterations"] for row in run_experiment(config))
+    assert counts == PINNED_VANKA_N4[case]
 
 
 # the mixed-elasticity Vanka rows stay out of the configs (see ROADMAP.md)
