@@ -401,6 +401,11 @@ def _reference_value(config: ExperimentConfig, entry: SolverEntry, n: int):
     return "-" if values[pos] is None else values[pos]
 
 
+def _failure_name(exc: Exception) -> str:
+    """A failed row's ``iterations``: ``DIVERGED`` or the error's class name."""
+    return "DIVERGED" if isinstance(exc, DivergenceDetected) else type(exc).__name__
+
+
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run every (level, solver) cell; one result row per cell.
 
@@ -411,14 +416,25 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     inner).  A cell whose smoother setup or solve raises a
     ``SolverError`` or a ``MemoryError`` gets a row with ``converged``
     false and, in ``iterations``, ``DIVERGED`` for ``DivergenceDetected``
-    or the error's class name otherwise.  ``smoother_setup_ms`` is the
+    or the error's class name otherwise; a level whose mesh, assembly or
+    hierarchy raises one gives each of its cells such a row, with
+    ``dof`` empty when no operator was assembled, and the other levels
+    still run.  ``smoother_setup_ms`` is the
     build time of the row's smoother set, the same in every row that
     shares the set, and empty when the build raised.  ``wall_ms`` times
     the solve call alone and ``op_complexity`` is the level's
     ``Hierarchy.operator_complexity``; a failed cell leaves both empty.
     """
+    return [row for pos, n in enumerate(config.levels) for row in _level_rows(config, pos, n)]
+
+
+def _level_rows(config: ExperimentConfig, pos: int, n: int) -> list[dict]:
+    """The rows of one level.  Its mesh, operators, hierarchy and
+    smoothers are freed when it returns, before the next level is
+    built."""
     rows = []
-    for pos, n in enumerate(config.levels):
+    level_failure = operator = None
+    try:
         mesh, spec = build_case(config.problem, n, config.mu, config.lam)
         system = assemble(mesh, spec)
         operator = system.monolithic()
@@ -426,11 +442,17 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         hierarchy = build_hierarchy(
             system, mode=config.coarsening, coarse_size_cap=config.coarse_size_cap
         )
-        smoother_sets, setup_ms = {}, {}
-        for entry in config.solvers:
-            cycle_cfg = _cycle_config(entry)
-            tol = entry.tolerance or config.default_tolerance
-            key = (cycle_cfg.smoother.kind, cycle_cfg.smoother.omega)
+    except (SolverError, MemoryError) as exc:
+        # only the name is kept: the traceback would hold the failed
+        # build's arrays for the rest of the run
+        level_failure = _failure_name(exc)
+    smoother_sets, setup_ms = {}, {}
+    for entry in config.solvers:
+        cycle_cfg = _cycle_config(entry)
+        tol = entry.tolerance or config.default_tolerance
+        key = (cycle_cfg.smoother.kind, cycle_cfg.smoother.omega)
+        failure = level_failure
+        if failure is None:
             try:
                 if key not in smoother_sets:
                     start = time.perf_counter()
@@ -459,29 +481,27 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 opc = hierarchy.operator_complexity
             except (SolverError, MemoryError) as exc:
                 # one failed cell leaves the other cells' rows intact
-                failure = (
-                    "DIVERGED" if isinstance(exc, DivergenceDetected)
-                    else type(exc).__name__
-                )
-                iterations, converged, final, opc, wall_ms = failure, False, "", "", ""
-            rows.append(
-                {
-                    "problem": config.problem,
-                    "level": pos + 1,
-                    "n": n,
-                    "dof": operator.shape[0],
-                    "solver": entry.label,
-                    "cycle": cycle_cfg.cycle_name,
-                    "smoother": entry.smoother,
-                    "iterations": iterations,
-                    "converged": converged,
-                    "final_rel_residual": final,
-                    "op_complexity": opc,
-                    "wall_ms": wall_ms,
-                    "smoother_setup_ms": setup_ms.get(key, ""),
-                    "paper_ref_value": _reference_value(config, entry, n),
-                }
-            )
+                failure = _failure_name(exc)
+        if failure is not None:
+            iterations, converged, final, opc, wall_ms = failure, False, "", "", ""
+        rows.append(
+            {
+                "problem": config.problem,
+                "level": pos + 1,
+                "n": n,
+                "dof": "" if operator is None else operator.shape[0],
+                "solver": entry.label,
+                "cycle": cycle_cfg.cycle_name,
+                "smoother": entry.smoother,
+                "iterations": iterations,
+                "converged": converged,
+                "final_rel_residual": final,
+                "op_complexity": opc,
+                "wall_ms": wall_ms,
+                "smoother_setup_ms": setup_ms.get(key, ""),
+                "paper_ref_value": _reference_value(config, entry, n),
+            }
+        )
     return rows
 
 

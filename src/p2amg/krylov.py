@@ -120,9 +120,12 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     ``x = 0``, unrestarted.  Because the preconditioner is applied on
     the right, the rotated residual norm is the true residual of the
     unpreconditioned system and decreases monotonically; the last entry of the history is recomputed from
-    ``b - A x``.  The basis, the Hessenberg matrix and the rotations
-    double their capacity as the iterations need it, so memory follows
-    the iterations done, not ``maxit``.
+    ``b - A x``.  The basis grows in place (``ndarray.resize``) by a
+    quarter of its capacity whenever the iterations fill it, so memory
+    follows the iterations done, not ``maxit``, and no copy of the old
+    basis is alive next to the new one; the small Hessenberg matrix and
+    rotations are padded to the same capacity.  ``precond`` must keep no
+    reference to the basis vector it is given.
     """
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -147,9 +150,10 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
     k_used = 0
     for k in range(max_steps):
         if k == capacity:
-            grow = min(capacity, max_steps - capacity)
+            grow = min(capacity // 4, max_steps - capacity)
             capacity += grow
-            v = np.pad(v, ((0, grow), (0, 0)))
+            del basis  # the last view of v, so that the resize may move it
+            v.resize((capacity + 1, n))
             h = np.pad(h, ((0, grow), (0, grow)))
             cs, sn, g = (np.pad(rot, (0, grow)) for rot in (cs, sn, g))
         w = a @ precond(v[k])

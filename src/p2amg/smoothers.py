@@ -508,6 +508,13 @@ class VankaSmoother(_Smoother):
     Equal blocks have equal diagonals, so a patch whose diagonal no other
     patch has is not digested.  The level's packed buffer holds the
     distinct factors only.
+
+    The waves' ``dofs``, ``ranges``, ``order`` and ``pressure`` are
+    slices of one level-wide buffer per kind, allocated before the wave
+    loop from the known totals.  Allocated wave by wave, hundreds of
+    small arrays would outlive the setup between each wave's transients
+    (the block slice, the factor copies), which pins the heap above
+    them, so that the process's peak grew from one setup to the next.
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = 1.0):
@@ -539,9 +546,17 @@ class VankaSmoother(_Smoother):
         diagonal_count = Counter(diagonals)
         upper = np.triu(np.ones((int(sizes.max()),) * 2, dtype=bool))
         distinct = {}
+        # the waves' own arrays, each wave a slice of one buffer per kind
+        total, dtype = int(sizes.sum()), self.op.indices.dtype
+        wave_dofs, wave_order = np.empty(total, dtype), np.empty(total, dtype)
+        wave_ranges = np.empty(2 * total, dtype)
+        wave_pressure = np.empty(sizes.size, dtype=np.intp)
+        lo_dof = lo_patch = 0
         for members in waves:
-            dofs = np.concatenate([self._dofs[p] for p in members])
             m = sizes[members]
+            hi_dof, hi_patch = lo_dof + int(m.sum()), lo_patch + len(members)
+            dofs = wave_dofs[lo_dof:hi_dof]
+            np.concatenate([self._dofs[p] for p in members], out=dofs)
             bounds = np.concatenate([[0], np.cumsum(m)])
             blocks = np.concatenate([[0], np.cumsum(m * m)])
             owner = np.repeat(np.arange(len(members)), m)
@@ -585,11 +600,15 @@ class VankaSmoother(_Smoother):
                     distinct[key] = start
                 factors.append((k, start, lo))
                 start += size
-            ranges, order = _column_ranges(self.op, dofs)
+            ranges, order = wave_ranges[2 * lo_dof : 2 * hi_dof], wave_order[lo_dof:hi_dof]
+            ranges[:], order[:] = _column_ranges(self.op, dofs)
+            pressure = wave_pressure[lo_patch:hi_patch]
+            np.subtract(bounds[1:], 1, out=pressure)
             self._waves.append(
                 _VankaWave(members=members, dofs=dofs, ranges=ranges, order=order,
-                           pressure=bounds[1:] - 1, factors=factors)
+                           pressure=pressure, factors=factors)
             )
+            lo_dof, lo_patch = hi_dof, hi_patch
         # cut the buffer to the distinct factors, so that no unwritten
         # address space stays reserved, then take the views; no view of
         # it exists before this point

@@ -14,7 +14,7 @@ from p2amg.bench_cli import (
     render_markdown,
     run_experiment,
 )
-from p2amg.errors import InvalidParameter
+from p2amg.errors import InvalidParameter, SingularCoarseMatrix
 
 #: Columns that vary from run to run.
 TIMINGS = {"wall_ms", "smoother_setup_ms"}
@@ -205,6 +205,77 @@ def test_cell_out_of_memory_fails_alone(monkeypatch):
     assert cells(rows[:3]) == cells(clean[:3])
     assert failed["smoother_setup_ms"] == ""
     assert all(type(row["smoother_setup_ms"]) is float for row in rows[:3])
+
+
+@pytest.mark.parametrize("stage,error", [
+    ("build_case", MemoryError), ("assemble", MemoryError),
+    ("build_hierarchy", MemoryError), ("build_hierarchy", SingularCoarseMatrix),
+])
+def test_level_that_cannot_be_built_fails_alone(monkeypatch, tmp_path, stage, error):
+    # a level whose mesh, assembly or hierarchy raises gives each of its
+    # cells a failed row; the other levels' rows are those of a clean run,
+    # and the table is still written
+    from p2amg import bench_cli
+
+    solvers = [
+        {"method": "amg", "cycle": "V", "smoother": "GS-2-2"},
+        {"method": "pcg", "cycle": "V", "smoother": "JA-2-2-0.5"},
+    ]
+    raw = {"problem": "vector_laplace", "levels": [2, 4, 3], "solvers": solvers}
+    clean = run_experiment(load_config(raw))
+    calls = []
+    step = getattr(bench_cli, stage)
+
+    def fail_second_level(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise error("cannot build this level")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(bench_cli, stage, fail_second_level)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    calls.clear()
+    rows = run_experiment(load_config(raw))
+    assert len(rows) == len(clean) == 6
+
+    def cells(rows):
+        return [{k: v for k, v in row.items() if k not in TIMINGS} for row in rows]
+
+    assert cells(rows[:2] + rows[4:]) == cells(clean[:2] + clean[4:])
+    for row, ref in zip(rows[2:4], clean[2:4]):
+        assert (row["n"], row["solver"]) == (ref["n"], ref["solver"])
+        assert (row["iterations"], row["converged"]) == (error.__name__, False)
+        assert row["final_rel_residual"] == row["op_complexity"] == ""
+        assert row["wall_ms"] == row["smoother_setup_ms"] == ""
+        assert row["dof"] == (ref["dof"] if stage == "build_hierarchy" else "")
+    written = read_csv(tmp_path / "results.csv")
+    assert [row["iterations"] for row in written[2:4]] == [error.__name__] * 2
+    assert [row["dof"] for row in written] == [str(row["dof"]) for row in rows]
+
+
+def test_a_level_is_freed_before_the_next_is_built(monkeypatch):
+    # the n = 32 level of a --large run must not be built while the
+    # n = 16 level's hierarchy and smoothers are still held
+    import weakref
+
+    from p2amg import bench_cli
+
+    built, alive_at_build = [], []
+    build = bench_cli.build_hierarchy
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append([ref() is not None for ref in built])
+        hierarchy = build(*args, **kwargs)
+        built.append(weakref.ref(hierarchy))
+        return hierarchy
+
+    monkeypatch.setattr(bench_cli, "build_hierarchy", tracked)
+    solvers = [{"method": "pcg", "cycle": "V", "smoother": "GS-1-1"}]
+    rows = run_experiment(tiny_config(levels=[2, 3, 4], solvers=solvers))
+    assert [row["converged"] for row in rows] == [True] * 3
+    assert alive_at_build == [[], [False], [False, False]]
 
 
 def test_op_complexity_is_the_level_hierarchy(monkeypatch):

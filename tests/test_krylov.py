@@ -174,6 +174,73 @@ def test_gmres_memory_follows_iterations_not_maxit():
     assert peak < 50 * 2**20
 
 
+def gmres_full_basis(a, b, maxit):
+    """Unpreconditioned GMRES by the arithmetic of ``krylov.gmres``, with
+    the basis, Hessenberg matrix and rotations allocated for ``maxit``
+    up front; runs all ``maxit`` steps."""
+    n = a.shape[0]
+    b_norm = np.linalg.norm(b)
+    r0 = b - a @ np.zeros(n)
+    beta = np.linalg.norm(r0)
+    v = np.zeros((maxit + 1, n))
+    h = np.zeros((maxit + 1, maxit))
+    cs, sn, g = np.zeros(maxit), np.zeros(maxit), np.zeros(maxit + 1)
+    g[0] = beta
+    v[0] = r0 / beta
+    residuals = [1.0]
+    for k in range(maxit):
+        w = a @ v[k]
+        basis = v[: k + 1]
+        for _ in range(2):
+            coef = basis @ w
+            w -= basis.T @ coef
+            h[: k + 1, k] += coef
+        h[k + 1, k] = np.linalg.norm(w)
+        v[k + 1] = w / h[k + 1, k]
+        for i in range(k):
+            t = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
+            h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
+            h[i, k] = t
+        denom = np.hypot(h[k, k], h[k + 1, k])
+        cs[k] = h[k, k] / denom
+        sn[k] = h[k + 1, k] / denom
+        h[k, k] = denom
+        h[k + 1, k] = 0.0
+        g[k + 1] = -sn[k] * g[k]
+        g[k] = cs[k] * g[k]
+        residuals.append(float(abs(g[k + 1]) / b_norm))
+    x = v[:maxit].T @ np.linalg.solve(h[:maxit, :maxit], g[:maxit])
+    residuals[-1] = float(np.linalg.norm(b - a @ x) / b_norm)
+    return x, residuals
+
+
+def test_gmres_basis_grows_in_place():
+    """Past several growth steps of the basis, GMRES computes bitwise what
+    a basis allocated up front gives, and its traced peak stays within
+    the rows it uses plus a few: no old basis is alive beside the new."""
+    import tracemalloc
+
+    # the 1-D Laplacian: unpreconditioned GMRES runs all 70 steps, which
+    # grow the basis from its first 32 steps four times
+    n, maxit = 4000, 70
+    k = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+    b = np.random.default_rng(29).standard_normal(n)
+    x_ref, residuals_ref = gmres_full_basis(k, b, maxit)
+    config = KrylovConfig(method="gmres", tol=1e-14, maxit=maxit)
+    tracemalloc.start()
+    try:
+        x, report = gmres(k, b, identity, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == maxit and not report.converged
+    assert np.array_equal(x, x_ref)
+    assert [r.hex() for r in report.residuals] == [r.hex() for r in residuals_ref]
+    # the used basis rows, a slack of 4 rows and 16 vectors of work space
+    # (the Hessenberg matrix takes under 3 of them)
+    assert peak < (maxit + 1 + 4) * n * 8 + 16 * n * 8
+
+
 def test_gmres_stagnation_detected():
     # cyclic shift: GMRES makes no progress until the full dimension
     n = 80

@@ -960,6 +960,38 @@ def test_vanka_level_buffer_holds_only_distinct_factors(channel4, vanka_operator
     assert buffer.nbytes == sum(ap.nbytes for ap in views.values())
 
 
+@pytest.mark.parametrize("name", ["channel-L0", "stokes-L1"])
+def test_vanka_wave_arrays_are_views_of_level_buffers(channel4, vanka_operators, name):
+    """Each wave's ``dofs``, ``ranges``, ``order`` and ``pressure`` is a
+    slice of one level-wide buffer per kind, the waves' slices in wave
+    order, and the buffers hold what each wave computes on its own."""
+    k, lay = channel4 if name == "channel-L0" else vanka_operators[name]
+    sm = VankaSmoother(k, lay)
+    assert len(sm._waves) >= 2
+    for kind in ("dofs", "ranges", "order", "pressure"):
+        views = [getattr(wave, kind) for wave in sm._waves]
+        assert all(view.base is not None for view in views), kind
+        buffers = {id(view.base): view.base for view in views}
+        assert len(buffers) == 1, kind
+        (buffer,) = buffers.values()
+        assert buffer.flags.owndata
+        offset = 0
+        for view in views:
+            start = view.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+            assert start == offset * buffer.itemsize
+            offset += view.size
+        assert offset == buffer.size
+    waves = sm._waves
+    dofs = np.concatenate([sm._dofs[p] for wave in waves for p in wave.members])
+    ranges, order = zip(*(_column_ranges(sm.op, wave.dofs) for wave in waves))
+    pressure = [np.cumsum([sm._dofs[p].size for p in wave.members]) - 1 for wave in waves]
+    assert np.array_equal(waves[0].dofs.base, dofs)
+    assert np.array_equal(waves[0].ranges.base, np.concatenate(ranges))
+    assert np.array_equal(waves[0].order.base, np.concatenate(order))
+    assert np.array_equal(waves[0].pressure.base, np.concatenate(pressure))
+    assert all(np.all(wave.dofs[wave.pressure] >= lay.velocity_dof) for wave in waves)
+
+
 def test_vanka_needs_spd_velocity_block_and_positive_schur():
     # the patch [[1, 0, 1], [0, -1, 2], [1, 2, 0]] is nonsingular, but
     # its velocity block is indefinite: the factor L J L^T needs an SPD
