@@ -11,8 +11,9 @@ patch-by-patch result with one gather and one residual update per
 wave, the update an in-place product over the wave's columns of the
 stored symmetric CSR operator, read as CSC; each patch matrix is kept
 as one packed factor ``L`` of ``L J L^T``, ``J`` negating the pressure
-entry, which patches with byte-equal matrices share, and solved by two
-packed triangular solves), a
+entry, which patches with byte-equal lower triangles share, set up from
+the operator's lower triangle alone and solved by two packed triangular
+solves), a
 Braess-Sarazin step with diagonal velocity approximation and an inner
 multigrid preconditioner for the approximate Schur complement, and a
 segregated Gauss-Seidel (Uzawa-type) step.  Node blocks and patches take the dof-to-node
@@ -405,17 +406,19 @@ def _dependency_waves(
 
     ``patches`` is the patch-to-node incidence of ``_patch_nodes``.
     Patch ``p`` couples to patch ``q`` when ``op`` stores an entry
-    between their nodes (``layout.node_pattern``), in either direction;
-    a patch holds whole nodes, so that is the coupling of their dofs.
-    Two patches that share a node couple too: every velocity node row
-    stores its diagonal, so the node pattern already holds the pair, and
-    each pressure node belongs to one patch.  A patch's wave is one more
-    than the latest wave of any earlier patch it couples to, so the
-    patches of one wave have disjoint, mutually uncoupled dofs.  Returns
-    the patch indices of each wave, in patch order within a wave.
+    between their nodes (``layout.node_pattern``); a patch holds whole
+    nodes, so that is the coupling of their dofs.  Vanka's ``op`` is
+    symmetric, so the coupling is too: its strict lower triangle holds
+    each coupled pair, with no transpose added.  Two patches that share
+    a node couple too: every velocity node row stores its diagonal, so
+    the node pattern already holds the pair, and each pressure node
+    belongs to one patch.  A patch's wave is one more than the latest
+    wave of any earlier patch it couples to, so the patches of one wave
+    have disjoint, mutually uncoupled dofs.  Returns the patch indices of
+    each wave, in patch order within a wave.
     """
     coupling = patches @ layout.node_pattern(op) @ patches.T
-    coupling = sp.tril(coupling + coupling.T, k=-1, format="csr")
+    coupling = sp.tril(coupling, k=-1, format="csr")
     n_patches = patches.shape[0]
     wave = np.zeros(n_patches, dtype=np.intp)
     for p in range(1, n_patches):
@@ -488,32 +491,34 @@ class VankaSmoother(_Smoother):
     complement) and ``J`` the identity with its pressure entry negated.
     The sweep solves each patch in place as ``L^{-T} J L^{-1} r``: one
     packed triangular solve (``dtpsv``) per patch, one sign flip of the
-    wave's pressure entries, and one transposed solve per patch.  Setup
-    scatters each wave's block-diagonal slice of ``op`` into one
-    column-major scratch buffer, reused for every wave of the level,
-    which holds each patch matrix in full storage; ``L_A`` comes from the
-    blocked Cholesky ``dpotrf``, ``l`` from ``dtrsv``, and ``L`` is
-    written over the block and packed (``dtrttp``) into one per-level
-    buffer.  Only the block's lower triangle is read.  A patch whose
-    ``A_p`` is not positive definite, or whose ``sigma^2`` is not
-    positive, raises :class:`SingularPatch`.  ``_dofs`` lists the
-    patches in patch order, one patch per pressure dof.
+    wave's pressure entries, and one transposed solve per patch.  The
+    factor reads only the lower triangle of ``K_p``, and a patch's dofs
+    ascend, so setup reads only the lower triangle of ``op``, split off
+    once per level (``_split_rows``) and sliced once per wave.  A patch
+    that needs a factor is scattered into one column-major ``k x k``
+    scratch block; ``L_A`` comes from the blocked Cholesky ``dpotrf``,
+    ``l`` from ``dtrsv``, and ``L`` is written over the block and packed
+    (``dtrttp``) into one per-level buffer.  A patch whose ``A_p`` is not
+    positive definite, or whose ``sigma^2`` is not positive, raises
+    :class:`SingularPatch`.  ``_dofs`` lists the patches in patch order,
+    one patch per pressure dof.
 
     On a structured mesh most patches are translates of one another, so
     each distinct patch matrix is factored once: a patch whose size and
-    SHA-256 digest of its block's lower triangle, the bytes its factor
-    is computed from, equal an earlier patch's takes that patch's packed
-    factor.  Equal bytes give bitwise equal factors, so the sweep is
-    bitwise that of one factor per patch, up to a digest collision.
-    Equal blocks have equal diagonals, so a patch whose diagonal no other
-    patch has is not digested.  The level's packed buffer holds the
-    distinct factors only.
+    SHA-256 digest of its sliced rows (values, columns and row pointer,
+    both relative to the patch), which fix every byte its factor is
+    computed from, equal an earlier patch's takes that patch's packed
+    factor without being scattered.  Equal bytes give bitwise equal
+    factors, so the sweep is bitwise that of one factor per patch, up to
+    a digest collision.  Equal blocks have equal diagonals, so a patch
+    whose diagonal no other patch has is not digested.  The level's
+    packed buffer holds the distinct factors only.
 
     The waves' ``dofs``, ``ranges``, ``order`` and ``pressure`` are
     slices of one level-wide buffer per kind, allocated before the wave
     loop from the known totals.  Allocated wave by wave, hundreds of
     small arrays would outlive the setup between each wave's transients
-    (the block slice, the factor copies), which pins the heap above
+    (the triangle's slice, the factor copies), which pins the heap above
     them, so that the process's peak grew from one setup to the next.
     """
 
@@ -535,16 +540,17 @@ class VankaSmoother(_Smoother):
         # one packed buffer per level: a single large allocation, which the
         # allocator maps and unmaps whole instead of leaving heap holes,
         # written only as far as the distinct factors reach; full-storage
-        # scratch for the largest wave
+        # scratch for the largest patch
         packed = np.empty(int(sizes @ (sizes + 1)) // 2)
-        scratch = np.empty(max(int(sizes[m] @ sizes[m]) for m in waves))
+        scratch = np.empty(int(sizes.max()) ** 2)
         start = 0
-        # (k, digest of a patch's lower triangle) -> the first such patch's
-        # factor offset
+        # the lower triangle, diagonal included: all that a factor reads
+        lower = _masked_rows(self.op, *_split_rows(self.op, np.arange(1, self.op.shape[0] + 1)))
+        # (k, digest of a patch's rows of ``lower``) -> the first such
+        # patch's factor offset
         diagonal = self.op.diagonal()
         diagonals = [hash(diagonal[d].tobytes()) for d in self._dofs]
         diagonal_count = Counter(diagonals)
-        upper = np.triu(np.ones((int(sizes.max()),) * 2, dtype=bool))
         distinct = {}
         # the waves' own arrays, each wave a slice of one buffer per kind
         total, dtype = int(sizes.sum()), self.op.indices.dtype
@@ -558,29 +564,32 @@ class VankaSmoother(_Smoother):
             dofs = wave_dofs[lo_dof:hi_dof]
             np.concatenate([self._dofs[p] for p in members], out=dofs)
             bounds = np.concatenate([[0], np.cumsum(m)])
-            blocks = np.concatenate([[0], np.cumsum(m * m)])
-            owner = np.repeat(np.arange(len(members)), m)
-            # the patch matrices, column-major with leading dimension m,
-            # one after another: entry (i, j) of the wave sits at
-            # colbase[j] + i
-            colbase = (blocks[:-1] - bounds[:-1] * (m + 1))[owner]
-            colbase += np.arange(dofs.size) * m[owner]
-            # the patches of a wave are uncoupled, so op[dofs][:, dofs] is
-            # block diagonal: each entry belongs to the patch of its row
-            local = self.op[dofs][:, dofs].tocoo()
-            scratch[: blocks[-1]] = 0.0
-            scratch[colbase[local.col] + local.row] = local.data
+            # the patches of a wave are uncoupled, so lower[dofs][:, dofs]
+            # is block diagonal: the entries of a patch's rows are its own,
+            # their columns made relative to the patch and each row's
+            # position in its patch kept per entry
+            local = lower[dofs][:, dofs]
+            lengths = np.diff(local.indptr)
+            base = np.repeat(bounds[:-1], m).astype(dtype)  # each row's patch start
+            cols = local.indices - np.repeat(base, lengths)
+            rows = np.repeat(np.arange(dofs.size, dtype=dtype) - base, lengths)
             factors = []
-            for p, k, lo, base in zip(members, m, bounds, blocks):
-                block = scratch[base : base + k * k]
+            for p, k, lo in zip(members, m, bounds):
+                entries = slice(local.indptr[lo], local.indptr[lo + k])
                 key = None
                 if diagonal_count[diagonals[p]] > 1:
-                    # the lower triangle, read as the upper one of the
-                    # block's row-major view
-                    key = (k, hashlib.sha256(block.reshape(k, k)[upper[:k, :k]]).digest())
+                    digest = hashlib.sha256(local.data[entries])
+                    digest.update(cols[entries])
+                    digest.update(local.indptr[lo : lo + k + 1] - local.indptr[lo])
+                    key = (k, digest.digest())
                     if key in distinct:
                         factors.append((k, distinct[key], lo))
                         continue
+                # the patch matrix in column-major full storage, of which
+                # only the lower triangle is written and read
+                block = scratch[: k * k]
+                block[:] = 0.0
+                block[cols[entries] * k + rows[entries]] = local.data[entries]
                 n = k - 1
                 a = block.reshape(k, k, order="F")
                 factor, info = dpotrf(a[:n, :n], lower=1, clean=0)  # on a copy of A_p

@@ -945,6 +945,72 @@ def test_vanka_repeated_patches_share_one_exact_factor(channel4):
     assert_patches_match_dense_oracle(nudged, sm, patches={p})
 
 
+def packed_factors(sm):
+    """The level's packed buffer, and each wave's ``(size, offset in the
+    buffer, first position in dofs)`` per patch: every factor's bytes and
+    which patches share one."""
+    (buffer,) = {id(ap.base): ap.base for wave in sm._waves for _, ap, _ in wave.factors}.values()
+    origin = buffer.__array_interface__["data"][0]
+    return buffer, [
+        [(size, ap.__array_interface__["data"][0] - origin, lo) for size, ap, lo in wave.factors]
+        for wave in sm._waves
+    ]
+
+
+def test_vanka_setup_reads_only_the_stored_lower_triangle(channel4):
+    """One ulp added to a strict-upper entry of a shared patch's block,
+    not mirrored, leaves every packed factor and the factor-sharing map
+    bitwise as they were: setup reads the stored lower triangle alone."""
+    k, lay = channel4
+    sm = VankaSmoother(k, lay)
+    buffer, offsets = packed_factors(sm)
+    address = factor_addresses(sm)
+    sharing = [p for p, a in sorted(address.items()) if list(address.values()).count(a) > 1]
+    dofs = sm._dofs[sharing[0]]
+    # an entry of g_p, the velocity rows of the pressure column
+    block = k[dofs][:, dofs].toarray()
+    i = np.flatnonzero(block[:-1, -1])[0]
+    a, b = dofs[i], dofs[-1]
+    nudged = k.copy()
+    nudged[a, b] = np.nextafter(k[a, b], np.inf)
+    assert np.array_equal(k.indices, nudged.indices)
+    assert nudged[a, b] != nudged[b, a]
+    nudged_buffer, nudged_offsets = packed_factors(VankaSmoother(nudged, lay))
+    assert nudged_offsets == offsets
+    assert nudged_buffer.tobytes() == buffer.tobytes()
+
+
+def test_vanka_distinct_factor_counts_at_stokes_n8():
+    """Stokes n = 8 stores 328 factors for the 1,377 patches of L0 and
+    208 for the 225 of L1, and 48 sampled patches per level each
+    reproduce their own patch matrix."""
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+    from p2amg.coarsening import build_hierarchy
+
+    levels = build_hierarchy(assemble(*build_case("stokes", 8))).levels
+    rng = np.random.default_rng(8)
+    for level, patches, distinct in ((levels[0], 1377, 328), (levels[1], 225, 208)):
+        sm = VankaSmoother(level.operator, level.layout)
+        address = factor_addresses(sm)
+        assert len(address) == patches and len(set(address.values())) == distinct
+        sample = {int(p) for p in rng.choice(patches, size=48, replace=False)}
+        assert_patches_match_dense_oracle(level.operator, sm, patches=sample)
+
+
+def test_vanka_equal_values_in_other_columns_share_no_factor():
+    """Two patches with equal diagonals whose lower triangles store the
+    same values row by row, but one off-diagonal entry in another column,
+    get a factor each."""
+    a = 2.0 * np.eye(6)
+    a[2, 0] = a[0, 2] = 1.0  # patch 0: entry (2, 0)
+    a[5, 4] = a[4, 5] = 1.0  # patch 1: entry (2, 1) of its block
+    k, lay = saddle_parts(a, np.kron(np.eye(2), np.ones((1, 3))), np.zeros((2, 2)))
+    sm = VankaSmoother(k, lay)
+    assert len(sm._waves) == 1 and len(set(factor_addresses(sm).values())) == 2
+    assert_patches_match_dense_oracle(k, sm)
+
+
 @pytest.mark.parametrize("name", ["channel-L0", "stokes-L1"])
 def test_vanka_level_buffer_holds_only_distinct_factors(channel4, vanka_operators, name):
     """The packed factors of a level are views of one buffer whose bytes
