@@ -142,7 +142,7 @@ def _reference_tensors():
     ``divergence[a, (i, j)] = -sum_q w_q lambda_i g_q[j, a]`` (pressure
     hat ``i``) and ``mass[i, j] = sum_q w_q lambda_i lambda_j``.
     """
-    rule = basis_mod.reference_basis()
+    rule = basis_mod.tet_quadrature_degree4()
     hat_gradients = np.vstack([-np.ones(3), np.eye(3)])[None]
     g = np.stack([basis_mod.shape_gradients(q, hat_gradients)[0] for q in rule.points])
     hats = rule.points

@@ -18,7 +18,6 @@ from .mesh import TET_EDGES
 __all__ = [
     "N_SCALAR_BASIS",
     "ReferenceBasis",
-    "reference_basis",
     "tet_quadrature_degree4",
     "shape_gradients",
 ]
@@ -42,7 +41,7 @@ class ReferenceBasis:
 
 
 def tet_quadrature_degree4() -> ReferenceBasis:
-    """Symmetric 11-point rule on the tetrahedron, exact for degree 4."""
+    """A new read-only symmetric 11-point rule on the tetrahedron, exact for degree 4."""
     points = [(0.25, 0.25, 0.25, 0.25)]
     weights = [-148.0 / 1875.0]
 
@@ -67,14 +66,6 @@ def tet_quadrature_degree4() -> ReferenceBasis:
     pts.setflags(write=False)
     wts.setflags(write=False)
     return ReferenceBasis(points=pts, weights=wts)
-
-
-_REFERENCE = tet_quadrature_degree4()
-
-
-def reference_basis() -> ReferenceBasis:
-    """The shared degree-4 tetrahedron rule."""
-    return _REFERENCE
 
 
 def shape_gradients(bary: np.ndarray, grad_lambda: np.ndarray) -> np.ndarray:

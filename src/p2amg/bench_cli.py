@@ -27,6 +27,8 @@ Config schema (all keys except ``problem`` and ``solvers`` optional)::
 
 Per-solver keys ``tolerance`` and ``maxit`` override the experiment
 defaults (200 cycles for stand-alone runs, 500 Krylov iterations).
+``precond``, on a pcg or gmres entry only, reads ``"N V-cycle(s)"`` or
+``"N W-cycle(s)"`` with N >= 1 and the entry's ``cycle`` letter.
 ``lam`` is accepted for ``lambda``; a config that gives both is
 rejected.  A key outside this schema is
 rejected, at the top level and in a solver entry alike.
@@ -37,6 +39,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -193,21 +196,18 @@ class ExperimentConfig:
         return self.coarsening == MONOLITHIC
 
 
-def _parse_precond(value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        cycles = value
-    elif isinstance(value, str):
-        try:
-            cycles = int(value.split()[0])
-        except (IndexError, ValueError) as exc:
-            raise InvalidParameter(
-                f"cannot parse preconditioner cycle count from {value!r}"
-            ) from exc
-    else:
-        raise InvalidParameter(f"bad precond field {value!r}")
-    if cycles < 1:
-        raise InvalidParameter("preconditioner cycle count must be >= 1")
-    return cycles
+def _parse_precond(item: dict, cycle: str) -> int:
+    """Cycles per preconditioner application: ``"N V-cycle(s)"`` or ``"N
+    W-cycle(s)"``, N >= 1 and the letter the entry's ``cycle``; 1 if absent."""
+    if "precond" not in item:
+        return 1
+    if item["method"] == "amg":
+        raise InvalidParameter("precond applies to pcg and gmres entries only")
+    value = item["precond"]
+    match = re.fullmatch(r"([1-9][0-9]*) ([VW])-cycles?", value) if isinstance(value, str) else None
+    if match is None or match[2] != cycle:
+        raise InvalidParameter(f"precond must read 'N {cycle}-cycles' with N >= 1, got {value!r}")
+    return int(match[1])
 
 
 def _number(raw: dict, key: str, default, integer: bool = False):
@@ -237,11 +237,9 @@ def _known_keys(raw: dict, known: frozenset) -> None:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse an experiment config from a path, file object or dict."""
+    """Parse an experiment config from a path or a dict."""
     if isinstance(source, dict):
         raw = source
-    elif hasattr(source, "read"):
-        raw = json.load(source)
     else:
         with open(source) as fh:
             try:
@@ -285,7 +283,7 @@ def load_config(source) -> ExperimentConfig:
                     method=method,
                     smoother=smoother,
                     cycle=cycle,
-                    precond_cycles=_parse_precond(item.get("precond", 1)),
+                    precond_cycles=_parse_precond(item, cycle),
                     tolerance=_tolerance(item),
                     maxit=maxit,
                 )
@@ -374,7 +372,7 @@ def _cycle_config(entry: SolverEntry) -> CycleConfig:
     return CycleConfig(
         smoother=parse_smoother(entry.smoother),
         nu=1 if entry.cycle == "V" else 2,
-        cycles_per_application=entry.precond_cycles if entry.method != "amg" else 1,
+        cycles_per_application=entry.precond_cycles,
     )
 
 

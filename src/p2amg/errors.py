@@ -43,7 +43,7 @@ class MalformedSystem(SolverError):
 
 
 class DivergenceDetected(SolverError):
-    """The stand-alone multigrid iteration blew up."""
+    """The stand-alone multigrid iteration blew up, or a Krylov residual is not finite."""
 
 
 class IndefiniteBreakdown(SolverError):

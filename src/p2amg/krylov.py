@@ -4,7 +4,9 @@ Both solvers start from a zero initial guess and stop on the true
 relative l2 residual of the unpreconditioned system, matching the
 reporting convention of the stand-alone multigrid loop.  Each returns
 the iterate and a :class:`~p2amg.multigrid.SolveReport` of what the
-iteration computed; the caller times the call.
+iteration computed; the caller times the call.  Both raise
+:class:`DivergenceDetected` as soon as the relative residual is not
+finite.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndefiniteBreakdown, InvalidParameter, StagnationDetected
+from .errors import DivergenceDetected, IndefiniteBreakdown, InvalidParameter, StagnationDetected
 from .multigrid import SolveReport
 
 __all__ = ["KrylovConfig", "pcg", "gmres"]
@@ -93,6 +95,8 @@ def pcg(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]:
         else:
             r -= alpha * q
         rel = np.linalg.norm(r) / b_norm
+        if not np.isfinite(rel):
+            raise DivergenceDetected(f"relative residual {rel} after {iterations} iterations")
         if rel <= config.tol:
             true_rel = np.linalg.norm(b - a @ x) / b_norm
             residuals.append(float(true_rel))
@@ -152,8 +156,8 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
         if k == capacity:
             grow = min(capacity // 4, max_steps - capacity)
             capacity += grow
-            del basis  # the last view of v, so that the resize may move it
-            v.resize((capacity + 1, n))
+            del basis  # the last view of v; a profiler may hold one more reference
+            v.resize((capacity + 1, n), refcheck=False)
             h = np.pad(h, ((0, grow), (0, grow)))
             cs, sn, g = (np.pad(rot, (0, grow)) for rot in (cs, sn, g))
         w = a @ precond(v[k])
@@ -180,6 +184,8 @@ def gmres(a, b, precond, config: KrylovConfig) -> tuple[np.ndarray, SolveReport]
 
         k_used = k + 1
         rel = abs(g[k + 1]) / b_norm
+        if not np.isfinite(rel):
+            raise DivergenceDetected(f"relative residual {rel} after {k_used} iterations")
         residuals.append(float(rel))
         if (
             k_used > _STAGNATION_WINDOW

@@ -9,7 +9,6 @@ is z-major lexicographic and edge numbering is lexicographic in
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable
@@ -48,8 +47,17 @@ FACE_EDGES = ((0, 1), (1, 2), (0, 2))
 _FACE_LOCAL = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 _FACE_OPPOSITE = (3, 2, 1, 0)
 
-_AXIS_PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
-_UNIT_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+#: The six tetrahedra of a cell's Kuhn split as corner steps (dx, dy, dz)
+#: from its lowest corner: each climbs to the opposite corner one axis at
+#: a time, its vertices ordered for positive volume.
+_KUHN_TETS = np.array([
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+    [(0, 0, 0), (1, 0, 0), (1, 1, 1), (1, 0, 1)],
+    [(0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 0)],
+    [(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)],
+    [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)],
+    [(0, 0, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1)],
+])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -102,16 +110,6 @@ class Mesh:
         return self.vertex_tags is not None
 
 
-def _permutation_parity(perm) -> int:
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return inversions % 2
-
-
 def _structured_box(nx, ny, nz, lx, ly, lz) -> Mesh:
     nvx, nvy, nvz = nx + 1, ny + 1, nz + 1
     gx, gy, gz = np.meshgrid(
@@ -130,21 +128,8 @@ def _structured_box(nx, ny, nz, lx, ly, lz) -> Mesh:
     )
     base = (ci + nvx * (cj + nvy * ck)).ravel(order="F")
 
-    def corner(d):
-        return d[0] + nvx * (d[1] + nvy * d[2])
-
-    per_perm = []
-    for perm in _AXIS_PERMUTATIONS:
-        p0 = (0, 0, 0)
-        p1 = _UNIT_STEPS[perm[0]]
-        p2 = tuple(a + b for a, b in zip(p1, _UNIT_STEPS[perm[1]]))
-        p3 = (1, 1, 1)
-        offs = [corner(p) for p in (p0, p1, p2, p3)]
-        if _permutation_parity(perm):
-            # odd permutations give negative volume; swap two vertices
-            offs[2], offs[3] = offs[3], offs[2]
-        per_perm.append(np.stack([base + o for o in offs], axis=1))
-    tets = np.stack(per_perm, axis=1).reshape(-1, 4)
+    offsets = _KUHN_TETS @ np.array([1, nvx, nvx * nvy])
+    tets = (base[:, None, None] + offsets).reshape(-1, 4)
 
     # unique edges, lexicographically ordered
     nv = vertices.shape[0]

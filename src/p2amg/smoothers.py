@@ -652,36 +652,39 @@ class VankaSmoother(_Smoother):
 # Braess-Sarazin
 
 
+def _saddle_split(op: sp.csr_matrix, layout: BlockLayout):
+    """``B``, ``Ahat^{-1} = (2 diag(A))^{-1}`` and ``diag(C)`` of the saddle
+    operator ``[[A, B^T], [B, -C]]``, the pieces Braess-Sarazin and
+    segregated GS start from."""
+    if not layout.is_saddle:
+        raise MalformedSystem("a saddle smoother requires a saddle system")
+    vd = layout.velocity_dof
+    diag = op.diagonal()
+    if np.any(diag[:vd] <= 0.0):
+        raise SingularBlock("velocity diagonal must be strictly positive")
+    return op[vd:, :vd].tocsr(), 0.5 / diag[:vd], -diag[vd:]
+
+
 def build_schur_preconditioner(
-    op: sp.csr_matrix,
-    layout: BlockLayout,
-    ahat_diag: np.ndarray,
-    coarse_size_cap: int = 500,
+    op: sp.csr_matrix, b_block: sp.csr_matrix, ahat_inv: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Approximate inverse of the Schur complement ``C + B Ahat^{-1} B^T``.
 
-    The Schur matrix is formed explicitly and symmetrised.  The returned
-    callable ``r -> Shat^{-1} r`` is one V-cycle of a scalar multigrid
-    hierarchy with GS-1-1 smoothing; a matrix of at most
-    ``coarse_size_cap`` rows makes a one-level hierarchy, whose cycle is
-    the dense LU solve of its coarsest level.
+    ``B`` is ``b_block``, ``Ahat^{-1}`` the diagonal ``ahat_inv`` and ``-C``
+    the pressure block of ``op``; the Schur matrix is formed explicitly
+    and symmetrised.  The returned callable ``r -> Shat^{-1} r`` is one
+    GS-1-1 V-cycle of its scalar multigrid hierarchy, at the default
+    coarse size; a one-level hierarchy makes it the dense LU solve.
     """
     # imported here: multigrid imports this module
     from .coarsening import build_hierarchy
     from .multigrid import CycleConfig, Preconditioner
 
-    vd = layout.velocity_dof
-    b_block = op[vd:, :vd].tocsr()
-    c_block = (-op[vd:, vd:]).tocsr()
-    schur = (
-        c_block + b_block @ sp.diags(1.0 / ahat_diag) @ b_block.T
-    ).tocsr()
+    vd = b_block.shape[1]
+    schur = (-op[vd:, vd:] + b_block @ sp.diags(ahat_inv) @ b_block.T).tocsr()
     schur = ((schur + schur.T) * 0.5).tocsr()
-    hierarchy = build_hierarchy(schur, coarse_size_cap=coarse_size_cap)
-    config = CycleConfig(
-        smoother=SmootherConfig(kind=SmootherKind.GAUSS_SEIDEL, m_pre=1, m_post=1)
-    )
-    return Preconditioner(hierarchy, config)
+    gs_1_1 = CycleConfig(smoother=SmootherConfig(SmootherKind.GAUSS_SEIDEL))
+    return Preconditioner(build_hierarchy(schur), gs_1_1)
 
 
 class BraessSarazinSmoother(_Smoother):
@@ -694,22 +697,13 @@ class BraessSarazinSmoother(_Smoother):
     """
 
     def __init__(self, op, layout: BlockLayout):
-        if not layout.is_saddle:
-            raise MalformedSystem("Braess-Sarazin requires a saddle system")
         self.op = op.tocsr()
-        self.layout = layout
-        vd = layout.velocity_dof
-        self.b_block = self.op[vd:, :vd].tocsr()
+        self.b_block, self._ahat_inv, _ = _saddle_split(self.op, layout)
         self._b_block_t = self.b_block.T  # a view of b_block's arrays
-        diag = self.op.diagonal()[:vd]
-        if np.any(diag <= 0.0):
-            raise SingularBlock("velocity diagonal must be strictly positive")
-        self.ahat = 2.0 * diag
-        self._ahat_inv = 1.0 / self.ahat
-        self.schur = build_schur_preconditioner(self.op, layout, self.ahat)
+        self.schur = build_schur_preconditioner(self.op, self.b_block, self._ahat_inv)
 
     def correct(self, x: np.ndarray, r: np.ndarray) -> None:
-        vd = self.layout.velocity_dof
+        vd = self.b_block.shape[1]
         ru, rp = r[:vd], r[vd:]
         u_star = self._ahat_inv * ru
         q = self.schur(self.b_block @ u_star - rp)
@@ -733,26 +727,18 @@ class SegregatedGSSmoother(_Smoother):
     """
 
     def __init__(self, op, layout: BlockLayout, omega: float = _SGS_OMEGA):
-        if not layout.is_saddle:
-            raise MalformedSystem("segregated GS requires a saddle system")
         if not omega > 0.0:
             raise InvalidParameter("omega must be positive")
         self.op = op.tocsr()
-        self.layout = layout
         self.omega = omega
-        vd = layout.velocity_dof
-        self.b_block = self.op[vd:, :vd].tocsr()
+        self.b_block, ahat_inv, c_diag = _saddle_split(self.op, layout)
         self._vinv = _velocity_block_inverses(self.op, layout)[0]
-        diag = self.op.diagonal()[:vd]
-        if np.any(diag <= 0.0):
-            raise SingularBlock("velocity diagonal must be strictly positive")
-        c_diag = -self.op.diagonal()[vd:]
-        sigma = c_diag + self.b_block.multiply(self.b_block) @ (0.5 / diag)
+        sigma = c_diag + self.b_block.multiply(self.b_block) @ ahat_inv
         sigma[sigma <= 0.0] = 1.0  # decoupled pressure dof: benign unit scale
         self.pressure_scaling = sigma
 
     def correct(self, x: np.ndarray, r: np.ndarray) -> None:
-        vd = self.layout.velocity_dof
+        vd = self.b_block.shape[1]
         ru, rp = r[:vd], r[vd:]
         du = 0.5 * (self._vinv @ ru)
         dp = -self.omega * (rp - self.b_block @ du) / self.pressure_scaling

@@ -204,23 +204,20 @@ class CoarseFactorization:
     n: int
 
 
-def coarse_factor(a) -> CoarseFactorization:
-    """Factor a (small) square operator with dense partial-pivot LU.
+def coarse_factor(a: sp.spmatrix) -> CoarseFactorization:
+    """Factor a (small) square sparse operator with dense partial-pivot LU.
 
     Works for SPD and indefinite saddle matrices alike.  Raises
     ``SingularCoarseMatrix`` if a pivot of the equilibrated matrix
     falls below ``1e-14`` times its largest entry, and
-    ``InvalidParameter``, before densifying it, for a sparse operator of
-    more than ``MAX_DENSE_COARSE`` rows.
+    ``InvalidParameter``, before densifying it, for an operator of more
+    than ``MAX_DENSE_COARSE`` rows.
     """
-    if sp.issparse(a):
-        if a.shape[0] > MAX_DENSE_COARSE:
-            raise InvalidParameter(f"{a.shape[0]} coarse rows exceed the dense LU limit "
-                                   f"of {MAX_DENSE_COARSE}")
-        dense = a.toarray()
-    else:
-        dense = np.array(a, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+    if a.shape[0] > MAX_DENSE_COARSE:
+        raise InvalidParameter(f"{a.shape[0]} coarse rows exceed the dense LU limit "
+                               f"of {MAX_DENSE_COARSE}")
+    dense = a.toarray()
+    if dense.shape[0] != dense.shape[1]:
         raise ShapeError(f"coarse operator must be square, got {dense.shape}")
     row_max = np.abs(dense).max(axis=1)
     if np.any(row_max == 0.0):

@@ -12,7 +12,7 @@ from p2amg.assembly import (
     ProblemSpec,
     assemble,
 )
-from p2amg.basis import reference_basis, shape_gradients
+from p2amg.basis import shape_gradients, tet_quadrature_degree4
 from p2amg.bench_cli import build_case
 from p2amg.coarsening import build_hierarchy
 from p2amg.errors import DegenerateElement, InvalidParameter, MissingTags
@@ -137,7 +137,7 @@ def oracle_element_forms(coords, spec):
 def quadrature_parts(coords, kind):
     """The parts of ``assembly._element_parts``, accumulated over the
     11-point degree-4 rule point by point."""
-    rule = reference_basis()
+    rule = tet_quadrature_degree4()
     t = coords[:, 1:] - coords[:, :1]
     vol = np.linalg.det(t) / 6.0
     grad = np.empty((coords.shape[0], 4, 3))

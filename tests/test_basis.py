@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from p2amg.basis import reference_basis, shape_gradients, tet_quadrature_degree4
+from p2amg.basis import shape_gradients, tet_quadrature_degree4
 
 from fem_oracles import shape_values, triangle_quadrature_degree4
 
@@ -92,7 +92,3 @@ def test_gradients_match_finite_differences():
         e[d] = h
         fd = (shape_values(bary(point + e)) - shape_values(bary(point - e))) / (2 * h)
         assert np.allclose(grads[:, d], fd, atol=1e-7)
-
-
-def test_reference_basis_is_shared():
-    assert reference_basis() is reference_basis()

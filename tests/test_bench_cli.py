@@ -44,13 +44,14 @@ def test_all_paper_smoother_strings_parse(smoother):
     assert len(cfg.solvers) == 1
 
 
-@pytest.mark.parametrize("precond,cycles", [("1 V-cycle", 1), ("2 V-cycles", 2), (3, 3)])
+@pytest.mark.parametrize("precond,cycles", [("1 V-cycle", 1), ("2 V-cycles", 2), ("3 W-cycles", 3)])
 def test_precond_cycle_strings_parse(precond, cycles):
     cfg = tiny_config(
         solvers=[
             {
                 "method": "gmres",
                 "smoother": "Braess-Sarazin-1-1",
+                "cycle": "W" if "W" in precond else "V",
                 "precond": precond,
             }
         ]
@@ -481,23 +482,30 @@ def _with_solver(**fields):
         _with_solver(cycle="F"),
         _with_solver(maxit=0),
         _with_solver(tolerance=2),
-        _with_solver(precond=True),
+        _with_solver(method="gmres", precond=True),
         dict(GOOD_CONFIG, coarse_size_cap=-3),
         dict(GOOD_CONFIG, mu=-1),
         dict(GOOD_CONFIG, problem="elasticity_displacement", **{"lambda": 0}),
         dict(GOOD_CONFIG, mu=None),
-        _with_solver(precond=""),
-        _with_solver(precond="   "),
+        _with_solver(method="gmres", precond=""),
+        _with_solver(method="gmres", precond="   "),
         dict(GOOD_CONFIG, coarse_size_cap=30_000),
         {"problem": "vector_laplace", "solver": GOOD_CONFIG["solvers"]},
         dict(GOOD_CONFIG, level=[4]),
         _with_solver(cylce="W"),
         dict(GOOD_CONFIG, problem="elasticity_displacement", lam=5.0, **{"lambda": 2.0}),
+        _with_solver(method="gmres", precond="2 W-cycles"),
+        _with_solver(method="gmres", precond="2 bananas"),
+        _with_solver(method="gmres", precond="0 V-cycles"),
+        _with_solver(method="gmres", precond=2),
+        _with_solver(precond="1 V-cycle"),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
          "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
          "lambda-zero", "mu-null", "precond-empty", "precond-blank", "cap-dense",
-         "unknown-key", "unknown-key-level", "unknown-solver-key", "lambda-and-lam"],
+         "unknown-key", "unknown-key-level", "unknown-solver-key", "lambda-and-lam",
+         "precond-other-cycle", "precond-words", "precond-zero", "precond-integer",
+         "precond-on-amg"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli

@@ -21,7 +21,7 @@ from p2amg.coarsening import (
 from p2amg.bench_cli import build_case
 from p2amg.errors import CoarseningFailure, InvalidParameter, SolverError
 from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
-from p2amg.smoothers import _patch_nodes, build_schur_preconditioner
+from p2amg.smoothers import BraessSarazinSmoother, _patch_nodes
 from p2amg.sparse_core import (
     BlockLayout,
     as_operator,
@@ -574,12 +574,13 @@ def test_sub_threshold_entries_change_no_pattern(request, cube2, name, kind):
                 _patch_nodes(lo.operator, lo.layout),
             )
     if system.layout.is_saddle:
-        # and the inner Schur hierarchy of Braess-Sarazin
+        # and the inner Schur hierarchy of Braess-Sarazin, coarsened below
+        # its default size
         schur = [
-            build_schur_preconditioner(
-                s.monolithic(), s.layout, 2.0 * s.monolithic().diagonal()[: s.layout.velocity_dof],
+            build_hierarchy(
+                BraessSarazinSmoother(s.monolithic(), s.layout).schur.hierarchy.levels[0].operator,
                 coarse_size_cap=10,
-            ).hierarchy
+            )
             for s in (system, perturbed)
         ]
         assert len(schur[0].levels) == len(schur[1].levels) >= 2

@@ -112,3 +112,14 @@ def test_every_reference_row_has_a_config_cell():
         cells.update(_reference_key(config, entry) for entry in config.solvers)
     assert NOT_IN_CONFIGS <= set(REFERENCE_ITERATIONS)
     assert set(REFERENCE_ITERATIONS) - NOT_IN_CONFIGS <= cells
+
+
+def test_shipped_configs_keep_their_preconditioner_cycles():
+    cycles = {
+        path.name: [entry.precond_cycles for entry in load_config(str(path)).solvers]
+        for path in CONFIGS.glob("*.json")
+    }
+    assert len(cycles) == 5
+    assert cycles.pop("stokes_channel.json") == [1, 2]
+    assert cycles.pop("elasticity_mixed.json") == [1, 1, 1, 1, 1, 2, 1, 2]
+    assert all(set(counts) == {1} for counts in cycles.values())

@@ -3,7 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from p2amg.coarsening import build_hierarchy
-from p2amg.errors import IndefiniteBreakdown, InvalidParameter, StagnationDetected
+from p2amg.errors import (
+    DivergenceDetected,
+    IndefiniteBreakdown,
+    InvalidParameter,
+    StagnationDetected,
+)
 from p2amg.krylov import KrylovConfig, gmres, pcg
 from p2amg.multigrid import CycleConfig, Preconditioner
 from p2amg.smoothers import SmootherConfig, SmootherKind
@@ -239,6 +244,49 @@ def test_gmres_basis_grows_in_place():
     # the used basis rows, a slack of 4 rows and 16 vectors of work space
     # (the Hessenberg matrix takes under 3 of them)
     assert peak < (maxit + 1 + 4) * n * 8 + 16 * n * 8
+
+
+def laplacian_1d(n):
+    return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+
+
+def test_gmres_under_a_profiler_matches_unprofiled_run():
+    """Past the basis's first 32 rows, GMRES runs under ``cProfile`` (and so
+    under tracers, coverage tools and debuggers) and gives the same bits."""
+    import cProfile
+
+    n, maxit = 400, 70
+    k = laplacian_1d(n)
+    b = np.random.default_rng(31).standard_normal(n)
+    config = KrylovConfig(method="gmres", tol=1e-14, maxit=maxit)
+    x_ref, ref = gmres(k, b, identity, config)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        x, report = gmres(k, b, identity, config)
+    finally:
+        profiler.disable()
+    assert report.iterations == ref.iterations > 32
+    assert [v.hex() for v in x] == [v.hex() for v in x_ref]
+    assert [r.hex() for r in report.residuals] == [r.hex() for r in ref.residuals]
+
+
+@pytest.mark.parametrize("solve", [pcg, gmres])
+def test_krylov_raises_on_a_non_finite_residual(solve):
+    """A NaN preconditioner stops the solve at its first iteration instead
+    of running all ``maxit`` of them."""
+    calls = []
+
+    def nan_precond(r):
+        calls.append(1)
+        return np.full_like(r, np.nan)
+
+    k = laplacian_1d(200)
+    b = np.ones(200)
+    method = "cg" if solve is pcg else "gmres"
+    with pytest.raises(DivergenceDetected, match="residual nan"):
+        solve(k, b, nan_precond, KrylovConfig(method=method, maxit=500))
+    assert len(calls) == 1
 
 
 def test_gmres_stagnation_detected():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,38 @@ def test_regeneration_bit_identical():
     assert np.array_equal(m1.tets, m2.tets)
     assert np.array_equal(m1.edges, m2.edges)
     assert np.array_equal(m1.tet_edges, m2.tet_edges)
+
+
+#: SHA-256 of the little-endian int64 bytes of each connectivity array;
+#: the numbering is part of the output (dof order, hierarchies, histories)
+MESH_DIGESTS = {
+    "cube-3": {
+        "tets": "30e28f2d38a1bc6ec52387b15092e2f99ac64903aa599b0faea5847d17b6c3f9",
+        "edges": "ce79cc75cecb510c0b304974dd52c9a604a2b6ea6e7325473da6897af5c3805b",
+        "tet_edges": "7716f36608c1f4de9cbdf71a8198d1f1ced24bbae57694bbf24d3819300af1d6",
+        "boundary_faces": "22f38cc89d9134d838bb310e89e6650ba89734ba5b092d0cd13a20855b5c0b84",
+    },
+    "channel-4x2x2": {
+        "tets": "e5cfef13b0fa627745b79a146d86a07c52d864464df85d7330b283c17d48b6fe",
+        "edges": "ef66b0555ab4c5797a2d7820d5bd14deb5e1527582c22a91d650f4da295c1acd",
+        "tet_edges": "9e827148d1fb83eb2dc632e17881cc346854923f181c06cf1a63cb74731af3eb",
+        "boundary_faces": "3341de2560ddeea5cc7824faa55649d278df09324b27be3577745957d96461b3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_DIGESTS))
+def test_mesh_numbering_is_pinned(name):
+    mesh = (
+        generate_unit_cube_mesh(3)
+        if name == "cube-3"
+        else generate_channel_mesh(4, 2, 2, 2.0, 1.0, 1.0)
+    )
+    digests = {
+        key: hashlib.sha256(getattr(mesh, key).astype("<i8").tobytes()).hexdigest()
+        for key in MESH_DIGESTS[name]
+    }
+    assert digests == MESH_DIGESTS[name]
 
 
 def test_tag_cube1_all_corners_dirichlet(cube1):

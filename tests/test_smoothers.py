@@ -12,7 +12,8 @@ from p2amg.errors import (
     SingularBlock,
     SingularPatch,
 )
-from p2amg.multigrid import Preconditioner
+from p2amg.coarsening import build_hierarchy
+from p2amg.multigrid import CycleConfig, Preconditioner
 from p2amg.smoothers import (
     BraessSarazinSmoother,
     GaussSeidelSmoother,
@@ -527,8 +528,6 @@ def coo_velocity_block_inverses(op, layout):
 
 
 def test_velocity_block_inverses_match_coo_oracle_bitwise(mixed2):
-    from p2amg.coarsening import build_hierarchy
-
     hier = build_hierarchy(mixed2, coarse_size_cap=100)
     assert hier.n_levels > 1
     for lv in hier.levels:
@@ -1249,7 +1248,8 @@ def test_braess_sarazin_exact_pieces_reproduce_direct_solve(cube1):
     sm = BraessSarazinSmoother(k, lay)
     x = np.zeros(k.shape[0])
     sm.presmooth(x, rhs, 1)
-    step = braess_sarazin_step(k, lay, rhs, lambda r: r / sm.ahat, sm.schur)
+    ahat = 2.0 * k.diagonal()[:vd]
+    step = braess_sarazin_step(k, lay, rhs, lambda r: r / ahat, sm.schur)
     assert np.abs(x - step).max() <= 1e-14 * np.abs(step).max()
 
 
@@ -1267,16 +1267,20 @@ def test_schur_preconditioner_kinds(mixed2):
     lay = mixed2.layout
     vd = lay.velocity_dof
     ahat = 2.0 * k.diagonal()[:vd]
-    dense = build_schur_preconditioner(k, lay, ahat, coarse_size_cap=10_000)
+    b = k[vd:, :vd]
+    schur = build_schur_preconditioner(k, b.tocsr(), 1.0 / ahat)
+    # the symmetrised Schur matrix it formed, coarsened to one level and to several
+    s_sym = schur.hierarchy.levels[0].operator
+    config = CycleConfig(smoother=parse_smoother("GS-1-1"))
+    dense = Preconditioner(build_hierarchy(s_sym, coarse_size_cap=lay.n_pressure), config)
     assert dense.hierarchy.n_levels == 1
-    amg = build_schur_preconditioner(k, lay, ahat, coarse_size_cap=20)
-    assert isinstance(amg, Preconditioner)
+    amg = Preconditioner(build_hierarchy(s_sym, coarse_size_cap=20), config)
+    assert amg.hierarchy.n_levels > 1
     rng = np.random.default_rng(13)
     r = rng.standard_normal(lay.n_pressure)
     exact = dense(r)
     approx = amg(r)
     # the Schur matrix C + B Ahat^{-1} B^T, formed here from the blocks
-    b = k[vd:, :vd]
     s = -k[vd:, vd:] + b @ sp.diags(1.0 / ahat) @ b.T
     # one inner V-cycle is a crude but convergent approximation
     assert np.linalg.norm(s @ approx - r) < np.linalg.norm(r)

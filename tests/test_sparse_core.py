@@ -146,7 +146,7 @@ def test_coarse_random_spd_residual():
     rng = np.random.default_rng(17)
     q = rng.standard_normal((50, 50))
     a = q @ q.T + 50 * np.eye(50)
-    f = coarse_factor(a)
+    f = coarse_factor(sp.csr_matrix(a))
     b = rng.standard_normal(50)
     x = coarse_solve(f, b)
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -165,7 +165,7 @@ def test_coarse_indefinite_saddle(mixed2):
 def test_coarse_factor_reconstruction():
     rng = np.random.default_rng(23)
     a = rng.standard_normal((20, 20)) + 20 * np.eye(20)
-    f = coarse_factor(a)
+    f = coarse_factor(sp.csr_matrix(a))
     scaled = f.scaling[:, None] * a * f.scaling[None, :]
     lower = np.tril(f.lu, -1) + np.eye(20)
     upper = np.triu(f.lu)
@@ -207,6 +207,6 @@ def test_coarse_singular():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0
     with pytest.raises(SingularCoarseMatrix):
-        coarse_factor(a)
+        coarse_factor(sp.csr_matrix(a))
     with pytest.raises(SingularCoarseMatrix):
-        coarse_factor(np.ones((4, 4)))  # rank one
+        coarse_factor(sp.csr_matrix(np.ones((4, 4))))  # rank one
