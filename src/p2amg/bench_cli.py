@@ -25,13 +25,13 @@ Config schema (all keys except ``problem`` and ``solvers`` optional)::
       ]
     }
 
-Per-solver keys ``tolerance`` and ``maxit`` override the experiment
-defaults (200 cycles for stand-alone runs, 500 Krylov iterations).
-``precond``, on a pcg or gmres entry only, reads ``"N V-cycle(s)"`` or
-``"N W-cycle(s)"`` with N >= 1 and the entry's ``cycle`` letter.
-``lam`` is accepted for ``lambda``; a config that gives both is
-rejected.  A key outside this schema is
-rejected, at the top level and in a solver entry alike.
+Per-solver keys ``tolerance`` and ``maxit`` override the defaults: the
+experiment's tolerance, and 200 cycles for a stand-alone run or 500
+Krylov iterations.  ``precond``, on a pcg or gmres entry only, reads
+``"N V-cycle(s)"`` or ``"N W-cycle(s)"`` with N >= 1 and the entry's
+``cycle`` letter.  A key outside this schema is rejected, at the top
+level and in a solver entry alike.  ``load_config`` applies every
+default, so each ``SolverEntry`` holds its resolved settings.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ CSV_COLUMNS = [
     "paper_ref_value",
 ]
 
-_CONFIG_KEYS = frozenset({"problem", "levels", "mu", "lambda", "lam", "coarsening",
+_CONFIG_KEYS = frozenset({"problem", "levels", "mu", "lambda", "coarsening",
                          "coarse_size_cap", "tolerance", "solvers"})
 _SOLVER_KEYS = frozenset({"method", "smoother", "cycle", "precond", "tolerance", "maxit"})
 
@@ -147,23 +147,20 @@ REFERENCE_ITERATIONS = {
 
 @dataclass(frozen=True)
 class SolverEntry:
-    """One cell family of the benchmark matrix."""
+    """One cell family of the benchmark matrix, every default applied."""
 
     method: str  # amg | pcg | gmres
-    smoother: str
-    cycle: str = "V"
-    precond_cycles: int = 1
-    tolerance: float | None = None
-    maxit: int | None = None
+    cycle: CycleConfig
+    tolerance: float
+    maxit: int
 
     @property
     def label(self) -> str:
+        letter = "VW"[self.cycle.nu - 1]
         if self.method == "amg":
-            return f"AMG-{self.cycle}"
-        cyc = f"{self.precond_cycles} {self.cycle}-cycle" + (
-            "s" if self.precond_cycles > 1 else ""
-        )
-        return f"{self.method.upper()} ({cyc})"
+            return f"AMG-{letter}"
+        count = self.cycle.cycles_per_application
+        return f"{self.method.upper()} ({count} {letter}-cycle{'s' if count > 1 else ''})"
 
 
 @dataclass(frozen=True)
@@ -175,39 +172,6 @@ class ExperimentConfig:
     lam: float = 1.0
     coarsening: str = SEPARATED
     coarse_size_cap: int = 500
-    tolerance: float | None = None
-
-    @property
-    def kind(self) -> ProblemKind:
-        return ProblemKind(self.problem)
-
-    @property
-    def is_saddle(self) -> bool:
-        return self.kind in (ProblemKind.ELASTICITY_MIXED, ProblemKind.STOKES)
-
-    @property
-    def default_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return 1e-9 if self.is_saddle else 1e-11
-
-    @property
-    def is_ablation(self) -> bool:
-        return self.coarsening == MONOLITHIC
-
-
-def _parse_precond(item: dict, cycle: str) -> int:
-    """Cycles per preconditioner application: ``"N V-cycle(s)"`` or ``"N
-    W-cycle(s)"``, N >= 1 and the letter the entry's ``cycle``; 1 if absent."""
-    if "precond" not in item:
-        return 1
-    if item["method"] == "amg":
-        raise InvalidParameter("precond applies to pcg and gmres entries only")
-    value = item["precond"]
-    match = re.fullmatch(r"([1-9][0-9]*) ([VW])-cycles?", value) if isinstance(value, str) else None
-    if match is None or match[2] != cycle:
-        raise InvalidParameter(f"precond must read 'N {cycle}-cycles' with N >= 1, got {value!r}")
-    return int(match[1])
 
 
 def _number(raw: dict, key: str, default, integer: bool = False):
@@ -223,9 +187,12 @@ def _number(raw: dict, key: str, default, integer: bool = False):
     raise InvalidParameter(f"{key} must be {expected}, got {value!r}")
 
 
-def _tolerance(raw: dict) -> float | None:
+def _tolerance(raw: dict, default: float) -> float:
+    """``raw["tolerance"]`` in (0, 1), or ``default`` when absent or null."""
     tol = _number(raw, "tolerance", None)
-    if tol is not None and not 0.0 < tol < 1.0:
+    if tol is None:
+        return default
+    if not 0.0 < tol < 1.0:
         raise InvalidParameter(f"tolerance must lie in (0, 1), got {tol!r}")
     return tol
 
@@ -234,6 +201,38 @@ def _known_keys(raw: dict, known: frozenset) -> None:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise InvalidParameter(f"unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _solver_entry(item: dict, tolerance: float) -> SolverEntry:
+    """One solver entry with every default applied: the experiment's
+    ``tolerance``, 200 stand-alone cycles or 500 Krylov iterations, and
+    one cycle per preconditioner application."""
+    method = item["method"]
+    _known_keys(item, _SOLVER_KEYS)
+    if method not in ("amg", "pcg", "gmres"):
+        raise InvalidParameter(f"unknown method {method!r}")
+    smoother = parse_smoother(item["smoother"])
+    cycle = item.get("cycle", "V")
+    if cycle not in ("V", "W"):
+        raise InvalidParameter(f"unknown cycle {cycle!r}")
+    maxit = _number(item, "maxit", None, integer=True)
+    if maxit is None:
+        maxit = 200 if method == "amg" else 500
+    elif maxit < 1:
+        raise InvalidParameter(f"maxit must be at least 1, got {maxit}")
+    cycles = 1
+    if "precond" in item:  # "N V-cycle(s)" or "N W-cycle(s)": N >= 1, the entry's letter
+        if method == "amg":
+            raise InvalidParameter("precond applies to pcg and gmres entries only")
+        value = item["precond"]
+        match = isinstance(value, str) and re.fullmatch(r"([1-9][0-9]*) ([VW])-cycles?", value)
+        if not match or match[2] != cycle:
+            raise InvalidParameter(
+                f"precond must read 'N {cycle}-cycles' with N >= 1, got {value!r}"
+            )
+        cycles = int(match[1])
+    cycle_config = CycleConfig(smoother, nu=1 if cycle == "V" else 2, cycles_per_application=cycles)
+    return SolverEntry(method, cycle_config, _tolerance(item, tolerance), maxit)
 
 
 def load_config(source) -> ExperimentConfig:
@@ -257,9 +256,13 @@ def load_config(source) -> ExperimentConfig:
     except KeyError:
         raise InvalidParameter("config is missing the 'problem' key")
     try:
-        ProblemKind(problem)
+        kind = ProblemKind(problem)
     except ValueError:
         raise InvalidParameter(f"unknown problem kind {problem!r}")
+    mu = float(_number(raw, "mu", 1.0))
+    lam = float(_number(raw, "lambda", 1.0))
+    spec = ProblemSpec(kind=kind, mu=mu, lam=lam)  # its parameter checks
+    tolerance = _tolerance(raw, 1e-9 if spec.is_saddle else 1e-11)
 
     solvers = raw.get("solvers", [])
     if not isinstance(solvers, list):
@@ -267,27 +270,7 @@ def load_config(source) -> ExperimentConfig:
     entries = []
     for i, item in enumerate(solvers):
         try:
-            method = item["method"]
-            _known_keys(item, _SOLVER_KEYS)
-            if method not in ("amg", "pcg", "gmres"):
-                raise InvalidParameter(f"unknown method {method!r}")
-            smoother = parse_smoother(item["smoother"]).name
-            cycle = item.get("cycle", "V")
-            if cycle not in ("V", "W"):
-                raise InvalidParameter(f"unknown cycle {cycle!r}")
-            maxit = _number(item, "maxit", None, integer=True)
-            if maxit is not None and maxit < 1:
-                raise InvalidParameter(f"maxit must be at least 1, got {maxit}")
-            entries.append(
-                SolverEntry(
-                    method=method,
-                    smoother=smoother,
-                    cycle=cycle,
-                    precond_cycles=_parse_precond(item, cycle),
-                    tolerance=_tolerance(item),
-                    maxit=maxit,
-                )
-            )
+            entries.append(_solver_entry(item, tolerance))
         except (KeyError, TypeError, InvalidParameter) as exc:
             raise InvalidParameter(f"solvers[{i}]: {exc}") from exc
 
@@ -301,11 +284,6 @@ def load_config(source) -> ExperimentConfig:
     if coarsening not in (SEPARATED, MONOLITHIC):
         raise InvalidParameter(f"unknown coarsening mode {coarsening!r}")
 
-    mu = float(_number(raw, "mu", 1.0))
-    if "lambda" in raw and "lam" in raw:
-        raise InvalidParameter("give 'lambda' or its alias 'lam', not both")
-    lam = float(_number(raw, "lambda" if "lambda" in raw else "lam", 1.0))
-    ProblemSpec(kind=ProblemKind(problem), mu=mu, lam=lam)  # its parameter checks
     coarse_size_cap = _number(raw, "coarse_size_cap", 500, integer=True)
     if not 1 <= coarse_size_cap <= MAX_DENSE_COARSE:
         raise InvalidParameter(
@@ -320,7 +298,6 @@ def load_config(source) -> ExperimentConfig:
         lam=lam,
         coarsening=coarsening,
         coarse_size_cap=coarse_size_cap,
-        tolerance=_tolerance(raw),
     )
 
 
@@ -368,14 +345,6 @@ def build_case(problem: str, n: int, mu: float = 1.0, lam: float = 1.0):
     return mesh, spec
 
 
-def _cycle_config(entry: SolverEntry) -> CycleConfig:
-    return CycleConfig(
-        smoother=parse_smoother(entry.smoother),
-        nu=1 if entry.cycle == "V" else 2,
-        cycles_per_application=entry.precond_cycles,
-    )
-
-
 _REFERENCE_LEVELS = {4: 0, 8: 1, 16: 2, 32: 3}
 
 
@@ -384,9 +353,9 @@ def _reference_key(config: ExperimentConfig, entry: SolverEntry) -> tuple:
     return (
         config.problem,
         entry.method,
-        entry.cycle,
-        entry.smoother,
-        entry.precond_cycles,
+        "VW"[entry.cycle.nu - 1],
+        entry.cycle.smoother.name,
+        entry.cycle.cycles_per_application,
         config.coarsening,
     )
 
@@ -446,34 +415,33 @@ def _level_rows(config: ExperimentConfig, pos: int, n: int) -> list[dict]:
         level_failure = _failure_name(exc)
     smoother_sets, setup_ms = {}, {}
     for entry in config.solvers:
-        cycle_cfg = _cycle_config(entry)
-        tol = entry.tolerance or config.default_tolerance
-        key = (cycle_cfg.smoother.kind, cycle_cfg.smoother.omega)
+        smoother = entry.cycle.smoother
+        key = (smoother.kind, smoother.omega)
         failure = level_failure
         if failure is None:
             try:
                 if key not in smoother_sets:
                     start = time.perf_counter()
-                    smoother_sets[key] = build_level_smoothers(hierarchy, cycle_cfg)
+                    smoother_sets[key] = build_level_smoothers(hierarchy, entry.cycle)
                     setup_ms[key] = round(1e3 * (time.perf_counter() - start), 3)
                 smoothers = smoother_sets[key]
                 if entry.method == "amg":
-                    maxit = entry.maxit or 200
                     start = time.perf_counter()
-                    _, report = solve_amg(hierarchy, rhs, cycle_cfg, tol, maxit, smoothers)
+                    _, report = solve_amg(
+                        hierarchy, rhs, entry.cycle, entry.tolerance, entry.maxit, smoothers
+                    )
                 else:
-                    maxit = entry.maxit or 500
-                    precond = Preconditioner(hierarchy, cycle_cfg, smoothers)
+                    precond = Preconditioner(hierarchy, entry.cycle, smoothers)
                     kcfg = KrylovConfig(
                         method="cg" if entry.method == "pcg" else "gmres",
-                        tol=tol,
-                        maxit=maxit,
+                        tol=entry.tolerance,
+                        maxit=entry.maxit,
                     )
                     solve = pcg if entry.method == "pcg" else gmres
                     start = time.perf_counter()
                     _, report = solve(operator, rhs, precond, kcfg)
                 wall_ms = round(1e3 * (time.perf_counter() - start), 3)
-                iterations = report.iterations if report.converged else f">{maxit}"
+                iterations = report.iterations if report.converged else f">{entry.maxit}"
                 converged = report.converged
                 final = report.final_residual
                 opc = hierarchy.operator_complexity
@@ -489,8 +457,8 @@ def _level_rows(config: ExperimentConfig, pos: int, n: int) -> list[dict]:
                 "n": n,
                 "dof": "" if operator is None else operator.shape[0],
                 "solver": entry.label,
-                "cycle": cycle_cfg.cycle_name,
-                "smoother": entry.smoother,
+                "cycle": entry.cycle.cycle_name,
+                "smoother": smoother.name,
                 "iterations": iterations,
                 "converged": converged,
                 "final_rel_residual": final,
@@ -539,17 +507,11 @@ def render_markdown(rows: list[dict]) -> str:
     if not rows:
         return "(no results)\n"
     levels = sorted({(r["level"], r["n"]) for r in rows})
-    solvers = []
-    for r in rows:
-        key = (r["solver"], r["cycle"], r["smoother"])
-        if key not in solvers:
-            solvers.append(key)
+    solvers = list(dict.fromkeys((r["solver"], r["cycle"], r["smoother"]) for r in rows))
     cells = {
-        (r["solver"], r["cycle"], r["smoother"], r["level"]): r["iterations"]
-        for r in rows
-    }
-    ref = {
-        (r["solver"], r["cycle"], r["smoother"], r["level"]): r["paper_ref_value"]
+        (r["solver"], r["cycle"], r["smoother"], r["level"]): (
+            r["iterations"], r["paper_ref_value"]
+        )
         for r in rows
     }
     out = [f"### {rows[0]['problem']}", ""]
@@ -559,8 +521,7 @@ def render_markdown(rows: list[dict]) -> str:
     for solver, cycle, smoother in solvers:
         cols = [solver, cycle, smoother]
         for lv, _ in levels:
-            it = cells.get((solver, cycle, smoother, lv), "")
-            rv = ref.get((solver, cycle, smoother, lv), "")
+            it, rv = cells.get((solver, cycle, smoother, lv), ("", ""))
             cols.append(f"{it} (ref {rv})" if rv != "" else f"{it}")
         out.append("| " + " | ".join(str(c) for c in cols) + " |")
     out.append("")
@@ -600,11 +561,7 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        rows = run_experiment(config)
-    except SolverError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    rows = run_experiment(config)
     paths = emit_tables(rows, args.format, args.out)
     for path in paths:
         print(f"wrote {path}")
@@ -613,9 +570,9 @@ def main(argv=None) -> int:
             f"  {row['problem']} n={row['n']} {row['solver']} {row['smoother']}: "
             f"{row['iterations']} iterations"
         )
-    if config.is_ablation:
-        return 0
-    return 0 if all(row["converged"] is True for row in rows) else 1
+    # an ablation run (monolithic coarsening) exits 0 whatever its counts
+    ok = config.coarsening == MONOLITHIC or all(row["converged"] is True for row in rows)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -146,7 +146,7 @@ _SMOOTHER_PATTERNS = (
     (re.compile(r"^GS-(\d+)-(\d+)$"), SmootherKind.GAUSS_SEIDEL),
     (re.compile(r"^sGS-(\d+)-(\d+)$"), SmootherKind.SEGREGATED_GS),
     (re.compile(r"^Braess-Sarazin-(\d+)-(\d+)$"), SmootherKind.BRAESS_SARAZIN),
-    (re.compile(r"^Vanka(?:-(\d+)-(\d+))?(?:-([\d.eE+-]+))?$"), SmootherKind.VANKA),
+    (re.compile(r"^Vanka(?:-(\d+)-(\d+)(?:-([\d.eE+-]+))?)?$"), SmootherKind.VANKA),
 )
 
 
@@ -154,7 +154,7 @@ def parse_smoother(name: str) -> SmootherConfig:
     """Parse a smoother string such as ``GS-2-2`` or ``JA-1-1-0.5``.
 
     Accepted forms: ``JA-m-m-omega``, ``GS-m-m``, ``sGS-m-m``,
-    ``Braess-Sarazin-m-m``, ``Vanka`` (optionally ``Vanka-m-m-omega``).
+    ``Braess-Sarazin-m-m``, ``Vanka``, ``Vanka-m-m`` and ``Vanka-m-m-omega``.
     """
     if not isinstance(name, str):
         raise InvalidParameter(f"smoother must be a string, got {name!r}")

@@ -14,7 +14,10 @@ from p2amg.bench_cli import (
     render_markdown,
     run_experiment,
 )
+from p2amg.coarsening import MONOLITHIC, SEPARATED
 from p2amg.errors import InvalidParameter, SingularCoarseMatrix
+from p2amg.multigrid import CycleConfig
+from p2amg.smoothers import parse_smoother
 
 #: Columns that vary from run to run.
 TIMINGS = {"wall_ms", "smoother_setup_ms"}
@@ -56,17 +59,70 @@ def test_precond_cycle_strings_parse(precond, cycles):
             }
         ]
     )
-    assert cfg.solvers[0].precond_cycles == cycles
+    assert cfg.solvers[0].cycle.cycles_per_application == cycles
 
 
 def test_config_defaults():
     cfg = tiny_config()
     assert cfg.levels == (2,)
-    assert cfg.default_tolerance == 1e-11
+    assert cfg.solvers[0].tolerance == 1e-11
     saddle = tiny_config(problem="stokes")
-    assert saddle.default_tolerance == 1e-9
-    assert not cfg.is_ablation
-    assert tiny_config(coarsening="monolithic").is_ablation
+    assert saddle.solvers[0].tolerance == 1e-9
+    assert cfg.coarsening == SEPARATED
+    assert tiny_config(coarsening="monolithic").coarsening == MONOLITHIC
+
+
+@pytest.mark.parametrize(
+    "problem,top,solver,expected",
+    [
+        ("vector_laplace", {"tolerance": 1e-6}, {"tolerance": 1e-4}, (1e-4, 200, 1, 1)),
+        ("stokes", {"tolerance": 1e-6}, {}, (1e-6, 200, 1, 1)),
+        ("stokes", {}, {}, (1e-9, 200, 1, 1)),
+        ("vector_laplace", {}, {}, (1e-11, 200, 1, 1)),
+        ("vector_laplace", {}, {"maxit": None}, (1e-11, 200, 1, 1)),
+        ("vector_laplace", {}, {"method": "pcg", "maxit": None}, (1e-11, 500, 1, 1)),
+        ("stokes", {}, {"method": "gmres", "maxit": None}, (1e-9, 500, 1, 1)),
+        ("stokes", {}, {"method": "gmres", "maxit": 7}, (1e-9, 7, 1, 1)),
+        ("stokes", {}, {"method": "gmres", "cycle": "W", "precond": "3 W-cycles"},
+         (1e-9, 500, 2, 3)),
+    ],
+    ids=["solver-tolerance", "experiment-tolerance", "stokes-default", "laplace-default",
+         "amg-maxit-null", "pcg-maxit-null", "gmres-maxit-null", "maxit-given",
+         "precond-3W"],
+)
+def test_load_config_resolves_each_entry(problem, top, solver, expected):
+    item = dict({"method": "amg", "smoother": "GS-2-1"}, **solver)
+    raw = dict(top, problem=problem, solvers=[item])
+    (entry,) = load_config(raw).solvers
+    cycle = entry.cycle
+    assert (entry.tolerance, entry.maxit, cycle.nu, cycle.cycles_per_application) == expected
+    assert cycle.smoother == parse_smoother("GS-2-1")
+
+
+def test_load_config_rejects_maxit_zero():
+    with pytest.raises(InvalidParameter, match="maxit"):
+        tiny_config(solvers=[{"method": "amg", "smoother": "GS-2-2", "maxit": 0}])
+
+
+def test_run_experiment_parses_no_smoother_string(monkeypatch):
+    # each entry holds its parsed smoother; the cells never parse it again
+    from p2amg import bench_cli, smoothers
+
+    config = tiny_config(solvers=[
+        {"method": "amg", "smoother": "GS-2-2"},
+        {"method": "pcg", "cycle": "W", "smoother": "JA-1-1-0.5"},
+    ])
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return parse_smoother(name)
+
+    monkeypatch.setattr(bench_cli, "parse_smoother", counted)
+    monkeypatch.setattr(smoothers, "parse_smoother", counted)
+    rows = run_experiment(config)
+    assert [row["converged"] for row in rows] == [True, True]
+    assert calls == []
 
 
 def test_config_errors():
@@ -499,13 +555,15 @@ def _with_solver(**fields):
         _with_solver(method="gmres", precond="0 V-cycles"),
         _with_solver(method="gmres", precond=2),
         _with_solver(precond="1 V-cycle"),
+        _with_solver(smoother="Vanka-2"),
+        _with_solver(smoother="Vanka-0.8"),
     ],
     ids=["damping", "mu", "cap", "tolerance-string", "list", "cycle", "maxit",
          "solver-tolerance", "precond-bool", "cap-negative", "mu-negative",
          "lambda-zero", "mu-null", "precond-empty", "precond-blank", "cap-dense",
          "unknown-key", "unknown-key-level", "unknown-solver-key", "lambda-and-lam",
          "precond-other-cycle", "precond-words", "precond-zero", "precond-integer",
-         "precond-on-amg"],
+         "precond-on-amg", "vanka-sweeps-alone", "vanka-damping-alone"],
 )
 def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monkeypatch):
     import p2amg.bench_cli as cli
@@ -522,10 +580,7 @@ def test_main_rejects_bad_config_before_any_cell(config, tmp_path, capsys, monke
 
 def test_lambda_is_given_once():
     base = {"problem": "elasticity_displacement", "solvers": []}
-    assert load_config(dict(base, lam=5.0)).lam == 5.0
     assert load_config(dict(base, **{"lambda": 2.0})).lam == 2.0
-    with pytest.raises(InvalidParameter, match="not both"):
-        load_config(dict(base, lam=5.0, **{"lambda": 2.0}))
 
 
 def test_ablation_run_counts_increase():
@@ -545,8 +600,7 @@ def test_ablation_run_counts_increase():
 
 
 def test_solver_entry_labels():
-    assert SolverEntry(method="amg", smoother="GS-2-2").label == "AMG-V"
-    assert (
-        SolverEntry(method="gmres", smoother="Braess-Sarazin-1-1", precond_cycles=2).label
-        == "GMRES (2 V-cycles)"
-    )
+    gs = CycleConfig(parse_smoother("GS-2-2"))
+    assert SolverEntry("amg", gs, 1e-11, 200).label == "AMG-V"
+    bs = CycleConfig(parse_smoother("Braess-Sarazin-1-1"), cycles_per_application=2)
+    assert SolverEntry("gmres", bs, 1e-9, 500).label == "GMRES (2 V-cycles)"

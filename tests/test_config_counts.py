@@ -9,14 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from p2amg.bench_cli import (
-    REFERENCE_ITERATIONS,
-    ExperimentConfig,
-    SolverEntry,
-    _reference_key,
-    load_config,
-    run_experiment,
-)
+from p2amg.bench_cli import REFERENCE_ITERATIONS, _reference_key, load_config, run_experiment
 from p2amg.coarsening import SEPARATED
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -89,12 +82,13 @@ PINNED_VANKA_N4 = {
 @pytest.mark.parametrize("case", sorted(PINNED_VANKA_N4), ids=lambda case: case[0])
 def test_vanka_counts_at_n4_are_pinned(case):
     problem, mu, lam = case
-    solvers = (
-        SolverEntry("gmres", "Vanka-1-1", precond_cycles=1),
-        SolverEntry("gmres", "Vanka-1-1", precond_cycles=2),
-        SolverEntry("amg", "Vanka-1-1"),
-    )
-    config = ExperimentConfig(problem, solvers, levels=(4,), mu=mu, lam=lam, tolerance=1e-9)
+    solvers = [
+        {"method": "gmres", "smoother": "Vanka-1-1", "precond": "1 V-cycle"},
+        {"method": "gmres", "smoother": "Vanka-1-1", "precond": "2 V-cycles"},
+        {"method": "amg", "smoother": "Vanka-1-1"},
+    ]
+    config = load_config({"problem": problem, "levels": [4], "mu": mu, "lambda": lam,
+                          "tolerance": 1e-9, "solvers": solvers})
     counts = tuple(row["iterations"] for row in run_experiment(config))
     assert counts == PINNED_VANKA_N4[case]
 
@@ -116,7 +110,9 @@ def test_every_reference_row_has_a_config_cell():
 
 def test_shipped_configs_keep_their_preconditioner_cycles():
     cycles = {
-        path.name: [entry.precond_cycles for entry in load_config(str(path)).solvers]
+        path.name: [
+            entry.cycle.cycles_per_application for entry in load_config(str(path)).solvers
+        ]
         for path in CONFIGS.glob("*.json")
     }
     assert len(cycles) == 5

@@ -95,8 +95,10 @@ def test_parse_smoother_roundtrip():
 
 
 def test_parse_smoother_rejects_garbage():
-    with pytest.raises(InvalidParameter):
-        parse_smoother("SOR-1-1")
+    # damping follows the sweep counts: Vanka-2 and Vanka-0.8 name none
+    for name in ("SOR-1-1", "Vanka-2", "Vanka-0.8"):
+        with pytest.raises(InvalidParameter):
+            parse_smoother(name)
 
 
 def test_smoother_config_validation():
