@@ -15,7 +15,6 @@ from .coarsening import (
 )
 from .krylov import KrylovConfig, gmres, pcg
 from .mesh import (
-    BoundaryTag,
     Mesh,
     generate_channel_mesh,
     generate_unit_cube_mesh,
@@ -32,7 +31,6 @@ from .smoothers import SmootherConfig, SmootherKind, parse_smoother
 
 __all__ = [
     "BlockSystem",
-    "BoundaryTag",
     "CycleConfig",
     "Hierarchy",
     "KrylovConfig",

@@ -4,7 +4,8 @@ Velocity/displacement fields are discretized with the ten scalar basis
 functions per tetrahedron (four hats, six edge bubbles), three
 components per node.  Pressure uses the linear hats on all vertices.
 Dirichlet degrees of freedom are eliminated: the boundary data is
-interpolated hierarchically (vertex values plus bubble corrections),
+interpolated hierarchically (vertex values plus bubble corrections, one
+call of the data for all vertices and one for all edge midpoints),
 its stiffness contribution is moved to the right-hand side, and the
 corresponding rows and columns are removed from the system.
 
@@ -42,7 +43,7 @@ operator is never copied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -51,7 +52,7 @@ import scipy.sparse as sp
 
 from . import basis as basis_mod
 from .errors import DegenerateElement, InvalidParameter, MissingTags
-from .mesh import BoundaryTag, Mesh
+from .mesh import Mesh
 from .sparse_core import BlockLayout, coupling_mask, divergence_mask, row_blocks
 
 __all__ = [
@@ -76,19 +77,16 @@ class ProblemKind(Enum):
 _SADDLE_KINDS = (ProblemKind.ELASTICITY_MIXED, ProblemKind.STOKES)
 
 
-def _zero_field(x: np.ndarray) -> np.ndarray:
-    return np.zeros(3)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Problem kind, material parameters, and boundary data.
 
     ``mu`` is the shear modulus (viscosity for Stokes); ``lam`` is the
     Lame constant, unused for the vector Laplacian and Stokes.
-    ``g_dirichlet`` maps a coordinate to the prescribed 3-vector on the
-    Dirichlet boundary; ``None`` means zero.  The rest of the boundary is
-    traction-free: no surface load enters the right-hand side.
+    ``g_dirichlet`` maps a ``(k, 3)`` array of points on the Dirichlet
+    boundary to the ``(k, 3)`` prescribed vectors there; ``None`` means
+    zero.  The rest of the boundary is traction-free: no surface load
+    enters the right-hand side.
     """
 
     kind: ProblemKind
@@ -113,10 +111,6 @@ class ProblemSpec:
     @property
     def has_pressure_mass(self) -> bool:
         return self.kind is ProblemKind.ELASTICITY_MIXED
-
-    def dirichlet_value(self, x: np.ndarray) -> np.ndarray:
-        g = self.g_dirichlet or _zero_field
-        return np.asarray(g(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +216,15 @@ class BlockSystem:
     components, then pressure.  ``right_hand_side`` holds the matching
     loads after homogenization.  ``pressure_adjacency`` is the vertex
     connectivity used to coarsen pressure (``None`` for the elliptic
-    kinds).
+    kinds).  ``coupled`` is set by :func:`assemble` only, whose operator
+    stores no velocity entry that does not couple.
     """
 
     layout: BlockLayout
     operator: sp.csr_matrix
     right_hand_side: np.ndarray
     pressure_adjacency: sp.csr_matrix | None = None
+    coupled: bool = field(default=False, init=False)
 
     def monolithic(self) -> sp.csr_matrix:
         return self.operator
@@ -237,25 +233,31 @@ class BlockSystem:
         return self.right_hand_side
 
 
+def _boundary_data(g: VectorField, points: np.ndarray) -> np.ndarray:
+    values = np.asarray(g(points), dtype=float)
+    if values.shape != points.shape:
+        raise InvalidParameter(f"g_dirichlet of shape {values.shape} for points {points.shape}")
+    return values
+
+
 def _hierarchical_lift(mesh: Mesh, spec: ProblemSpec):
     """Interpolate g_D hierarchically on Dirichlet vertices and edges.
 
     Vertex coefficients are point values; an edge coefficient is the
     midpoint value minus the endpoint average, so the lift reproduces
-    the vertex interpolant plus its quadratic correction.
+    the vertex interpolant plus its quadratic correction.  The endpoints
+    of a Dirichlet edge are Dirichlet vertices.
     """
-    n_nodes = mesh.n_vertices + mesh.n_edges
-    lift = np.zeros((n_nodes, 3))
-    dir_v = np.flatnonzero(mesh.vertex_tags == BoundaryTag.DIRICHLET)
-    for v in dir_v:
-        lift[v] = spec.dirichlet_value(mesh.vertices[v])
-    dir_e = np.flatnonzero(mesh.edge_tags == BoundaryTag.DIRICHLET)
-    for e in dir_e:
-        a, b = mesh.edges[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        lift[mesh.n_vertices + e] = spec.dirichlet_value(mid) - 0.5 * (
-            lift[a] + lift[b]
-        )
+    nv = mesh.n_vertices
+    lift = np.zeros((nv + mesh.n_edges, 3))
+    dir_v = np.flatnonzero(mesh.dirichlet_vertices)
+    if spec.g_dirichlet is None or dir_v.size == 0:
+        return lift
+    lift[dir_v] = _boundary_data(spec.g_dirichlet, mesh.vertices[dir_v])
+    dir_e = np.flatnonzero(mesh.dirichlet_edges)
+    a, b = mesh.edges[dir_e].T
+    mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+    lift[nv + dir_e] = _boundary_data(spec.g_dirichlet, mid) - 0.5 * (lift[a] + lift[b])
     return lift
 
 
@@ -360,14 +362,14 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     the system (free unknowns are renumbered contiguously, linear nodes
     first) and the lifted boundary data is moved to the right-hand side.
     """
-    if not mesh.tagged:
+    if mesh.dirichlet_vertices is None:
         raise MissingTags("mesh has no boundary tags; call tag_boundary first")
 
     nv, ne = mesh.n_vertices, mesh.n_edges
     n_nodes = nv + ne
 
-    free_v = np.flatnonzero(mesh.vertex_tags != BoundaryTag.DIRICHLET)
-    free_e = np.flatnonzero(mesh.edge_tags != BoundaryTag.DIRICHLET)
+    free_v = np.flatnonzero(~mesh.dirichlet_vertices)
+    free_e = np.flatnonzero(~mesh.dirichlet_edges)
     n_l, n_q = len(free_v), len(free_e)
 
     # one node numbering for the stored operator and its lift block: the
@@ -510,7 +512,7 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
     del keep
     operator = sp.csr_matrix((stored_data, indices, indptr), shape=shape)
 
-    return BlockSystem(
+    system = BlockSystem(
         layout=BlockLayout(
             n_linear=n_l,
             n_quadratic=n_q,
@@ -521,3 +523,5 @@ def assemble(mesh: Mesh, spec: ProblemSpec):
         right_hand_side=rhs,
         pressure_adjacency=adj,
     )
+    system.coupled = True
+    return system

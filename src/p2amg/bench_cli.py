@@ -305,29 +305,32 @@ def load_config(source) -> ExperimentConfig:
 # problem setup
 
 
-def _cube_dirichlet(v) -> bool:
-    return v[2] < _EPS or v[2] > 1.0 - _EPS
+def _cube_dirichlet(v: np.ndarray) -> np.ndarray:
+    return (v[:, 2] < _EPS) | (v[:, 2] > 1.0 - _EPS)
 
 
-def _cube_data(v) -> np.ndarray:
+def _cube_data(v: np.ndarray) -> np.ndarray:
     # clamped at the bottom, unit z-displacement prescribed on top
-    return np.array([0.0, 0.0, 1.0 if v[2] > 0.5 else 0.0])
+    g = np.zeros_like(v)
+    g[:, 2] = v[:, 2] > 0.5
+    return g
 
 
-def _channel_wall(v) -> bool:
+def _channel_wall(v: np.ndarray) -> np.ndarray:
     _, ly, lz = CHANNEL_LENGTHS
-    return v[1] < _EPS or v[1] > ly - _EPS or v[2] < _EPS or v[2] > lz - _EPS
+    y, z = v[:, 1], v[:, 2]
+    return (y < _EPS) | (y > ly - _EPS) | (z < _EPS) | (z > lz - _EPS)
 
 
-def _channel_dirichlet(v) -> bool:
+def _channel_dirichlet(v: np.ndarray) -> np.ndarray:
     # inflow and walls; the outflow facet x = lx stays traction-free
-    return v[0] < _EPS or _channel_wall(v)
+    return (v[:, 0] < _EPS) | _channel_wall(v)
 
 
-def _channel_data(v) -> np.ndarray:
-    if v[0] < _EPS and not _channel_wall(v):
-        return np.array([1.0, 0.0, 0.0])
-    return np.zeros(3)
+def _channel_data(v: np.ndarray) -> np.ndarray:
+    g = np.zeros_like(v)
+    g[:, 0] = (v[:, 0] < _EPS) & ~_channel_wall(v)
+    return g
 
 
 def build_case(problem: str, n: int, mu: float = 1.0, lam: float = 1.0):

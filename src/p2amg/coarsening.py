@@ -135,11 +135,16 @@ class Hierarchy:
         return sum(lv.operator.nnz for lv in self.levels) / self.levels[0].operator.nnz
 
 
-def _level_graph(level: Level, mode: str) -> sp.csr_matrix:
+def _level_graph(level: Level, mode: str, coupled: bool = False) -> sp.csr_matrix:
     """The node adjacency of one level as boolean CSR: symmetric, with
-    sorted indices, no self-loops and no edge between partitions."""
+    sorted indices, no self-loops and no edge between partitions.
+
+    With ``coupled`` every stored velocity entry of the operator is
+    known to couple (``BlockSystem.coupled``), and the coupling mask is
+    not recomputed."""
     lay = level.layout
-    nodes = lay.node_pattern(level.operator, coupling_mask(level.operator))
+    keep = None if coupled else coupling_mask(level.operator)
+    nodes = lay.node_pattern(level.operator, keep)
     nl, nv = lay.n_linear, lay.n_velocity_nodes
     if mode == SEPARATED:
         parts = [nodes[:nl, :nl], nodes[nl:nv, nl:nv]]
@@ -185,10 +190,12 @@ def build_hierarchy(
     op, layout, adjacency = as_operator(system)
     level = Level(operator=op, layout=layout, pressure_adjacency=adjacency)
     levels = [level]
+    # an operator as assembled stores only velocity entries that couple
+    coupled = not sp.issparse(system) and system.coupled
 
     while level.n_dof > coarse_size_cap and len(levels) < MAX_LEVELS:
         lay = level.layout
-        graph = _level_graph(level, mode)
+        graph = _level_graph(level, mode, coupled=coupled and len(levels) == 1)
         labels = select_coarse(graph)
         is_coarse = labels == COARSE
         n_coarse = int(np.count_nonzero(is_coarse))

@@ -10,7 +10,6 @@ is z-major lexicographic and edge numbering is lexicographic in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from typing import Callable
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import InvalidParameter
 
 __all__ = [
-    "BoundaryTag",
     "Mesh",
     "TET_EDGES",
     "FACE_EDGES",
@@ -29,14 +27,6 @@ __all__ = [
 ]
 
 
-class BoundaryTag(IntEnum):
-    """Classification of mesh entities after boundary tagging."""
-
-    INTERIOR = 0
-    DIRICHLET = 1
-    NEUMANN = 2
-
-
 #: Local edges (a, b) of a tetrahedron, ordered to match the six quadratic
 #: bubbles 4*lam_a*lam_b of the hierarchical basis.
 TET_EDGES = ((0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3))
@@ -45,7 +35,6 @@ TET_EDGES = ((0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3))
 FACE_EDGES = ((0, 1), (1, 2), (0, 2))
 
 _FACE_LOCAL = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-_FACE_OPPOSITE = (3, 2, 1, 0)
 
 #: The six tetrahedra of a cell's Kuhn split as corner steps (dx, dy, dz)
 #: from its lowest corner: each climbs to the opposite corner one axis at
@@ -80,9 +69,11 @@ class Mesh:
     tet_edges : (nt, 6) int array
         Global edge index of each local edge, in ``TET_EDGES`` order.
     boundary_faces : (nb, 3) int array
-        Boundary triangles, oriented so the normal points outward.
-    vertex_tags, edge_tags : int8 arrays or None
-        ``BoundaryTag`` values, filled in by :func:`tag_boundary`.
+        Boundary triangles, each row sorted ascending, rows
+        lexicographically sorted.
+    dirichlet_vertices, dirichlet_edges : bool arrays or None
+        Which vertices and edges carry Dirichlet data, filled in by
+        :func:`tag_boundary`.
     """
 
     vertices: np.ndarray
@@ -90,8 +81,8 @@ class Mesh:
     edges: np.ndarray
     tet_edges: np.ndarray
     boundary_faces: np.ndarray
-    vertex_tags: np.ndarray | None = None
-    edge_tags: np.ndarray | None = None
+    dirichlet_vertices: np.ndarray | None = None
+    dirichlet_edges: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -104,10 +95,6 @@ class Mesh:
     @property
     def n_tets(self) -> int:
         return self.tets.shape[0]
-
-    @property
-    def tagged(self) -> bool:
-        return self.vertex_tags is not None
 
 
 def _structured_box(nx, ny, nz, lx, ly, lz) -> Mesh:
@@ -139,7 +126,7 @@ def _structured_box(nx, ny, nz, lx, ly, lz) -> Mesh:
     edges = np.stack(divmod(unique_keys, nv), axis=1).astype(np.int64)
     tet_edges = np.searchsorted(unique_keys, keys).reshape(-1, 6)
 
-    boundary_faces = _boundary_faces(vertices, tets)
+    boundary_faces = _boundary_faces(tets, nv)
 
     mesh = Mesh(
         vertices=_read_only(vertices),
@@ -153,26 +140,13 @@ def _structured_box(nx, ny, nz, lx, ly, lz) -> Mesh:
     return mesh
 
 
-def _boundary_faces(vertices, tets) -> np.ndarray:
-    nv = vertices.shape[0]
+def _boundary_faces(tets, nv) -> np.ndarray:
     faces = np.sort(tets[:, np.array(_FACE_LOCAL)].reshape(-1, 3), axis=1)
     keys = (faces[:, 0].astype(np.int64) * nv + faces[:, 1]) * nv + faces[:, 2]
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     if np.any(counts > 2):
         raise InvalidParameter("a face is shared by more than two tets")
-    first = first[counts == 1]
-    tri = faces[first].copy()
-
-    owner = first // 4
-    local = first % 4
-    opposite = tets[owner, np.array(_FACE_OPPOSITE)[local]]
-
-    a, b, c = (vertices[tri[:, k]] for k in range(3))
-    normal = np.cross(b - a, c - a)
-    outward = np.einsum("ij,ij->i", normal, (a + b + c) / 3.0 - vertices[opposite])
-    flip = outward < 0.0
-    tri[flip, 1], tri[flip, 2] = tri[flip, 2], tri[flip, 1].copy()
-    return tri
+    return faces[first[counts == 1]]
 
 
 def generate_unit_cube_mesh(n: int) -> Mesh:
@@ -214,42 +188,31 @@ def tet_volumes(mesh: Mesh) -> np.ndarray:
     return np.linalg.det(t) / 6.0
 
 
-def tag_boundary(mesh: Mesh, dirichlet_predicate: Callable[[np.ndarray], bool]) -> Mesh:
-    """Return a copy of ``mesh`` with boundary entities tagged.
+def tag_boundary(mesh: Mesh, dirichlet: Callable[[np.ndarray], np.ndarray]) -> Mesh:
+    """Return a copy of ``mesh`` with its Dirichlet vertices and edges marked.
 
-    A boundary face is Dirichlet iff all three of its vertices satisfy
-    the predicate.  A vertex is Dirichlet iff it lies on at least one
-    Dirichlet face; an edge is Dirichlet iff some Dirichlet face
-    contains both its endpoints.  Remaining boundary entities are
-    Neumann, everything else interior.
+    ``dirichlet`` maps the ``(n, 3)`` vertex array to a boolean ``(n,)``
+    array; another shape raises :class:`InvalidParameter`.  A boundary
+    face is Dirichlet iff all three of its vertices are; a vertex is
+    Dirichlet iff it lies on a Dirichlet face, and an edge iff some
+    Dirichlet face contains both its endpoints.
     """
-    pred = np.fromiter(
-        (bool(dirichlet_predicate(v)) for v in mesh.vertices),
-        dtype=bool,
-        count=mesh.n_vertices,
-    )
-    faces = mesh.boundary_faces
-    face_dir = pred[faces].all(axis=1)
+    on = np.asarray(dirichlet(mesh.vertices), dtype=bool)
+    if on.shape != (mesh.n_vertices,):
+        raise InvalidParameter(f"predicate of shape {on.shape} for {mesh.n_vertices} vertices")
+    faces = mesh.boundary_faces[on[mesh.boundary_faces].all(axis=1)]
+    vertices = np.zeros(mesh.n_vertices, dtype=bool)
+    vertices[faces] = True
 
-    vertex_tags = np.full(mesh.n_vertices, BoundaryTag.INTERIOR, dtype=np.int8)
-    vertex_tags[np.unique(faces)] = BoundaryTag.NEUMANN
-    if face_dir.any():
-        vertex_tags[np.unique(faces[face_dir])] = BoundaryTag.DIRICHLET
-
+    # a face's rows ascend, so its edges are (low, high) pairs
     nv = mesh.n_vertices
     edge_keys = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
-    fe = np.sort(faces[:, np.array(FACE_EDGES)].reshape(-1, 2), axis=1)
-    fe_keys = fe[:, 0].astype(np.int64) * nv + fe[:, 1]
-    fe_idx = np.searchsorted(edge_keys, fe_keys)
-
-    edge_tags = np.full(mesh.n_edges, BoundaryTag.INTERIOR, dtype=np.int8)
-    edge_tags[fe_idx] = BoundaryTag.NEUMANN
-    if face_dir.any():
-        edge_tags[fe_idx.reshape(-1, 3)[face_dir].ravel()] = BoundaryTag.DIRICHLET
+    fe = faces[:, np.array(FACE_EDGES)].reshape(-1, 2)
+    edges = np.zeros(mesh.n_edges, dtype=bool)
+    edges[np.searchsorted(edge_keys, fe[:, 0].astype(np.int64) * nv + fe[:, 1])] = True
 
     return replace(
         mesh,
-        vertex_tags=_read_only(vertex_tags),
-        edge_tags=_read_only(edge_tags),
+        dirichlet_vertices=_read_only(vertices),
+        dirichlet_edges=_read_only(edges),
     )
-

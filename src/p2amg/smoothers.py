@@ -512,7 +512,9 @@ class VankaSmoother(_Smoother):
     factors, so the sweep is bitwise that of one factor per patch, up to
     a digest collision.  Equal blocks have equal diagonals, so a patch
     whose diagonal no other patch has is not digested.  The level's
-    packed buffer holds the distinct factors only.
+    packed buffer holds the distinct factors only: it starts a quarter
+    above one factor per distinct diagonal, doubles in place should a
+    new factor overrun it, and is cut to the factors written.
 
     The waves' ``dofs``, ``ranges``, ``order`` and ``pressure`` are
     slices of one level-wide buffer per kind, allocated before the wave
@@ -537,11 +539,7 @@ class VankaSmoother(_Smoother):
         sizes = np.diff(bounds)
         waves = _dependency_waves(self.op, patches, layout)
         self._waves = []
-        # one packed buffer per level: a single large allocation, which the
-        # allocator maps and unmaps whole instead of leaving heap holes,
-        # written only as far as the distinct factors reach; full-storage
-        # scratch for the largest patch
-        packed = np.empty(int(sizes @ (sizes + 1)) // 2)
+        # full-storage scratch for the largest patch
         scratch = np.empty(int(sizes.max()) ** 2)
         start = 0
         # the lower triangle, diagonal included: all that a factor reads
@@ -552,6 +550,14 @@ class VankaSmoother(_Smoother):
         diagonals = [hash(diagonal[d].tobytes()) for d in self._dofs]
         diagonal_count = Counter(diagonals)
         distinct = {}
+        # one packed buffer per level: a single large allocation, which the
+        # allocator maps and unmaps whole instead of leaving heap holes.
+        # Equal patch blocks have equal diagonals, so each distinct diagonal
+        # takes at least one factor; the buffer starts a quarter above that
+        # (the factors reached 1.08x it on the Stokes levels up to n = 16)
+        # and grows in place should they overrun it
+        least = sum(k * (k + 1) // 2 for k in map(int, dict(zip(diagonals, sizes)).values()))
+        packed = np.empty(least + least // 4)
         # the waves' own arrays, each wave a slice of one buffer per kind
         total, dtype = int(sizes.sum()), self.op.indices.dtype
         wave_dofs, wave_order = np.empty(total, dtype), np.empty(total, dtype)
@@ -604,6 +610,9 @@ class VankaSmoother(_Smoother):
                     raise SingularPatch(f"Schur complement of patch {p} is not positive")
                 a[n, n] = np.sqrt(sigma2)
                 size = k * (k + 1) // 2
+                if start + size > packed.size:
+                    # no view of the buffer exists yet, so it may move
+                    packed.resize(max(2 * packed.size, start + size), refcheck=False)
                 packed[start : start + size] = dtrttp(a, uplo="L")[0]
                 if key is not None:
                     distinct[key] = start

@@ -12,12 +12,22 @@ from p2amg import (
 EPS = 1e-12
 
 
-def z_faces(v) -> bool:
-    return v[2] < EPS or v[2] > 1.0 - EPS
+def z_faces(v: np.ndarray) -> np.ndarray:
+    return (v[:, 2] < EPS) | (v[:, 2] > 1.0 - EPS)
 
 
-def lid_displacement(v) -> np.ndarray:
-    return np.array([0.0, 0.0, 1.0 if v[2] > 0.5 else 0.0])
+def everywhere(v: np.ndarray) -> np.ndarray:
+    return np.ones(len(v), dtype=bool)
+
+
+def nowhere(v: np.ndarray) -> np.ndarray:
+    return np.zeros(len(v), dtype=bool)
+
+
+def lid_displacement(v: np.ndarray) -> np.ndarray:
+    g = np.zeros_like(v)
+    g[:, 2] = v[:, 2] > 0.5
+    return g
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from p2amg import assembly
 from p2amg.assembly import ProblemSpec, _a_block_coefficient, _element_parts, assemble
 from p2amg.basis import N_SCALAR_BASIS
-from p2amg.mesh import TET_EDGES, BoundaryTag
+from p2amg.mesh import TET_EDGES
 from p2amg.sparse_core import coupling_mask, divergence_mask
 
 
@@ -81,8 +81,8 @@ def triplet_assembly(mesh, spec: ProblemSpec):
         shape=(n_full, n_full),
     ).tocsr()
 
-    free_v = np.flatnonzero(mesh.vertex_tags != BoundaryTag.DIRICHLET)
-    free_e = np.flatnonzero(mesh.edge_tags != BoundaryTag.DIRICHLET)
+    free_v = np.flatnonzero(~mesh.dirichlet_vertices)
+    free_e = np.flatnonzero(~mesh.dirichlet_edges)
     free_nodes = np.concatenate([free_v, nv + free_e])
     free = (3 * free_nodes[:, None] + np.arange(3)).ravel()
     lift = assembly._hierarchical_lift(mesh, spec).ravel()
@@ -123,7 +123,7 @@ def free_node_index(mesh) -> np.ndarray:
     """Free velocity node of every vertex, then of every edge, of a
     tagged mesh, numbered in ``assemble``'s layout order (free vertices,
     then free edges); -1 for a Dirichlet vertex or edge."""
-    free = np.concatenate([mesh.vertex_tags, mesh.edge_tags]) != BoundaryTag.DIRICHLET
+    free = ~np.concatenate([mesh.dirichlet_vertices, mesh.dirichlet_edges])
     index = np.full(free.size, -1, dtype=np.int64)
     index[free] = np.arange(np.count_nonzero(free))
     return index
@@ -134,34 +134,26 @@ def manufactured_solution_residual(mesh, spec: ProblemSpec, exact_u, exact_p=Non
 
     The exact velocity is imposed as Dirichlet data on the tagged
     Dirichlet boundary; ``exact_u`` (with ``exact_p``) must be
-    traction-free on any other part of the boundary.  The discrete
-    solution is compared with the hierarchical interpolant of
-    ``exact_u``; for saddle problems with ``exact_p`` given, the pressure
-    error at vertices is included in the max.
+    traction-free on any other part of the boundary.  Both map an
+    ``(n, 3)`` array of points to their values, ``(n, 3)`` and ``(n,)``.
+    The discrete solution is compared with the hierarchical interpolant
+    of ``exact_u``; for saddle problems with ``exact_p`` given, the
+    pressure error at vertices is included in the max.
     """
     solve_spec = replace(spec, g_dirichlet=exact_u)
     system = assemble(mesh, solve_spec)
     x = spla.spsolve(system.monolithic().tocsc(), system.rhs())
 
-    err = 0.0
-    node = free_node_index(mesh)
-    nv = mesh.n_vertices
-    for v in np.flatnonzero(node[:nv] >= 0):
-        blk = node[v]
-        err = max(err, np.abs(x[3 * blk : 3 * blk + 3] - exact_u(mesh.vertices[v])).max())
-    for e in np.flatnonzero(node[nv:] >= 0):
-        blk = node[nv + e]
-        a, b = mesh.edges[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        coeff = np.asarray(exact_u(mid), dtype=float) - 0.5 * (
-            np.asarray(exact_u(mesh.vertices[a]), dtype=float)
-            + np.asarray(exact_u(mesh.vertices[b]), dtype=float)
-        )
-        err = max(err, np.abs(x[3 * blk : 3 * blk + 3] - coeff).max())
+    # the interpolant's vertex values and edge corrections, of which the
+    # free nodes come in layout order
+    u_v = exact_u(mesh.vertices)
+    a, b = mesh.edges.T
+    u_e = exact_u(0.5 * (mesh.vertices[a] + mesh.vertices[b])) - 0.5 * (u_v[a] + u_v[b])
+    free = free_node_index(mesh) >= 0
+    vd = system.layout.velocity_dof
+    err = np.abs(x[:vd].reshape(-1, 3) - np.vstack([u_v, u_e])[free]).max()
     if spec.is_saddle and exact_p is not None:
-        p = x[system.layout.velocity_dof :]
-        for v in range(mesh.n_vertices):
-            err = max(err, abs(p[v] - exact_p(mesh.vertices[v])))
+        err = max(err, np.abs(x[vd:] - exact_p(mesh.vertices)).max())
     return err
 
 

@@ -27,6 +27,7 @@ from p2amg.smoothers import (
     VankaSmoother,
 )
 
+from conftest import everywhere, lid_displacement, z_faces
 from fem_oracles import manufactured_solution_residual
 
 LEVELS = (4, 8, 16)
@@ -71,13 +72,11 @@ SGS22 = smoother_cfg(SmootherKind.SEGREGATED_GS, 2, omega=0.125)
 
 def test_criterion_01_discretization_exactness():
     """P2 exactness: componentwise-harmonic quadratic solved to roundoff."""
-    mesh = tag_boundary(generate_unit_cube_mesh(2), lambda v: True)
+    mesh = tag_boundary(generate_unit_cube_mesh(2), everywhere)
     err = manufactured_solution_residual(
         mesh,
         ProblemSpec(kind=ProblemKind.VECTOR_LAPLACE),
-        lambda x: np.array(
-            [x[0] ** 2 - x[1] ** 2, x[1] ** 2 - x[2] ** 2, x[2] ** 2 - x[0] ** 2]
-        ),
+        lambda x: x**2 - np.roll(x, -1, axis=1) ** 2,
     )
     report("01 discretization-exactness", err <= 1e-8, f"dof max-error {err:.2e}")
     assert err <= 1e-8
@@ -293,14 +292,10 @@ def test_criterion_09_smoother_unit_suite():
         x = x_star.copy()
         sm.presmooth(x, a @ x_star, 1)
         worst = max(worst, np.linalg.norm(x - x_star) / np.linalg.norm(x_star))
-    cube2 = tag_boundary(generate_unit_cube_mesh(2), lambda v: v[2] < 1e-12 or v[2] > 1 - 1e-12)
+    cube2 = tag_boundary(generate_unit_cube_mesh(2), z_faces)
     stokes2 = assemble(
         cube2,
-        ProblemSpec(
-            kind=ProblemKind.STOKES,
-            mu=0.5,
-            g_dirichlet=lambda v: np.array([0.0, 0.0, 1.0 if v[2] > 0.5 else 0.0]),
-        ),
+        ProblemSpec(kind=ProblemKind.STOKES, mu=0.5, g_dirichlet=lid_displacement),
     )
     k = stokes2.monolithic()
     y_star = rng.standard_normal(k.shape[0])
@@ -332,7 +327,7 @@ def test_criterion_09_smoother_unit_suite():
     assert vanka_worst <= 1e-12 * b_norm
 
     # Braess-Sarazin against the dense block-factor oracle (<= 100 dof)
-    mesh1 = tag_boundary(generate_unit_cube_mesh(1), lambda v: v[2] < 1e-12 or v[2] > 1 - 1e-12)
+    mesh1 = tag_boundary(generate_unit_cube_mesh(1), z_faces)
     small = assemble(
         mesh1,
         ProblemSpec(kind=ProblemKind.ELASTICITY_MIXED, mu=2.0, lam=5.0),

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,9 @@ from p2amg.basis import shape_gradients, tet_quadrature_degree4
 from p2amg.bench_cli import build_case
 from p2amg.coarsening import build_hierarchy
 from p2amg.errors import DegenerateElement, InvalidParameter, MissingTags
-from p2amg.mesh import BoundaryTag, generate_unit_cube_mesh, tag_boundary
+from p2amg.mesh import generate_unit_cube_mesh, tag_boundary
 
-from conftest import lid_displacement, z_faces
+from conftest import everywhere, lid_displacement, z_faces
 from fem_oracles import (
     edge_pressure_adjacency,
     element_matrices,
@@ -283,6 +284,31 @@ def test_problem_spec_validation():
         ProblemSpec(kind=ProblemKind.ELASTICITY_MIXED, mu=1.0, lam=-1.0)
 
 
+def test_lift_calls_boundary_data_once_per_node_kind(cube2):
+    # one call on the Dirichlet vertices, one on the Dirichlet edge midpoints
+    points = []
+
+    def data(x):
+        points.append(x.copy())
+        return lid_displacement(x)
+
+    assemble(cube2, ProblemSpec(kind=ProblemKind.STOKES, g_dirichlet=data))
+    assert len(points) == 2
+    assert np.array_equal(points[0], cube2.vertices[cube2.dirichlet_vertices])
+    a, b = cube2.edges[cube2.dirichlet_edges].T
+    assert np.array_equal(points[1], 0.5 * (cube2.vertices[a] + cube2.vertices[b]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [lambda x: np.zeros(3), lambda x: np.zeros(len(x)), lambda x: np.zeros((len(x), 2))],
+    ids=["one-vector", "scalars", "two-components"],
+)
+def test_boundary_data_of_wrong_shape_raises(cube2, data):
+    with pytest.raises(InvalidParameter):
+        assemble(cube2, ProblemSpec(kind=ProblemKind.VECTOR_LAPLACE, g_dirichlet=data))
+
+
 def test_assemble_requires_tags():
     with pytest.raises(MissingTags):
         assemble(generate_unit_cube_mesh(1), ProblemSpec(kind=ProblemKind.VECTOR_LAPLACE))
@@ -298,8 +324,8 @@ def test_assembled_laplacian_spd(laplace2):
 
 
 def test_free_dof_count(cube2, laplace2):
-    free_v = int((cube2.vertex_tags != BoundaryTag.DIRICHLET).sum())
-    free_e = int((cube2.edge_tags != BoundaryTag.DIRICHLET).sum())
+    free_v = int((~cube2.dirichlet_vertices).sum())
+    free_e = int((~cube2.dirichlet_edges).sum())
     assert laplace2.monolithic().shape[0] == 3 * (free_v + free_e)
     assert laplace2.layout.n_linear == free_v
     assert laplace2.layout.n_quadratic == free_e
@@ -396,15 +422,13 @@ def dense_assembly_oracle(mesh, spec):
             cm[np.ix_(tet, tet)] += c
     # hierarchical lift: vertex values, edge midpoint minus endpoint mean
     u = np.zeros((nv + mesh.n_edges, 3))
-    dir_v = mesh.vertex_tags == BoundaryTag.DIRICHLET
-    dir_e = mesh.edge_tags == BoundaryTag.DIRICHLET
+    dir_v, dir_e = mesh.dirichlet_vertices, mesh.dirichlet_edges
     for v in np.flatnonzero(dir_v):
-        u[v] = spec.dirichlet_value(mesh.vertices[v])
+        u[v] = spec.g_dirichlet(mesh.vertices[v : v + 1])[0]
     for e in np.flatnonzero(dir_e):
         x0, x1 = mesh.vertices[mesh.edges[e]]
-        u[nv + e] = spec.dirichlet_value(0.5 * (x0 + x1)) - 0.5 * (
-            spec.dirichlet_value(x0) + spec.dirichlet_value(x1)
-        )
+        g0, g1, gm = spec.g_dirichlet(np.array([x0, x1, 0.5 * (x0 + x1)]))
+        u[nv + e] = gm - 0.5 * (g0 + g1)
     u = u.ravel()
     free_nodes = np.concatenate([np.flatnonzero(~dir_v), nv + np.flatnonzero(~dir_e)])
     free = (3 * free_nodes[:, None] + np.arange(3)).ravel()
@@ -469,6 +493,46 @@ def test_pressure_adjacency_matches_edge_list(problem, n):
         assert x.tobytes() == y.tobytes(), name
 
 
+#: SHA-256 of the stored bytes of each assembled operator's CSR arrays
+#: (float64 data, int32 indices and row pointer) and of its right-hand
+#: side, for the benchmark cases at n = 4: assembly is pinned to the bit
+ASSEMBLY_DIGESTS = {
+    "vector_laplace": {
+        "data": "739f2c32e6d4aae6860f864c337800311ccd47f08bb22be8484397d0d6838b31",
+        "indices": "63cd5b0b2420d8e9a467d2875bc8ff40057bb281ffe1c3d9c534c1fd0fa0d18a",
+        "indptr": "3c1baaa8207f6abfdfca537c56471fd1512cdc8b0ce5af7a0a6fe3d36619daff",
+        "rhs": "24266aa53a159804a15cad9f2f066b3b96ff8f456d42d5d87ee578cf29786bd5",
+    },
+    "elasticity_displacement": {
+        "data": "31b9337b4eb97d1c3f8d2262a6f059a262635e470e899ad1a4c26d4a267ca2ef",
+        "indices": "a8d35eb6b5bcaee2577a1076d63376e4b7a2e3ace627231698b7fc377cb4cf59",
+        "indptr": "00067ea0ebd7086e6c37b165707b54a1464c9a40054dd0d3d1ef4ea34d72bb18",
+        "rhs": "9f38efa4604224c765729092e826792aa36258090072601bd608fc180b53a865",
+    },
+    "elasticity_mixed": {
+        "data": "e8250fc355b6a609fde162403a064f8c2dd43847084afaeba5f0f0552001a71f",
+        "indices": "1000467e18af1688ad9687cc1d1d1eb87cab9e01c100528e21fa1263157024b8",
+        "indptr": "88f9f3f5e5385fd39034a5b8e2046f1d9c16e5f2a3e7494c20845a732fe78d8c",
+        "rhs": "6ccd600628b66ea5ffd4251a9e46b3529d8646dd8c483943f1a6c688dcf422b0",
+    },
+    "stokes": {
+        "data": "b135e1de6e15d2b6877f0ae3447dce84c76ab19bce80a7975ae845ec4dccef5a",
+        "indices": "25a0736e65f881c64c4d10cb02fda93faaaff7904775615283d63a7427516ecc",
+        "indptr": "98a70287cff6a4f306de330c37fd96ac5a35042434d3d1dfafc11030913fd5dc",
+        "rhs": "94987e00aed07a8ef83e3750d29e1d3d35856aee49b530779891300a1921bc84",
+    },
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ASSEMBLY_DIGESTS))
+def test_assembled_system_is_pinned(problem):
+    system = assemble(*build_case(problem, 4))
+    op = system.monolithic()
+    arrays = {"data": op.data, "indices": op.indices, "indptr": op.indptr, "rhs": system.rhs()}
+    digests = {key: hashlib.sha256(a.tobytes()).hexdigest() for key, a in arrays.items()}
+    assert digests == ASSEMBLY_DIGESTS[problem]
+
+
 def test_assembly_memory_is_bounded():
     # the traced peak of assemble stays within 3x the bytes of the operator
     # it stores; Stokes n = 8 stores 17.1 MiB
@@ -485,7 +549,7 @@ def test_assembly_memory_is_bounded():
 
 def test_hierarchical_split_matches_p1_assembly(cube2, laplace2):
     """Independent P1-only assembly must equal the K_ll partition."""
-    free = np.flatnonzero(cube2.vertex_tags != BoundaryTag.DIRICHLET)
+    free = np.flatnonzero(~cube2.dirichlet_vertices)
     index = {v: i for i, v in enumerate(free)}
     n = len(free)
     k_oracle = np.zeros((n, n))
@@ -507,24 +571,21 @@ def test_hierarchical_split_matches_p1_assembly(cube2, laplace2):
 
 
 def test_manufactured_laplace_quadratic():
-    mesh = tag_boundary(generate_unit_cube_mesh(2), lambda v: True)
+    mesh = tag_boundary(generate_unit_cube_mesh(2), everywhere)
     spec = ProblemSpec(kind=ProblemKind.VECTOR_LAPLACE)
     err = manufactured_solution_residual(
         mesh,
         spec,
-        lambda x: np.array([x[0] ** 2 - x[1] ** 2, x[1] ** 2 - x[2] ** 2, x[2] ** 2 - x[0] ** 2]),
+        lambda x: x**2 - np.roll(x, -1, axis=1) ** 2,
     )
     assert err <= 1e-8
 
 
 def test_manufactured_elasticity_linear():
-    mesh = tag_boundary(generate_unit_cube_mesh(2), lambda v: True)
+    mesh = tag_boundary(generate_unit_cube_mesh(2), everywhere)
     spec = ProblemSpec(kind=ProblemKind.ELASTICITY_DISPLACEMENT, mu=2.0, lam=3.0)
-    err = manufactured_solution_residual(
-        mesh,
-        spec,
-        lambda x: np.array([0.2 * x[0] + 0.5 * x[2], 0.1 * x[1], -0.3 * x[2] + x[0]]),
-    )
+    gradient = np.array([[0.2, 0.0, 0.5], [0.0, 0.1, 0.0], [1.0, 0.0, -0.3]])
+    err = manufactured_solution_residual(mesh, spec, lambda x: x @ gradient.T)
     assert err <= 1e-10
 
 
@@ -536,15 +597,13 @@ def test_manufactured_stokes_linear():
     p0 = 2.0 * mu
 
     def exact_u(x):
-        return np.array([x[0], x[1], -2.0 * x[2]])
+        return x * np.array([1.0, 1.0, -2.0])
 
     def dirichlet(v):
         # everything except the interior of the outflow face x = 1
         tol = 1e-12
-        on_wall = (
-            v[1] < tol or v[1] > 1 - tol or v[2] < tol or v[2] > 1 - tol
-        )
-        return v[0] < 1.0 - tol or on_wall
+        on_wall = np.any((v[:, 1:] < tol) | (v[:, 1:] > 1 - tol), axis=1)
+        return (v[:, 0] < 1.0 - tol) | on_wall
 
     mesh = tag_boundary(generate_unit_cube_mesh(2), dirichlet)
     spec = ProblemSpec(kind=ProblemKind.STOKES, mu=mu)
@@ -558,9 +617,9 @@ def test_divergence_rows_on_translation_lift(cube1):
     spec = ProblemSpec(
         kind=ProblemKind.STOKES,
         mu=1.0,
-        g_dirichlet=lambda x: np.array([1.0, 0.0, 0.0]),
+        g_dirichlet=lambda x: np.broadcast_to([1.0, 0.0, 0.0], x.shape),
     )
-    mesh = tag_boundary(generate_unit_cube_mesh(1), lambda v: True)
+    mesh = tag_boundary(generate_unit_cube_mesh(1), everywhere)
     system = assemble(mesh, spec)
     # n=1, all-Dirichlet: the lift spans every vertex, so it interpolates
     # the constant field exactly and the assembled g = -B u_lift is the
@@ -571,11 +630,14 @@ def test_divergence_rows_on_translation_lift(cube1):
     # divergence theorem per hat: surface flux equals volume gradient term
     tri_pts, tri_wts = triangle_quadrature_degree4()
     const = np.array([1.0, 0.0, 0.0])
+    center = mesh.vertices.mean(axis=0)
     for vertex in range(mesh.n_vertices):
         flux = 0.0
         for tri in mesh.boundary_faces:
             a, b, c = mesh.vertices[tri]
-            normal = np.cross(b - a, c - a) / 2.0  # area-weighted outward
+            normal = np.cross(b - a, c - a) / 2.0  # area-weighted
+            # the cube is convex: outward is away from its center
+            normal *= np.sign(normal @ ((a + b + c) / 3.0 - center))
             if vertex not in tri:
                 continue
             local = list(tri).index(vertex)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from p2amg import coarsening
 from p2amg.assembly import ProblemKind, ProblemSpec, assemble
 from p2amg.coarsening import (
     COARSE,
@@ -30,7 +31,7 @@ from p2amg.sparse_core import (
     triple_product,
 )
 
-from conftest import lid_displacement, z_faces
+from conftest import lid_displacement, nowhere, z_faces
 from fem_oracles import free_node_index, node_pattern_product, reference_node_graph
 
 
@@ -311,7 +312,7 @@ def test_constant_preservation(laplace4):
 
 def test_pure_neumann_constant_identity():
     # (P^T A P) 1 = P^T (A 1) for the all-Neumann Laplacian sub-block
-    mesh = tag_boundary(generate_unit_cube_mesh(2), lambda v: False)
+    mesh = tag_boundary(generate_unit_cube_mesh(2), nowhere)
     system = assemble(mesh, ProblemSpec(kind=ProblemKind.VECTOR_LAPLACE))
     op = system.monolithic()
     lay = system.layout
@@ -425,6 +426,21 @@ def reference_level_graph(level, mode):
     return reference_node_graph(sp.block_diag(parts))
 
 
+def test_assembled_level_0_is_not_masked_again(laplace2, monkeypatch):
+    # assemble already dropped every velocity entry that does not couple;
+    # a system built or replaced otherwise is masked on every level
+    assert laplace2.coupled and not replace(laplace2).coupled
+    masked = []
+    mask = coarsening.coupling_mask
+    monkeypatch.setattr(coarsening, "coupling_mask", lambda a: masked.append(a) or mask(a))
+    hier = build_hierarchy(laplace2, coarse_size_cap=20)
+    assert hier.n_levels >= 3 and masked[0] is hier.levels[1].operator
+    assert not any(a is laplace2.operator for a in masked)
+    masked.clear()
+    build_hierarchy(replace(laplace2), coarse_size_cap=20)
+    assert masked[0] is laplace2.operator
+
+
 @pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("n", [2, 4])
 def test_level_graph_matches_coo_reference(kind, n):
@@ -435,9 +451,15 @@ def test_level_graph_matches_coo_reference(kind, n):
         # a cap of 20 leaves a singular coarsest Stokes operator
         hier = build_hierarchy(system, mode=mode, coarse_size_cap=50)
         assert hier.n_levels >= 2
-        for level in hier.levels:
+        for i, level in enumerate(hier.levels):
             graph = _level_graph(level, mode)
             oracle = reference_level_graph(level, mode)
+            if i == 0:
+                # assembly kept only coupling velocity entries: the graph
+                # without the mask is the same, arrays and dtypes
+                unmasked = _level_graph(level, mode, coupled=True)
+                for name in ("indptr", "indices", "data"):
+                    assert getattr(unmasked, name).tobytes() == getattr(graph, name).tobytes()
             assert graph.dtype == bool and graph.shape == oracle.shape
             assert np.array_equal(graph.indptr, oracle.indptr)
             assert np.array_equal(graph.indices, oracle.indices)

@@ -5,7 +5,6 @@ import pytest
 
 from p2amg.errors import InvalidParameter
 from p2amg.mesh import (
-    BoundaryTag,
     TET_EDGES,
     generate_channel_mesh,
     generate_unit_cube_mesh,
@@ -13,7 +12,7 @@ from p2amg.mesh import (
     tet_volumes,
 )
 
-from conftest import z_faces
+from conftest import nowhere, z_faces
 
 
 def enumerate_edges(tets):
@@ -106,15 +105,6 @@ def test_face_consistency():
     assert boundary == set(map(tuple, np.sort(mesh.boundary_faces, axis=1)))
 
 
-def test_boundary_faces_point_outward():
-    mesh = generate_unit_cube_mesh(2)
-    center = np.array([0.5, 0.5, 0.5])
-    for tri in mesh.boundary_faces:
-        a, b, c = mesh.vertices[tri]
-        normal = np.cross(b - a, c - a)
-        assert normal @ ((a + b + c) / 3.0 - center) > 0.0
-
-
 def test_regeneration_bit_identical():
     m1 = generate_unit_cube_mesh(3)
     m2 = generate_unit_cube_mesh(3)
@@ -131,13 +121,13 @@ MESH_DIGESTS = {
         "tets": "30e28f2d38a1bc6ec52387b15092e2f99ac64903aa599b0faea5847d17b6c3f9",
         "edges": "ce79cc75cecb510c0b304974dd52c9a604a2b6ea6e7325473da6897af5c3805b",
         "tet_edges": "7716f36608c1f4de9cbdf71a8198d1f1ced24bbae57694bbf24d3819300af1d6",
-        "boundary_faces": "22f38cc89d9134d838bb310e89e6650ba89734ba5b092d0cd13a20855b5c0b84",
+        "boundary_faces": "180cbf41023b67f3ea29be38e67fd14ca2089f2eb6cb6d77ffd9b77785b73b2e",
     },
     "channel-4x2x2": {
         "tets": "e5cfef13b0fa627745b79a146d86a07c52d864464df85d7330b283c17d48b6fe",
         "edges": "ef66b0555ab4c5797a2d7820d5bd14deb5e1527582c22a91d650f4da295c1acd",
         "tet_edges": "9e827148d1fb83eb2dc632e17881cc346854923f181c06cf1a63cb74731af3eb",
-        "boundary_faces": "3341de2560ddeea5cc7824faa55649d278df09324b27be3577745957d96461b3",
+        "boundary_faces": "bc235ef84a2aa02461a2a795674828c2fc551d691beeeaacfc683c7b5bad4c2b",
     },
 }
 
@@ -158,35 +148,52 @@ def test_mesh_numbering_is_pinned(name):
 
 def test_tag_cube1_all_corners_dirichlet(cube1):
     # every corner lies on z=0 or z=1
-    assert (cube1.vertex_tags == BoundaryTag.DIRICHLET).sum() == 8
+    assert cube1.dirichlet_vertices.sum() == 8
 
 
 def test_tag_cube2_counts(cube2):
-    # two 3x3 vertex grids
-    assert (cube2.vertex_tags == BoundaryTag.DIRICHLET).sum() == 18
-    assert (cube2.vertex_tags == BoundaryTag.INTERIOR).sum() == 1
+    # two 3x3 vertex grids; the centre vertex is on no boundary face
+    assert cube2.dirichlet_vertices.sum() == 18
+    assert np.setdiff1d(np.arange(cube2.n_vertices), cube2.boundary_faces).tolist() == [13]
 
 
 def test_tag_edges_follow_faces(cube2):
     # a Dirichlet edge must have both endpoints inside one Dirichlet face,
     # a boundary face whose three vertices all satisfy the predicate
-    dir_faces = [
-        set(f)
-        for f in cube2.boundary_faces
-        if all(z_faces(cube2.vertices[v]) for v in f)
-    ]
-    for e, tag in enumerate(cube2.edge_tags):
+    on = z_faces(cube2.vertices)
+    dir_faces = [set(f) for f in cube2.boundary_faces if on[f].all()]
+    for e, marked in enumerate(cube2.dirichlet_edges):
         a, b = cube2.edges[e]
         covered = any({a, b} <= f for f in dir_faces)
-        assert (tag == BoundaryTag.DIRICHLET) == covered
+        assert marked == covered
 
 
 def test_tag_always_false_predicate():
-    mesh = tag_boundary(generate_unit_cube_mesh(2), lambda v: False)
-    assert (mesh.vertex_tags == BoundaryTag.DIRICHLET).sum() == 0
-    assert (mesh.edge_tags == BoundaryTag.DIRICHLET).sum() == 0
-    # boundary entities become Neumann
-    assert (mesh.vertex_tags == BoundaryTag.NEUMANN).sum() == 26
+    mesh = tag_boundary(generate_unit_cube_mesh(2), nowhere)
+    assert not mesh.dirichlet_vertices.any()
+    assert not mesh.dirichlet_edges.any()
+
+
+def test_tag_calls_predicate_once_on_all_vertices():
+    mesh = generate_unit_cube_mesh(2)
+    calls = []
+
+    def predicate(v):
+        calls.append(v)
+        return z_faces(v)
+
+    tag_boundary(mesh, predicate)
+    assert len(calls) == 1 and calls[0] is mesh.vertices
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [lambda v: True, lambda v: z_faces(v)[:-1], lambda v: z_faces(v)[:, None]],
+    ids=["scalar", "short", "column"],
+)
+def test_tag_rejects_predicate_of_wrong_shape(predicate):
+    with pytest.raises(InvalidParameter):
+        tag_boundary(generate_unit_cube_mesh(2), predicate)
 
 
 def test_mesh_arrays_read_only(cube2):
