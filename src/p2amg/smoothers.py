@@ -2,8 +2,8 @@
 
 For the SPD velocity systems: damped pointwise Jacobi and block
 Gauss-Seidel over the 3x3 node blocks, by substitution through the unit
-lower triangle ``I + D^{-1} L`` (the CSR ``D^{-1}`` of the inverse node
-blocks serves segregated GS too).  For saddle systems: the
+lower triangle ``I + S``, ``S = D^{-1} L`` (the CSR ``D^{-1}`` of the
+inverse node blocks serves segregated GS too).  For saddle systems: the
 multiplicative Vanka smoother (one patch per pressure dof, built for
 all patches at once as one patch-to-node incidence and swept in
 dependency waves of mutually uncoupled patches, which gives the
@@ -30,7 +30,9 @@ from one sweep to the next; Vanka updates it as part of its sweep, and
 for the others the loop computes ``b - A x`` once per sweep.  Block GS
 runs its own sweeps, ``x <- T^{-1} (b - U x)``, which read the strict
 block upper triangle ``U`` instead of ``A`` from any iterate and carry
-the residual ``-U d`` after the first; it alone has a post-smoothing
+the residual ``-U d`` after the first; it stores no ``U`` but applies
+it as ``S^T D^T``, which is ``U`` for the symmetric operator, from the
+node blocks ``D``.  Block GS alone has a post-smoothing
 sweep of its own, the transposed one, and the cycle's caller decides
 whether to use it (see :mod:`multigrid`).  ``presmooth`` returns the
 residual of the smoothed iterate, which the cycle restricts and the
@@ -178,18 +180,23 @@ def parse_smoother(name: str) -> SmootherConfig:
 # shared helpers
 
 
-def _split_rows(op: sp.csr_matrix, hi: np.ndarray):
-    """Which stored entries of the CSR ``op`` lie at ``col < hi[i]`` in
-    their row ``i``, and the row pointer of those entries: one pass over
-    ``op.indices``, a block of rows at a time (``sparse_core.row_blocks``)."""
-    mask = np.empty(op.nnz, dtype=bool)
-    indptr = np.zeros_like(op.indptr)
-    hi = hi.astype(op.indices.dtype)
-    for start, stop in row_blocks(op.indptr):
-        ends = op.indptr[start : stop + 1] - op.indptr[start]
-        seg = mask[op.indptr[start] : op.indptr[stop]]
-        cols = op.indices[op.indptr[start] : op.indptr[stop]]
-        np.less(cols, np.repeat(hi[start:stop], np.diff(ends)), out=seg)
+def _split_rows(op: sp.csr_matrix, hi: np.ndarray, lo: np.ndarray | None = None):
+    """Which stored entries of the first ``len(hi)`` rows of the CSR
+    ``op`` lie at ``col < hi[i]`` in their row ``i``, and at ``col >=
+    lo[i]`` too if ``lo`` is given, and the row pointer of those entries:
+    one pass over ``op.indices``, a block of rows at a time
+    (``sparse_core.row_blocks``)."""
+    ptr = op.indptr[: hi.size + 1]
+    mask = np.empty(ptr[-1], dtype=bool)
+    indptr = np.zeros_like(ptr)
+    for start, stop in row_blocks(ptr):
+        ends = ptr[start : stop + 1] - ptr[start]
+        seg = mask[ptr[start] : ptr[stop]]
+        cols = op.indices[ptr[start] : ptr[stop]]
+        counts = np.diff(ends)
+        np.less(cols, np.repeat(hi[start:stop].astype(cols.dtype), counts), out=seg)
+        if lo is not None:
+            seg &= cols >= np.repeat(lo[start:stop].astype(cols.dtype), counts)
         taken = np.zeros(seg.size + 1, dtype=indptr.dtype)  # taken before each entry
         np.cumsum(seg, out=taken[1:])
         indptr[start + 1 : stop + 1] = indptr[start] + taken[ends[1:]]
@@ -197,51 +204,51 @@ def _split_rows(op: sp.csr_matrix, hi: np.ndarray):
 
 
 def _masked_rows(op: sp.csr_matrix, mask: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """The stored entries of the CSR ``op`` where ``mask`` holds, in
-    ``op``'s order, as CSR with the row pointer ``indptr`` of
-    ``_split_rows``."""
-    return sp.csr_matrix((op.data[mask], op.indices[mask], indptr), shape=op.shape)
+    """The stored entries of the first rows of the CSR ``op`` where
+    ``mask`` holds, in ``op``'s order, as CSR with the row pointer
+    ``indptr`` of ``_split_rows``."""
+    n = mask.size
+    return sp.csr_matrix(
+        (op.data[:n][mask], op.indices[:n][mask], indptr), shape=(indptr.size - 1, op.shape[1])
+    )
 
 
 def _velocity_block_inverses(op: sp.csr_matrix, layout: BlockLayout):
-    """Inverses of the diagonal node blocks ``D`` of the velocity
+    """The inverses of the diagonal node blocks ``D`` of the velocity
     partition, as block-diagonal CSR over the velocity dofs with exact
-    zeros dropped, and the row splits of ``op`` (``_split_rows``) at the
-    start of each row's node (the strict block lower triangle ``L``) and
-    at its end (``D + L``).  ``D`` holds the entries of the second split
-    and not of the first, with the difference of their row pointers."""
+    zeros dropped, and ``D`` itself, the entries of the velocity rows
+    between the start and the end of each row's node, as CSR read from
+    ``op``'s own arrays by one row split (``_split_rows``)."""
     bs, n, vd = layout.block_size, layout.n_velocity_nodes, layout.velocity_dof
-    node, first = layout.node_of_dof(), layout.first_dof()
-    below, lo = _split_rows(op, first[node])
-    lower, hi = _split_rows(op, first[node + 1])
-    diag = _masked_rows(op, lower & ~below, hi - lo)[:vd].tocoo()  # velocity rows first
-    i = node[diag.row]
+    node, first = layout.node_of_dof()[:vd], layout.first_dof()
+    diag = _masked_rows(op, *_split_rows(op, first[node + 1], first[node]))
+    coo = diag.tocoo()
+    i = node[coo.row]
     blocks = np.zeros((n, bs, bs))
-    blocks[i, diag.row - first[i], diag.col - first[i]] = diag.data
+    blocks[i, coo.row - first[i], coo.col - first[i]] = coo.data
     try:
         blocks = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularBlock("a diagonal velocity node block is singular") from exc
     inverses = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(vd, vd)).tocsr()
     inverses.eliminate_zeros()
-    return inverses, (below, lo), (lower, hi)
+    return inverses, diag
 
 
 def _block_triangles(op: sp.csr_matrix, layout: BlockLayout):
     """The inverse node blocks ``D^{-1}``, the strictly lower ``S =
-    D^{-1} L`` and the strict block upper triangle ``U`` of ``op = D + L
-    + U``, as CSR.
+    D^{-1} L`` and the node blocks ``D`` of ``op = D + L + U``, as CSR.
 
     ``I + S`` is unit lower triangular, since its diagonal blocks are
     exact identities, so the block lower triangle ``T = D (I + S)`` needs
-    no factorization.  ``D``, ``L`` and ``U`` are read from ``op``'s own
-    arrays by two row splits, so no copy of the whole operator is made.
+    no factorization.  ``D`` and ``L`` are read from ``op``'s own arrays
+    by two row splits, so no copy of the whole operator is made.  ``U``
+    is not formed: for a symmetric ``op`` it is ``L^T = S^T D^T``.
     """
-    inverses, (below, lo), (lower, hi) = _velocity_block_inverses(op, layout)
-    unit = inverses @ _masked_rows(op, below, lo)
-    strict = _masked_rows(op, np.logical_not(lower, out=lower), op.indptr - hi)
-    strict.sort_indices()  # a no-op unless op's rows are unsorted (Schur's are)
-    return inverses, unit, strict
+    inverses, diag = _velocity_block_inverses(op, layout)
+    node, first = layout.node_of_dof(), layout.first_dof()
+    unit = inverses @ _masked_rows(op, *_split_rows(op, first[node]))
+    return inverses, unit, diag
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +318,32 @@ class GaussSeidelSmoother(_Smoother):
     ``op = T + U`` with ``T = D + L = D (I + S)`` the block lower triangle,
     ``S = D^{-1} L`` formed once, and ``U`` the strict block upper
     triangle; ``T^{-1} r = (I + S)^{-1} D^{-1} r`` and ``T^{-T} r = D^{-T}
-    (I + S)^{-T} r`` are unit substitutions (``gstrs``).  A forward sweep
-    is ``x <- T^{-1} (b - U x)``, which reads ``U`` instead of forming ``b
-    - A x``, and from zero is ``x = T^{-1} b``.  Its change ``d`` leaves
-    the residual ``b - T x - U x = -U d``, which the next sweep, ``d =
-    T^{-1} r, x += d``, and ``presmooth``'s caller take instead of a
-    full matvec.  The post-smoothing sweep is the exact transpose, ``x
-    <- T^{-T} (b - U^T x)``, which keeps a V-cycle preconditioner
-    self-adjoint; it and its carried residual ``-U^T d`` assume ``op =
-    T^T + U^T``, i.e. a symmetric ``op``, for which ``T^T`` is the block
-    upper triangle and the sweep is the backward block sweep.  The node
-    blocks are the velocity blocks, so ``op`` has no pressure partition.
+    (I + S)^{-T} r`` are unit substitutions (``gstrs``).  ``op`` is
+    symmetric (to the bit on Galerkin and Schur levels, to rounding on
+    the assembled level 0), so ``U = L^T`` is not stored but applied as
+    ``S^T D^T``, and ``U^T`` as ``D S``, from ``S`` and the node blocks
+    ``D``.  A forward sweep is ``x <- T^{-1} (b - U x)``, which reads
+    ``U`` instead of forming ``b - A x``, and from zero is ``x = T^{-1}
+    b``.  Its change ``d`` leaves the residual ``b - T x - U x = -U d``,
+    which the next sweep, ``d = T^{-1} r, x += d``, and ``presmooth``'s
+    caller take instead of a full matvec.  The post-smoothing sweep is
+    the exact transpose, ``x <- T^{-T} (b - U^T x)``, which keeps a
+    V-cycle preconditioner self-adjoint; as ``op = T^T + U^T``, it is the
+    backward block sweep and carries ``-U^T d``.  The node blocks are the
+    velocity blocks, so ``op`` has no pressure partition.
     """
 
     def __init__(self, op, layout: BlockLayout):
         if layout.is_saddle:
             raise MalformedSystem("block Gauss-Seidel requires a system without pressure")
         self.op = op
-        self._inverses, unit, self._upper = _block_triangles(op, layout)
-        n, eye = op.shape[0], sp.identity(op.shape[0], format="csc")
+        self._inverses, self._strict, self._diag = _block_triangles(op, layout)
+        n, eye, unit = op.shape[0], sp.identity(op.shape[0], format="csc"), self._strict
         # gstrs's arguments between ``trans`` and ``b``: L = I and U = S^T
         self._unit = (n, eye.nnz, eye.data, eye.indices, eye.indptr,
                       n, unit.nnz, unit.data, unit.indices, unit.indptr)
-        # the transposed sweep's views: they share the arrays above
-        self._inverses_t = self._inverses.T
-        self._upper_t = self._upper.T
+        # the transposes: views that share the arrays above
+        self._inverses_t, self._strict_t, self._diag_t = self._inverses.T, unit.T, self._diag.T
 
     def _solve(self, r):  # T^{-1} r
         return gstrs("T", *self._unit, self._inverses @ r)[0]
@@ -343,18 +351,24 @@ class GaussSeidelSmoother(_Smoother):
     def _solve_t(self, r):  # T^{-T} r
         return self._inverses_t @ gstrs("N", *self._unit, r)[0]
 
+    def _upper(self, x):  # U x = S^T D^T x
+        return self._strict_t @ (self._diag_t @ x)
+
+    def _upper_t(self, x):  # U^T x = D S x
+        return self._diag @ (self._strict @ x)
+
     @staticmethod
     def _gs_sweeps(solve, upper, x, b, sweeps, residual):
-        """``sweeps`` sweeps ``x <- solve(b - upper @ x)`` on ``x`` in
+        """``sweeps`` sweeps ``x <- solve(b - upper(x))`` on ``x`` in
         place, the later ones on the carried residual; return ``b - op
         @ x`` if ``residual``, else None."""
-        y = solve(b - upper @ x if x.any() else b)
+        y = solve(b - upper(x) if x.any() else b)
         d = y - x
         x[:] = y
         for _ in range(sweeps - 1):
-            d = solve(-(upper @ d))
+            d = solve(-upper(d))
             x += d
-        return -(upper @ d) if residual else None
+        return -upper(d) if residual else None
 
     def presmooth(self, x, b, sweeps):
         """Run ``sweeps`` forward sweeps on ``x`` in place; return ``b -

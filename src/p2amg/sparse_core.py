@@ -177,8 +177,9 @@ def triple_product(p, a) -> sp.csr_matrix:
     stays CSR by CSR; ``P.T`` alone is CSC and would convert ``A P``.
     The result is averaged with its transpose, so roundoff cannot break
     the symmetry the projection preserves mathematically and the coarse
-    operator is symmetric to the bit; the sparsity pattern is unchanged
-    by that averaging.
+    operator is symmetric to the bit.  The average can add entries:
+    scipy's product drops exact-zero sums, so ``R (A P)`` may store an
+    entry without its mirror, and the average stores both.
     """
     if p.shape[0] != a.shape[0] or a.shape[0] != a.shape[1]:
         raise ShapeError(f"cannot form P^T A P with A {a.shape} and P {p.shape}")

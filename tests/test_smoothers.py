@@ -369,7 +369,8 @@ def test_row_split_matches_coo_oracle(name, block, monkeypatch):
     op`` entry by entry.  The strict block lower triangle ``L`` is the
     split at each row's node start, and the diagonal node blocks, the
     entries with ``node(col) == node(row)``, are those of ``T`` and not
-    of ``L``, with the difference of the row pointers.  The small block
+    of ``L``, with the difference of the row pointers, and those of one
+    split between each row's node start and end.  The small block
     sizes make row blocks of one or five rows, which end inside a node,
     and the hand-made operators have empty rows, the last one included."""
     monkeypatch.setattr(sparse_core, "_MASK_BLOCK", block)
@@ -394,33 +395,72 @@ def test_row_split_matches_coo_oracle(name, block, monkeypatch):
     assert_same_csr(_masked_rows(op, lower & ~below, indptr - lo), ref_d)
     assert_same_csr(_masked_rows(op, below, lo), ref_l)
 
+    # the two-sided split takes D in one pass, over all rows or over the
+    # first rows only, as segregated GS splits a saddle's velocity rows
+    assert_same_csr(_masked_rows(op, *_split_rows(op, first[node + 1], first[node])), ref_d)
+    rows = 2 * op.shape[0] // 3
+    head = _masked_rows(op, *_split_rows(op, first[node[:rows] + 1], first[node[:rows]]))
+    assert head.shape == (rows, op.shape[1])
+    assert_same_csr(head, ref_d[:rows])
 
+
+def reversed_columns(op):
+    """``op`` with each row's entries stored in reverse column order, as
+    the Schur hierarchy's unsorted rows are."""
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    perm = np.lexsort((-op.indices, rows))
+    out = sp.csr_matrix((op.data[perm], op.indices[perm], op.indptr), shape=op.shape)
+    assert not out.has_sorted_indices
+    return out
+
+
+def gs_case(name, order):
+    """The level-0 operator and layout of one block-GS case at n = 2, its
+    rows sorted or in reverse column order."""
+    from p2amg.assembly import assemble
+    from p2amg.bench_cli import build_case
+
+    if name == "vector-laplace":
+        system = assemble(*build_case("vector_laplace", 2))
+    else:
+        system = assemble(*build_case("elasticity_displacement", 2, 1.15e6, 1.73e6))
+    op = system.monolithic()
+    return (reversed_columns(op) if order == "reversed" else op), system.layout
+
+
+@pytest.mark.parametrize("name", ["vector-laplace", "elasticity"])
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
-def test_block_triangles_factor_t_and_store_u(laplace2, order):
+def test_block_triangles_keep_d_and_apply_u_from_s_and_d(name, order):
     """``_block_triangles`` returns the inverse node blocks ``D^{-1}``,
     diagonal for the vector Laplacian once exact zeros are dropped, the
-    strictly lower ``S = D^{-1} L`` with ``intc`` indices, and ``U``,
-    which comes back sorted even from rows stored in reverse column order
-    (the Schur hierarchy's operator is unsorted)."""
-    op = laplace2.monolithic()
-    if order == "reversed":
-        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        perm = np.lexsort((-op.indices, rows))
-        op = sp.csr_matrix((op.data[perm], op.indices[perm], op.indptr), shape=op.shape)
-        assert not op.has_sorted_indices
-    node = laplace2.layout.node_of_dof()
-    inverses, unit, u = _block_triangles(op, laplace2.layout)
+    strictly lower ``S = D^{-1} L`` with ``intc`` indices, and ``D``
+    entry for entry (the reference sorts each row), from sorted rows and
+    from rows stored in reverse column order alike.  Block GS keeps no
+    strict upper triangle: the forward sweep's ``U x`` is ``S^T (D^T
+    x)`` and the transposed sweep's ``U^T x`` is ``D (S x)``, which match
+    the strict block triangles of the symmetric ``op`` to rounding."""
+    op, layout = gs_case(name, order)
+    node = layout.node_of_dof()
+    inverses, unit, diag = _block_triangles(op, layout)
     ref_d, _ = coo_split(op, lambda i, j: node[j] == node[i])
     ref_l, _ = coo_split(op, lambda i, j: node[j] < node[i])
     _, ref_u = coo_split(op, lambda i, j: node[j] <= node[i])
-    assert_same_csr(u, ref_u)
+    assert_same_csr(diag.sorted_indices(), ref_d)
     ref_inv = np.linalg.inv(ref_d.toarray())
-    assert inverses.nnz == op.shape[0]
+    if name == "vector-laplace":
+        assert inverses.nnz == op.shape[0]
     assert np.abs(inverses.toarray() - ref_inv).max() <= 1e-14 * np.abs(ref_inv).max()
     ref_unit = ref_inv @ ref_l.toarray()
     assert unit.indices.dtype == unit.indptr.dtype == np.intc
     assert np.abs(unit.toarray() - ref_unit).max() <= 1e-14 * np.abs(ref_unit).max()
     assert sp.triu(unit).nnz == 0
+
+    sm = GaussSeidelSmoother(op, layout)
+    held = {key for key, value in vars(sm).items() if sp.issparse(value)}
+    assert held == {"op", "_inverses", "_inverses_t", "_strict", "_strict_t", "_diag", "_diag_t"}
+    x = np.random.default_rng(49).standard_normal(op.shape[0])
+    for got, ref in ((sm._upper(x), ref_u @ x), (sm._upper_t(x), ref_l @ x)):
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_gstrs_unit_triangle_contract():
@@ -463,12 +503,16 @@ def test_gs_rejects_a_saddle_layout(stokes2):
         GaussSeidelSmoother(stokes2.monolithic(), stokes2.layout)
 
 
-def test_gs_setup_peak_is_bounded_by_the_triangles():
+def csr_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_gs_setup_peak_is_bounded_by_its_state():
     """Block GS setup at vector Laplace n = 8 (265,425 stored entries)
-    allocates at most 1.5x the stored bytes of ``T`` and ``U`` through
-    numpy: ``D``, ``L``, ``S = D^{-1} L`` and ``U``, the two split masks
-    and row-block temporaries.  A split through a COO copy of the
-    operator peaks at 2.1x."""
+    allocates at most 1.75x the bytes it keeps through numpy: ``S``, ``D``,
+    ``D^{-1}`` and the identity.  The rest of the peak is ``L``, which
+    ``S = D^{-1} L`` is formed from.  Storing the strict upper triangle as
+    well peaked at 1.81x."""
     from p2amg.assembly import assemble
     from p2amg.bench_cli import build_case
 
@@ -480,11 +524,9 @@ def test_gs_setup_peak_is_bounded_by_the_triangles():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    u = sm._upper
-    entry = op.data.itemsize + op.indices.itemsize
-    stored = (op.nnz - u.nnz) * entry + op.indptr.nbytes  # T
-    stored += u.nnz * entry + u.indptr.nbytes
-    assert peak <= 1.5 * stored
+    eye = sp.identity(op.shape[0], format="csc")
+    kept = csr_bytes(sm._strict) + csr_bytes(sm._diag) + csr_bytes(sm._inverses) + csr_bytes(eye)
+    assert peak <= 1.75 * kept
 
 
 def vm_size_bytes():
@@ -511,7 +553,7 @@ def test_gs_setup_reserves_no_address_space_beyond_its_arrays():
     before = vm_size_bytes()
     sm = GaussSeidelSmoother(op, system.layout)
     grown = vm_size_bytes() - before
-    assert sm._upper.nnz > 0
+    assert sm._strict.nnz > 0 and sm._diag.nnz > 0
     assert grown <= 4 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
@@ -547,9 +589,11 @@ def test_velocity_block_inverses_match_coo_oracle_bitwise(mixed2):
 
 def test_transposed_sweep_views_share_the_stored_arrays(laplace2, stokes2):
     sm = GaussSeidelSmoother(laplace2.monolithic(), laplace2.layout)
-    assert np.shares_memory(sm._upper_t.data, sm._upper.data)
-    assert np.shares_memory(sm._upper_t.indices, sm._upper.indices)
-    assert np.shares_memory(sm._inverses_t.data, sm._inverses.data)
+    for a, a_t in ((sm._strict, sm._strict_t), (sm._diag, sm._diag_t),
+                   (sm._inverses, sm._inverses_t)):
+        assert np.shares_memory(a_t.data, a.data)
+        assert np.shares_memory(a_t.indices, a.indices)
+    assert sm._unit[7] is sm._strict.data and sm._unit[8] is sm._strict.indices
     bs = BraessSarazinSmoother(stokes2.monolithic(), stokes2.layout)
     assert np.shares_memory(bs._b_block_t.data, bs.b_block.data)
 

@@ -125,6 +125,23 @@ def test_triple_product_matches_transpose_product_on_stokes_level():
     assert np.array_equal(out.data, oracle.data)
 
 
+def test_triple_product_pattern_holds_both_mirrors_on_stokes_level():
+    """scipy's product drops exact-zero sums, so ``R (A P)`` may store an
+    entry without its mirror; the average with the transpose stores
+    both.  The coarse pattern is symmetric and keeps every entry of ``R
+    (A P)``."""
+    mesh, spec = build_case("stokes", 4)
+    level = build_hierarchy(assemble(mesh, spec)).levels[0]
+    p, a = level.prolongation, level.operator
+    raw = p.T.tocsr() @ (a @ p)
+    out = triple_product(p, a)
+    mirror = out.T.tocsr()
+    mirror.sort_indices()
+    assert np.array_equal(out.indptr, mirror.indptr)
+    assert np.array_equal(out.indices, mirror.indices)
+    assert out.nnz >= raw.nnz
+
+
 def test_triple_product_shape_error():
     with pytest.raises(ShapeError):
         triple_product(sp.identity(3, format="csr"), sp.identity(4, format="csr"))
